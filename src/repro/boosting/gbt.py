@@ -6,13 +6,18 @@ label.  It implements the second-order (Newton) boosting update with
 shrinkage, row subsampling, L2 leaf regularization and optional
 early stopping — the core of the XGBoost algorithm, minus the systems-level
 optimizations irrelevant at this scale.
+
+Prediction walks all ``rounds x classes`` trees at once over their
+concatenated :class:`~repro.boosting.tree.FlatTrees`, then adds the leaf
+values round by round in fitting order, so the logits are the same floats a
+tree-by-tree sum gives.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.boosting.tree import RegressionTree
+from repro.boosting.tree import FlatTrees, RegressionTree
 
 __all__ = ["GradientBoostedClassifier"]
 
@@ -67,6 +72,18 @@ class GradientBoostedClassifier:
         self.n_classes: int | None = None
         self._base_score: np.ndarray | None = None
         self._rounds: list[list[RegressionTree]] = []
+        self._flat: FlatTrees | None = None
+
+    def __getstate__(self) -> dict:
+        # The stacked tree arrays are derived from ``_rounds``: leave them
+        # out so pickles hold only the fitted trees.
+        state = self.__dict__.copy()
+        del state["_flat"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._flat = None
 
     @property
     def n_rounds(self) -> int:
@@ -80,8 +97,14 @@ class GradientBoostedClassifier:
         rng: np.random.Generator | None = None,
         x_val: np.ndarray | None = None,
         y_val: np.ndarray | None = None,
+        n_classes: int | None = None,
     ) -> "GradientBoostedClassifier":
-        """Fit to features ``x`` (n, d) and integer labels ``y`` (n,)."""
+        """Fit to features ``x`` (n, d) and integer labels ``y`` (n,).
+
+        ``n_classes`` fixes the number of output classes, so a training set
+        that lacks the top classes still yields ``(n, n_classes)``
+        probabilities.  By default it is ``max(y) + 1`` (at least 2).
+        """
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64).ravel()
         if x.ndim != 2 or x.shape[0] != y.shape[0]:
@@ -92,9 +115,14 @@ class GradientBoostedClassifier:
             raise ValueError("cannot fit on an empty dataset")
         if y.min() < 0:
             raise ValueError("labels must be non-negative")
-        self.n_classes = int(y.max()) + 1
-        if self.n_classes < 2:
-            self.n_classes = 2
+        if n_classes is None:
+            n_classes = max(int(y.max()) + 1, 2)
+        elif n_classes < 2 or y.max() >= n_classes:
+            raise ValueError(
+                f"n_classes must be >= 2 and exceed every label, got "
+                f"{n_classes} for labels up to {int(y.max())}"
+            )
+        self.n_classes = n_classes
         n, k = x.shape[0], self.n_classes
 
         has_val = x_val is not None and y_val is not None
@@ -108,6 +136,7 @@ class GradientBoostedClassifier:
         priors = np.clip(priors / priors.sum(), 1e-12, None)
         self._base_score = np.log(priors)
         self._rounds = []
+        self._flat = None
 
         onehot = np.zeros((n, k), dtype=np.float64)
         onehot[np.arange(n), y] = 1.0
@@ -161,11 +190,21 @@ class GradientBoostedClassifier:
         if self._base_score is None or self.n_classes is None:
             raise RuntimeError("model not fitted")
         x = np.asarray(x, dtype=np.float64)
-        logits = np.tile(self._base_score, (x.shape[0], 1))
-        for round_trees in self._rounds:
-            for cls, tree in enumerate(round_trees):
-                logits[:, cls] += self.learning_rate * tree.predict(x)
-        return logits
+        n_features = self._rounds[0][0].n_features
+        if x.ndim != 2 or x.shape[1] != n_features:
+            raise ValueError(f"x must be (n, {n_features}), got shape {x.shape}")
+        if self._flat is None:
+            self._flat = FlatTrees.concatenate(
+                [tree.compiled() for trees in self._rounds for tree in trees]
+            )
+        n, k = x.shape[0], self.n_classes
+        leaves = self._flat.leaf_values(x).reshape(len(self._rounds), k, n)
+        terms = np.empty((len(self._rounds) + 1, n, k), dtype=np.float64)
+        terms[0] = self._base_score
+        terms[1:] = self.learning_rate * leaves.transpose(0, 2, 1)
+        # accumulate is a running sum (r[i] = r[i-1] + a[i]): the base score
+        # plus each round's leaves, added in fitting order.
+        return np.add.accumulate(terms, axis=0)[-1]
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Softmax class probabilities, shape ``(n, n_classes)``."""

@@ -4,6 +4,12 @@ Trees are grown greedily on exact splits with variance reduction as the
 criterion.  For gradient boosting, leaves fit the Newton step
 ``-sum(grad) / (sum(hess) + lambda)`` so the same tree class serves both
 plain regression and second-order boosting.
+
+A fitted tree is a linked :class:`TreeNode` structure (what pickles) plus a
+compiled :class:`FlatTrees` form (what predicts): preorder node arrays in
+which leaves point at themselves, so every row takes exactly ``depth``
+vectorised steps.  Several trees concatenate into one :class:`FlatTrees`,
+which lets a boosted ensemble walk all of its trees in one pass.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TreeNode", "RegressionTree"]
+__all__ = ["FlatTrees", "TreeNode", "RegressionTree"]
 
 
 @dataclass
@@ -31,6 +37,87 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.feature < 0
+
+
+@dataclass(frozen=True)
+class FlatTrees:
+    """One or more trees as concatenated preorder node arrays.
+
+    ``feature`` is -1 at leaves, and a leaf's ``left`` and ``right`` are its
+    own index, so a walk parks on a leaf once it gets there.  ``roots``
+    holds the index of each tree's root; ``depth`` is the deepest tree's.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    depth: int
+
+    @classmethod
+    def compile(cls, root: TreeNode) -> "FlatTrees":
+        """Flatten the tree under ``root`` in preorder."""
+        nodes: list[TreeNode] = []
+        left: list[int] = []
+        right: list[int] = []
+
+        def visit(node: TreeNode, level: int) -> int:
+            """Append ``node``'s subtree; return its deepest level."""
+            index = len(nodes)
+            nodes.append(node)
+            left.append(index)
+            right.append(index)
+            if node.is_leaf:
+                return level
+            assert node.left is not None and node.right is not None
+            left[index] = len(nodes)
+            left_depth = visit(node.left, level + 1)
+            right[index] = len(nodes)
+            return max(left_depth, visit(node.right, level + 1))
+
+        depth = visit(root, 0)
+        return cls(
+            feature=np.array([n.feature for n in nodes], dtype=np.intp),
+            threshold=np.array([n.threshold for n in nodes], dtype=np.float64),
+            left=np.array(left, dtype=np.intp),
+            right=np.array(right, dtype=np.intp),
+            value=np.array([n.value for n in nodes], dtype=np.float64),
+            roots=np.zeros(1, dtype=np.intp),
+            depth=depth,
+        )
+
+    @classmethod
+    def concatenate(cls, trees: "list[FlatTrees]") -> "FlatTrees":
+        """Stack several compiled trees, shifting their node indices."""
+        offsets = np.cumsum([0] + [t.value.size for t in trees[:-1]])
+        return cls(
+            feature=np.concatenate([t.feature for t in trees]),
+            threshold=np.concatenate([t.threshold for t in trees]),
+            left=np.concatenate([t.left + o for t, o in zip(trees, offsets)]),
+            right=np.concatenate([t.right + o for t, o in zip(trees, offsets)]),
+            value=np.concatenate([t.value for t in trees]),
+            roots=np.concatenate([t.roots + o for t, o in zip(trees, offsets)]),
+            depth=max(t.depth for t in trees),
+        )
+
+    def leaf_values(self, x: np.ndarray) -> np.ndarray:
+        """Leaf value of every tree for every row, shape ``(trees, n)``.
+
+        A row goes left when ``x[row, feature] <= threshold``, so NaN goes
+        right, as in the node-by-node walk.
+        """
+        n, d = x.shape
+        flat_x = x.ravel()
+        row_start = np.arange(n, dtype=np.intp) * d
+        node = np.repeat(self.roots[:, None], n, axis=1)
+        for _ in range(self.depth):
+            # At a leaf, feature -1 still reads a valid cell; the result is
+            # ignored because both branches lead back to the leaf.
+            go_left = flat_x[row_start + self.feature[node]] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        return self.value[node]
 
 
 class RegressionTree:
@@ -67,6 +154,18 @@ class RegressionTree:
         self.reg_lambda = reg_lambda
         self.root: TreeNode | None = None
         self.n_features: int | None = None
+        self._flat: FlatTrees | None = None
+
+    def __getstate__(self) -> dict:
+        # The compiled arrays are derived from ``root``: leave them out so
+        # pickles hold only the node structure.
+        state = self.__dict__.copy()
+        del state["_flat"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._flat = None
 
     def fit(
         self,
@@ -97,7 +196,16 @@ class RegressionTree:
                 raise ValueError("hess must be non-negative")
         self.n_features = x.shape[1]
         self.root = self._build(x, grad, hess, depth=0)
+        self._flat = None
         return self
+
+    def compiled(self) -> FlatTrees:
+        """The fitted tree as flat node arrays, compiled on first use."""
+        if self.root is None:
+            raise RuntimeError("tree not fitted")
+        if self._flat is None:
+            self._flat = FlatTrees.compile(self.root)
+        return self._flat
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Leaf value for each row of ``x``."""
@@ -108,36 +216,20 @@ class RegressionTree:
             raise ValueError(
                 f"x must be (n, {self.n_features}), got shape {x.shape}"
             )
-        out = np.empty(x.shape[0], dtype=np.float64)
-        self._predict_into(self.root, x, np.arange(x.shape[0]), out)
-        return out
+        return self.compiled().leaf_values(x)[0]
 
     def depth(self) -> int:
         """Actual depth of the fitted tree."""
-        if self.root is None:
-            raise RuntimeError("tree not fitted")
-        return self._depth(self.root)
+        return self.compiled().depth
 
     def n_leaves(self) -> int:
         """Number of leaves in the fitted tree."""
-        if self.root is None:
-            raise RuntimeError("tree not fitted")
-        return self._leaves(self.root)
+        return int(np.count_nonzero(self.compiled().feature < 0))
 
     def feature_split_counts(self) -> np.ndarray:
         """How many internal nodes split on each feature, shape ``(d,)``."""
-        if self.root is None or self.n_features is None:
-            raise RuntimeError("tree not fitted")
-        counts = np.zeros(self.n_features, dtype=np.int64)
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                continue
-            counts[node.feature] += 1
-            assert node.left is not None and node.right is not None
-            stack.extend((node.left, node.right))
-        return counts
+        feature = self.compiled().feature
+        return np.bincount(feature[feature >= 0], minlength=self.n_features)
 
     # -- internals ---------------------------------------------------------
 
@@ -196,26 +288,3 @@ class RegressionTree:
 
     def _score_vec(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         return g * g / (h + self.reg_lambda)
-
-    def _predict_into(
-        self, node: TreeNode, x: np.ndarray, idx: np.ndarray, out: np.ndarray
-    ) -> None:
-        if node.is_leaf:
-            out[idx] = node.value
-            return
-        mask = x[idx, node.feature] <= node.threshold
-        assert node.left is not None and node.right is not None
-        self._predict_into(node.left, x, idx[mask], out)
-        self._predict_into(node.right, x, idx[~mask], out)
-
-    def _depth(self, node: TreeNode) -> int:
-        if node.is_leaf:
-            return 0
-        assert node.left is not None and node.right is not None
-        return 1 + max(self._depth(node.left), self._depth(node.right))
-
-    def _leaves(self, node: TreeNode) -> int:
-        if node.is_leaf:
-            return 1
-        assert node.left is not None and node.right is not None
-        return self._leaves(node.left) + self._leaves(node.right)

@@ -79,7 +79,14 @@ class CrowdQualityControl:
         golden_labels = np.asarray(golden_labels, dtype=np.int64).ravel()
         if golden_labels.shape[0] != len(results):
             raise ValueError("one golden label per query result is required")
-        self._classifier.fit(self._features(results), golden_labels, rng=rng)
+        # Every damage class is an output even when the pilot lacks some,
+        # so distributions always line up with the committee's votes.
+        self._classifier.fit(
+            self._features(results),
+            golden_labels,
+            rng=rng,
+            n_classes=DamageLabel.count(),
+        )
         self._fitted = True
         return self
 

@@ -690,9 +690,14 @@ class CrowdLearnSystem:
             touched[event.query.query_id] = record
         images: list[DisasterImage] = []
         labels: list[int] = []
-        for query_id, record in touched.items():
-            truthful = self.cqc.truthful_labels([record.result])
-            label = int(truthful[0])
+        # One CQC call for all touched queries: rows are scored
+        # independently, so each label is the one a single-row call gives.
+        truthful = self.cqc.truthful_labels(
+            [record.result for record in touched.values()]
+        )
+        for (query_id, record), label in zip(
+            touched.items(), truthful.tolist()
+        ):
             self.platform.reveal_ground_truth(query_id, label)
             images.append(record.image)
             labels.append(label)

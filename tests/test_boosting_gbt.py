@@ -1,5 +1,7 @@
 """Tests for repro.boosting.gbt."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -111,3 +113,63 @@ class TestGradientBoostedClassifier:
         y = np.zeros(20, dtype=np.int64)
         model = GradientBoostedClassifier(n_estimators=2).fit(x, y, rng=rng)
         assert (model.predict(x) == 0).all()
+
+
+class TestExplicitClassCount:
+    def test_missing_top_class_still_gets_a_column(self, rng):
+        x, y = xor_data(rng, n=100)
+        model = GradientBoostedClassifier(n_estimators=5, max_depth=2)
+        model.fit(x, y, rng=rng, n_classes=3)
+        probs = model.predict_proba(x)
+        assert model.n_classes == 3
+        assert probs.shape == (len(x), 3)
+        assert (probs[:, 2] < probs.max(axis=1)).all()
+
+    def test_too_few_classes_raise(self, rng):
+        x, y = three_class_data(rng, n=50)
+        with pytest.raises(ValueError):
+            GradientBoostedClassifier().fit(x, y, rng=rng, n_classes=2)
+        with pytest.raises(ValueError):
+            GradientBoostedClassifier().fit(x, y % 1, rng=rng, n_classes=1)
+
+
+class TestCompiledEnsemble:
+    """The stacked tree arrays are derived state, rebuilt on first use."""
+
+    def test_pickle_drops_and_rebuilds_compiled_arrays(self, rng):
+        x, y = three_class_data(rng, n=120)
+        model = GradientBoostedClassifier(n_estimators=8, subsample=0.7).fit(
+            x, y, rng=np.random.default_rng(0)
+        )
+        before = model.decision_function(x)
+        payload = pickle.dumps(model)
+        # Same bytes as a twin that never predicted: nothing derived leaks.
+        never_used = GradientBoostedClassifier(n_estimators=8, subsample=0.7).fit(
+            x, y, rng=np.random.default_rng(0)
+        )
+        assert payload == pickle.dumps(never_used)
+        assert b"_flat" not in payload
+        restored = pickle.loads(payload)
+        np.testing.assert_array_equal(restored.decision_function(x), before)
+
+    def test_refit_replaces_compiled_arrays(self, rng):
+        x, y = three_class_data(rng, n=120)
+        x2, y2 = xor_data(rng, n=120)
+        model = GradientBoostedClassifier(n_estimators=6).fit(x, y, rng=rng)
+        model.decision_function(x)
+        model.fit(x2, y2, rng=np.random.default_rng(3))
+        fresh = GradientBoostedClassifier(n_estimators=6).fit(
+            x2, y2, rng=np.random.default_rng(3)
+        )
+        assert model.n_classes == 2
+        np.testing.assert_array_equal(
+            model.decision_function(x2), fresh.decision_function(x2)
+        )
+
+    def test_wrong_width_raises(self, rng):
+        x, y = three_class_data(rng, n=60)
+        model = GradientBoostedClassifier(n_estimators=3).fit(x, y, rng=rng)
+        with pytest.raises(ValueError):
+            model.decision_function(np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            model.predict(np.zeros(3))

@@ -1,5 +1,7 @@
 """Tests for repro.boosting.tree."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -91,3 +93,46 @@ class TestRegressionTree:
             RegressionTree(min_samples_leaf=0)
         with pytest.raises(ValueError):
             RegressionTree(reg_lambda=-1.0)
+
+
+class TestCompiledTree:
+    def test_leaves_point_at_themselves(self, rng):
+        x = rng.normal(size=(60, 2))
+        tree = RegressionTree(max_depth=3).fit(x, rng.normal(size=60))
+        flat = tree.compiled()
+        leaves = np.flatnonzero(flat.feature < 0)
+        assert leaves.size == tree.n_leaves()
+        np.testing.assert_array_equal(flat.left[leaves], leaves)
+        np.testing.assert_array_equal(flat.right[leaves], leaves)
+        assert flat.depth == tree.depth()
+
+    def test_split_counts_match_nodes(self, rng):
+        x = rng.normal(size=(80, 3))
+        tree = RegressionTree(max_depth=3).fit(x, rng.normal(size=80))
+        counts = np.zeros(3, dtype=np.int64)
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                counts[node.feature] += 1
+                stack.extend((node.left, node.right))
+        np.testing.assert_array_equal(tree.feature_split_counts(), counts)
+
+    def test_pickle_keeps_only_nodes(self, rng):
+        x = rng.normal(size=(40, 2))
+        tree = RegressionTree(max_depth=2).fit(x, rng.normal(size=40))
+        before = tree.predict(x)
+        payload = pickle.dumps(tree)
+        assert b"_flat" not in payload
+        np.testing.assert_array_equal(pickle.loads(payload).predict(x), before)
+
+    def test_refit_recompiles(self, rng):
+        x = rng.normal(size=(40, 2))
+        tree = RegressionTree(max_depth=2).fit(x, rng.normal(size=40))
+        first = tree.compiled()
+        tree.fit(x, rng.normal(size=40))
+        assert tree.compiled() is not first
+
+    def test_compiled_before_fit_raises(self):
+        with pytest.raises(RuntimeError):
+            RegressionTree().compiled()

@@ -1,5 +1,7 @@
 """Tests for repro.core.cqc — crowd quality control."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -101,3 +103,47 @@ class TestCrowdQualityControl:
     def test_empty_results_raise(self, rng):
         with pytest.raises(ValueError):
             CrowdQualityControl().fit([], np.array([]), rng=rng)
+
+    def test_pickle_round_trip_predicts_identically(self, labeled_queries, rng):
+        train_results, train_labels, test_results, _ = labeled_queries
+        cqc = CrowdQualityControl().fit(train_results, train_labels, rng=rng)
+        dists = cqc.label_distributions(test_results)
+        payload = pickle.dumps(cqc)
+        # The compiled tree arrays are derived state and never pickled.
+        assert b"_flat" not in payload
+        restored = pickle.loads(payload)
+        np.testing.assert_array_equal(
+            restored.label_distributions(test_results), dists
+        )
+        np.testing.assert_array_equal(
+            restored.truthful_labels(test_results),
+            cqc.truthful_labels(test_results),
+        )
+
+
+class TestPilotMissingClass:
+    """Regression: a pilot without the top damage class still fits CQC.
+
+    The class count used to come from the largest pilot label, so a
+    two-class pilot gave ``(n, 2)`` distributions that MIC refused to
+    align with the committee's three-class votes.
+    """
+
+    def test_two_class_pilot_runs_a_cycle(self):
+        from repro.eval.runner import build_crowdlearn, prepare
+
+        setup = prepare(seed=3, fast=True)
+        system = build_crowdlearn(setup)
+        results, labels = setup.pilot.all_labeled_results()
+        keep = [i for i, label in enumerate(labels) if label in (0, 1)]
+        system.cqc.fit(
+            [results[i] for i in keep],
+            np.array(labels)[keep],
+            rng=np.random.default_rng(0),
+        )
+        assert system.cqc.label_distributions(results[:2]).shape == (2, 3)
+        cycle = next(iter(setup.make_stream("two-class-pilot")))
+        outcome = system.run_cycle(cycle)
+        assert outcome.query_indices.size > 0
+        assert outcome.final_scores.shape == (len(outcome.true_labels), 3)
+        np.testing.assert_allclose(outcome.final_scores.sum(axis=1), 1.0)
