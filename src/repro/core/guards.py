@@ -11,9 +11,10 @@ Four mechanisms, configured by :class:`GuardPolicy` and orchestrated by
 :class:`ModelGuard`:
 
 - **regression-gated retraining** — before each MIC retrain, every expert
-  is snapshotted into a checksummed :class:`SnapshotRing` and scored on a
-  small golden holdout slice; a candidate whose holdout accuracy regresses
-  beyond a tolerance is rolled back to its incumbent, bit-for-bit;
+  is snapshotted into a checksummed :class:`SnapshotRing` (pickled once
+  per model version) and scored on a small golden holdout slice; a
+  candidate whose holdout accuracy regresses beyond a tolerance is rolled
+  back to its incumbent, bit-for-bit;
 - **divergence sentinel** — :class:`DivergenceSentinel`, installed as the
   process default around guarded retrains, lets
   :meth:`~repro.nn.trainer.Trainer.fit` abort an epoch whose loss goes
@@ -44,12 +45,15 @@ from __future__ import annotations
 import hashlib
 import math
 import pickle
+import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
+
+from repro.telemetry.runtime import Telemetry, get_telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cache import PredictionCache
@@ -327,7 +331,19 @@ class SnapshotRing:
     Used per expert by :class:`ModelGuard`: pushing pickles the object and
     records its SHA-256, restoring verifies the digest before unpickling,
     so a rollback can never silently resurrect corrupted parameters.
+
+    A snapshot is taken once per parameter state.  Objects that expose a
+    ``model_version`` (every :class:`~repro.models.base.DDAModel`) bump it
+    on every parameter change, so pushing the *same object* at the *same
+    version* as the newest snapshot appends that frozen snapshot again
+    instead of re-pickling and re-hashing identical state.  Objects without
+    a version are pickled on every push.
     """
+
+    #: ``(weak reference, model_version)`` of the object the newest
+    #: snapshot was taken of.  Never pickled: a resumed ring's first push
+    #: pickles afresh.
+    _source: "tuple[weakref.ref, int] | None" = None
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
@@ -338,14 +354,39 @@ class SnapshotRing:
     def __len__(self) -> int:
         return len(self._ring)
 
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_source", None)
+        return state
+
     def push(self, obj: Any, tag: str = "") -> Snapshot:
-        """Snapshot ``obj`` (pickle + SHA-256), evicting the oldest entry."""
-        payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        snapshot = Snapshot(
-            payload=payload,
-            sha256=hashlib.sha256(payload).hexdigest(),
-            tag=tag,
-        )
+        """Snapshot ``obj`` (pickle + SHA-256), evicting the oldest entry.
+
+        Returns the newest snapshot unchanged when it already holds this
+        object at its current ``model_version``.
+        """
+        version = getattr(obj, "model_version", None)
+        source = self._source
+        if (
+            version is not None
+            and source is not None
+            and source[0]() is obj
+            and source[1] == version
+        ):
+            snapshot = self._ring[-1]
+        else:
+            payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+            snapshot = Snapshot(
+                payload=payload,
+                sha256=hashlib.sha256(payload).hexdigest(),
+                tag=tag,
+            )
+            self._source = None
+            if version is not None:
+                try:
+                    self._source = (weakref.ref(obj), version)
+                except TypeError:  # not weak-referenceable: always pickle
+                    pass
         self._ring.append(snapshot)
         if len(self._ring) > self.capacity:
             self._ring.pop(0)
@@ -681,7 +722,7 @@ class ModelGuard:
         scoring, candidate scoring) and all but the candidate call see the
         incumbent's parameters.
         """
-        cache = getattr(self, "cache", None)
+        cache = self.cache
         if cache is not None:
             predicted = np.argmax(cache.predict_proba(expert, self.holdout), axis=1)
         else:
@@ -701,16 +742,24 @@ class ModelGuard:
         replay_pool: "DisasterDataset",
         rng: np.random.Generator,
         counters: GuardCounters,
+        telemetry: Telemetry | None = None,
     ) -> None:
         """MIC retraining wrapped in snapshot, sentinel and rollback.
 
-        Each expert is pickled into its ring (with a SHA-256 digest) and
+        Each expert is snapshotted into its ring (pickled with a SHA-256
+        digest once per model version; see :class:`SnapshotRing`) and
         scored on the holdout before the retrain; afterwards any candidate
         whose holdout accuracy regressed beyond the policy tolerance is
         replaced, bit-for-bit, by its verified snapshot.  The divergence
         sentinel is installed as the process default for the duration so
         trainers constructed deep inside the experts see it.
+
+        Each push runs in a ``guard.snapshot`` span (``expert``,
+        ``reused``, ``bytes``); candidate scoring and any rollbacks run in
+        one ``guard.score`` span.  ``telemetry`` defaults to the context
+        default.
         """
+        tel = telemetry if telemetry is not None else get_telemetry()
         if len(committee.experts) != self.n_experts:
             raise ValueError(
                 f"guard was built for {self.n_experts} experts, committee has "
@@ -720,7 +769,16 @@ class ModelGuard:
         incumbent_accuracy: list[float] = []
         if gate:
             for m, expert in enumerate(committee.experts):
-                self._rings[m].push(expert, tag=f"{expert.name}[{m}]")
+                tag = f"{expert.name}[{m}]"
+                with tel.span("guard.snapshot", expert=tag) as span:
+                    ring = self._rings[m]
+                    newest = ring.latest() if len(ring) else None
+                    snapshot = ring.push(expert, tag=tag)
+                    if tel.enabled:
+                        span.set(
+                            reused=int(snapshot is newest),
+                            bytes=len(snapshot.payload),
+                        )
                 incumbent_accuracy.append(self.holdout_accuracy(expert))
                 counters.snapshots += 1
         sentinel = self._sentinel if self.policy.sentinel else None
@@ -738,20 +796,22 @@ class ModelGuard:
             counters.sentinel_failures += failures - before[2]
         if not gate:
             return
-        cache = getattr(self, "cache", None)
-        for m in range(self.n_experts):
-            candidate = self.holdout_accuracy(committee.experts[m])
-            if candidate < incumbent_accuracy[m] - self.policy.regression_tolerance:
-                restored = self._rings[m].restore_latest()
-                committee.experts[m] = restored
-                counters.rollbacks += 1
-                if cache is not None:
-                    # The restored expert carries the snapshot's (older)
-                    # version, so the incumbent's cached votes stay valid;
-                    # the discarded candidate's entries must go, and the
-                    # unpickled expert needs the shared store re-attached
-                    # (pickling intentionally drops cache contents).
-                    restored.attach_cache(cache)
-                    cache.invalidate_expert(
-                        restored.name, keep_version=restored.model_version
-                    )
+        cache = self.cache
+        tolerance = self.policy.regression_tolerance
+        with tel.span("guard.score", experts=self.n_experts):
+            for m in range(self.n_experts):
+                candidate = self.holdout_accuracy(committee.experts[m])
+                if candidate < incumbent_accuracy[m] - tolerance:
+                    restored = self._rings[m].restore_latest()
+                    committee.experts[m] = restored
+                    counters.rollbacks += 1
+                    if cache is not None:
+                        # The restored expert carries the snapshot's (older)
+                        # version, so the incumbent's cached votes stay
+                        # valid; the discarded candidate's entries must go,
+                        # and the unpickled expert needs the shared store
+                        # re-attached (pickling drops cache contents).
+                        restored.attach_cache(cache)
+                        cache.invalidate_expert(
+                            restored.name, keep_version=restored.model_version
+                        )

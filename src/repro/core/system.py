@@ -760,7 +760,7 @@ class CrowdLearnSystem:
                 # A new committee was swapped in (or experts replaced
                 # wholesale): route its votes through the shared cache too.
                 self.committee.attach_cache(cache)
-            if guard is not None and getattr(guard, "cache", None) is not cache:
+            if guard is not None and guard.cache is not cache:
                 guard.cache = cache
         cache_stats_before = cache.stats() if cache is not None else None
 
@@ -984,6 +984,7 @@ class CrowdLearnSystem:
                         self.replay_pool,
                         self.rng,
                         gcounters,
+                        telemetry=tel,
                     )
                 else:
                     self.mic.retrain_experts(
@@ -1026,6 +1027,7 @@ class CrowdLearnSystem:
                             self.replay_pool,
                             self.rng,
                             gcounters,
+                            telemetry=tel,
                         )
                     else:
                         self.mic.retrain_experts(

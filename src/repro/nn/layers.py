@@ -38,8 +38,31 @@ __all__ = [
 ]
 
 
+#: Attributes forward passes fill for backward to read.  They are derived
+#: state: a pickle (guard snapshot, checkpoint, deepcopy) carries them as
+#: ``None``, every backward reader raises on ``None``, and every backward
+#: follows a fresh training forward that refills them.
+_FORWARD_CACHES = (
+    "_cols", "_x_shape", "_mask", "_routing", "_act_shape",
+    "_input", "_cache", "_output", "_shape",
+)
+
+
 class Layer:
-    """Base class for all layers; parameter-free layers inherit the no-ops."""
+    """Base class for all layers; parameter-free layers inherit the no-ops.
+
+    Pickling keeps parameters, gradients, running statistics and generators
+    but drops forward caches and fused-kernel scratch buffers.
+    """
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        if "_scratch" in state:
+            state["_scratch"] = {}
+        for key in _FORWARD_CACHES:
+            if key in state:
+                state[key] = None
+        return state
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -556,9 +579,8 @@ class _FusedConvBase(Layer):
     arithmetic op matches the layer-by-layer chain operand for operand, so
     the fused path is bit-identical to running the separate layers.
 
-    Scratch and caches are transient: they are dropped on pickling, so
-    guard snapshots and checkpoints of fused models stay lean and restore
-    cleanly.
+    Scratch and caches are transient: :meth:`Layer.__getstate__` drops
+    them on pickling, so guard snapshots and checkpoints stay lean.
     """
 
     def __init__(self, conv: Conv2D) -> None:
@@ -581,14 +603,6 @@ class _FusedConvBase(Layer):
 
     def grads(self) -> list[np.ndarray]:
         return self.conv.grads()
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_scratch"] = {}
-        for key in ("_cols", "_x_shape", "_mask", "_routing", "_act_shape"):
-            if key in state:
-                state[key] = None
-        return state
 
     def _buf(
         self, name: str, shape: tuple[int, ...], dtype, zeroed: bool = False

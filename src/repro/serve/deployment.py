@@ -74,6 +74,9 @@ class Deployment:
         self.next_cycle = int(next_cycle)
         #: Wall seconds of each completed cycle (for p50/p99 latency).
         self.cycle_wall_seconds: list[float] = []
+        #: Wall seconds of each durable tick's checkpoint save and journal
+        #: rotation, which follow the cycle (empty in memory mode).
+        self.checkpoint_wall_seconds: list[float] = []
         #: The pool grant each completed cycle ran under.
         self.grants: list[int] = []
         #: Ingested bursts, as ``(at_cycle, n_images, burst_seed)`` —
@@ -146,12 +149,14 @@ class Deployment:
         if self.checkpoint_path is not None:
             from repro.eval.persistence import save_checkpoint
 
+            started = time.perf_counter()
             save_checkpoint(
                 self.checkpoint_path, system, self.stream, self.outcome,
                 self.next_cycle,
             )
             if self.journal is not None:
                 self.journal.rotate(self.next_cycle)
+            self.checkpoint_wall_seconds.append(time.perf_counter() - started)
         return outcome_cycle
 
     # -- imagery ingestion -------------------------------------------------

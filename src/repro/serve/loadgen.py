@@ -8,7 +8,8 @@ admission, deferral and shedding all actually happen.  The run's
 figures land in ``benchmarks/results/BENCH_serve.json``:
 
 - **throughput** — sensing cycles per wall second across the fleet,
-- **latency** — p50/p99/mean wall seconds per sensing cycle,
+- **latency** — p50/p99/mean wall seconds per sensing cycle, and
+  p50/mean wall seconds of the durable checkpoint that follows it,
 - **quality** — per-event macro-F1 over fused labels,
 - **books** — per-event and aggregate pool ledgers, checked against the
   conservation invariant (requested == admitted + shed + backlog), and
@@ -177,6 +178,7 @@ def build_report(
     """
     events: dict[str, Any] = {}
     all_walls: list[float] = []
+    all_saves: list[float] = []
     charged = refunded = spent = 0.0
     quarantined = service.quarantined_events()
     for deployment in service.registry.all():
@@ -188,12 +190,15 @@ def build_report(
             "pool": status.pool,
             "budget_cents": status.budget,
             "latency_seconds": status.latency_seconds,
+            "checkpoint_seconds": status.checkpoint_seconds,
             "health": status.health,
         }
         all_walls.extend(deployment.cycle_wall_seconds)
+        all_saves.extend(deployment.checkpoint_wall_seconds)
         charged += status.budget["charged_cents"]
         refunded += status.budget["refunded_cents"]
         spent += status.budget["spent_cents"]
+    saves = _percentiles(all_saves)
     totals = service.pool.totals()
     drained = all(
         d.done or d.event_id in quarantined
@@ -211,6 +216,9 @@ def build_report(
                 service.ticks / wall_seconds if wall_seconds > 0 else 0.0
             ),
             "cycle_latency_seconds": _percentiles(all_walls),
+            "checkpoint_latency_seconds": {
+                "p50": saves["p50"], "mean": saves["mean"],
+            },
             "drained": drained,
             "quarantined": quarantined,
         },
@@ -452,7 +460,9 @@ def render_report(report: dict[str, Any]) -> str:
         f"  ticks {service['ticks']}  "
         f"cycles/s {service['cycles_per_second']:.2f}  "
         f"p50 {service['cycle_latency_seconds']['p50'] * 1e3:.0f}ms  "
-        f"p99 {service['cycle_latency_seconds']['p99'] * 1e3:.0f}ms",
+        f"p99 {service['cycle_latency_seconds']['p99'] * 1e3:.0f}ms  "
+        f"checkpoint p50 "
+        f"{service['checkpoint_latency_seconds']['p50'] * 1e3:.0f}ms",
         f"  pool: requested {pool['requested']}  admitted "
         f"{pool['admitted']}  deferred {pool['deferred']}  shed "
         f"{pool['shed']}  conserved "

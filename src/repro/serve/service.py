@@ -85,6 +85,9 @@ class EventStatus:
     pool: dict[str, int]
     budget: dict[str, float]
     latency_seconds: dict[str, float]
+    #: p50/mean wall seconds of the durable checkpoint after each cycle,
+    #: which ``latency_seconds`` leaves out (zeros in memory mode).
+    checkpoint_seconds: dict[str, float]
     health: dict[str, Any] | None = None
 
     def as_dict(self) -> dict[str, Any]:
@@ -770,6 +773,11 @@ class CrowdLearnService:
             "p99": float(np.percentile(walls, 99)) if walls else 0.0,
             "mean": float(np.mean(walls)) if walls else 0.0,
         }
+        saves = deployment.checkpoint_wall_seconds
+        checkpoint = {
+            "p50": float(np.percentile(saves, 50)) if saves else 0.0,
+            "mean": float(np.mean(saves)) if saves else 0.0,
+        }
         return EventStatus(
             event_id=event_id,
             done=deployment.done,
@@ -788,6 +796,7 @@ class CrowdLearnService:
                 "remaining_cents": float(ledger.remaining),
             },
             latency_seconds=latency,
+            checkpoint_seconds=checkpoint,
             health=(
                 self.health[event_id].snapshot()
                 if event_id in self.health

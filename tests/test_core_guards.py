@@ -200,6 +200,112 @@ class TestSnapshotRing:
         good.verify()  # the untampered snapshot still passes
 
 
+@pytest.fixture
+def dumps_calls(monkeypatch):
+    """Counts ``pickle.dumps`` calls made while the test runs."""
+    calls = []
+    real_dumps = pickle.dumps
+
+    def counting_dumps(obj, *args, **kwargs):
+        calls.append(obj)
+        return real_dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(pickle, "dumps", counting_dumps)
+    return calls
+
+
+class TestSnapshotReuse:
+    """One pickle per (object, model_version); every push still lands."""
+
+    def test_same_object_same_version_is_not_repickled(self, dumps_calls):
+        ring = SnapshotRing(capacity=3)
+        expert = _WarmStubExpert("e", 3)
+        first = ring.push(expert, tag="e[0]")
+        assert len(dumps_calls) == 1
+        second = ring.push(expert, tag="e[0]")
+        assert second is first
+        assert len(dumps_calls) == 1
+        assert len(ring) == 2
+
+    def test_version_bump_or_other_object_pickles_again(self, dumps_calls):
+        ring = SnapshotRing(capacity=3)
+        expert = _WarmStubExpert("e", 3)
+        first = ring.push(expert)
+        expert.model_version += 1
+        bumped = ring.push(expert)
+        assert bumped is not first
+        assert len(dumps_calls) == 2
+        twin = _WarmStubExpert("e", 3)
+        twin.model_version = expert.model_version  # a different object
+        assert ring.push(twin) is not bumped
+        assert len(dumps_calls) == 3
+        # A restored copy is a new object too, so it pickles once.
+        clone = ring.restore_latest()
+        ring.push(clone)
+        ring.push(clone)
+        assert len(dumps_calls) == 4
+
+    def test_unversioned_objects_pickle_on_every_push(self, dumps_calls):
+        ring = SnapshotRing(capacity=3)
+        expert = _StubExpert("a", n_correct=3)
+        assert ring.push(expert) is not ring.push(expert)
+        assert len(dumps_calls) == 2
+
+    def test_eviction_with_repeated_entries(self):
+        ring = SnapshotRing(capacity=2)
+        expert = _WarmStubExpert("e", 3)
+        first = ring.push(expert)
+        for _ in range(3):
+            assert ring.push(expert) is first
+        assert len(ring) == 2
+        expert.model_version += 1
+        expert.weights = expert.weights * 2.0
+        second = ring.push(expert)
+        assert len(ring) == 2
+        assert ring._ring == [first, second]
+        expert.model_version += 1
+        third = ring.push(expert)
+        assert ring._ring == [second, third]
+        np.testing.assert_array_equal(
+            ring.restore_latest().weights, expert.weights
+        )
+
+    def test_reused_entry_corruption_is_detected(self):
+        ring = SnapshotRing(capacity=3)
+        expert = _WarmStubExpert("e", 3)
+        snapshot = ring.push(expert, tag="e[0]")
+        assert ring.push(expert, tag="e[0]") is snapshot
+        # Flip one payload byte in place (the snapshot is frozen).
+        corrupt = bytearray(snapshot.payload)
+        corrupt[-2] ^= 0xFF
+        object.__setattr__(snapshot, "payload", bytes(corrupt))
+        with pytest.raises(SnapshotChecksumError, match="integrity"):
+            ring.restore_latest()
+
+    def test_unpickled_guard_restores_same_bytes_then_repickles(
+        self, dumps_calls
+    ):
+        guard = ModelGuard(retrain_policy(), make_holdout(), 1)
+        ring = guard.snapshot_ring(0)
+        expert = _WarmStubExpert("e", 3)
+        ring.push(expert, tag="e[0]")
+        ring.push(expert, tag="e[0]")
+        restored = pickle.loads(pickle.dumps(guard))
+        restored_ring = restored.snapshot_ring(0)
+        assert len(restored_ring) == 2
+        assert restored_ring.latest().payload == ring.latest().payload
+        np.testing.assert_array_equal(
+            restored_ring.restore_latest().weights, expert.weights
+        )
+        # The resumed ring holds no reference to the live expert, so its
+        # first push pickles; the second one reuses.
+        calls = len(dumps_calls)
+        pushed = restored_ring.push(expert, tag="e[0]")
+        assert len(dumps_calls) == calls + 1
+        assert restored_ring.push(expert, tag="e[0]") is pushed
+        assert len(dumps_calls) == calls + 1
+
+
 class TestDivergenceSentinel:
     def test_nonfinite_loss_diverges(self):
         sentinel = DivergenceSentinel()
@@ -663,6 +769,33 @@ class _WarmStubExpert(_StubExpert):
             self.weights = self.weights * 100.0
         self.model_version = next_model_version(self.model_version)
         return self
+
+
+class TestGuardSpans:
+    def test_snapshot_and_score_spans(self):
+        from repro.telemetry import Telemetry
+
+        holdout = make_holdout(10)
+        guard = ModelGuard(retrain_policy(), holdout, 2)
+        committee = _StubCommittee(
+            [_WarmStubExpert("a", 8), _WarmStubExpert("b", 9)]
+        )
+        telemetry = Telemetry()
+        for _ in range(2):  # the stand-in MIC leaves both versions alone
+            guard.guarded_retrain(
+                _CorruptingMIC({}), committee, [], np.empty(0, dtype=np.int64),
+                holdout, np.random.default_rng(0), GuardCounters(),
+                telemetry=telemetry,
+            )
+        snaps = telemetry.tracer.by_name("guard.snapshot")
+        assert [s.attributes["expert"] for s in snaps] == [
+            "a[0]", "b[1]", "a[0]", "b[1]",
+        ]
+        assert [s.attributes["reused"] for s in snaps] == [0, 0, 1, 1]
+        assert all(s.attributes["bytes"] > 0 for s in snaps)
+        scores = telemetry.tracer.by_name("guard.score")
+        assert len(scores) == 2
+        assert scores[0].attributes["experts"] == 2
 
 
 class TestWarmRetrainRollback:

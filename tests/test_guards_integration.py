@@ -11,15 +11,20 @@ Covers the three deployment-shaped guarantees from the guards work:
   well as guards-off with interventions actually on record.
 """
 
+import dataclasses
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.core.guards import GuardPolicy
+from repro.core.guards import GuardPolicy, Snapshot, SnapshotRing
 from repro.core.system import CrowdLearnSystem, RunOutcome
 from repro.crowd.faults import FaultInjector
 from repro.eval.experiments import adversarial_label_plan, run_guard_chaos
-from repro.eval.persistence import save_checkpoint
+from repro.eval.persistence import run_outcome_digest, save_checkpoint
 from repro.eval.runner import build_crowdlearn, prepare
+from repro.models.base import DDAModel
 
 
 def lenient_policy() -> GuardPolicy:
@@ -122,6 +127,72 @@ class TestGuardedCheckpointResume:
 
         resumed = CrowdLearnSystem.resume_from_checkpoint(path)
         assert_runs_equal(resumed, uninterrupted)
+
+
+class TestSnapshotReuseParity:
+    """Snapshots taken once per model version change no outcome."""
+
+    def hostile_run(self, setup) -> RunOutcome:
+        injector = FaultInjector(
+            adversarial_label_plan(),
+            rng=setup.seeds.get("guard-reuse-5-faults"),
+        )
+        system = build_crowdlearn(
+            setup,
+            faults=injector,
+            platform_name="guard-reuse-5",
+            guards=GuardPolicy.hardened(),
+        )
+        return system.run(setup.make_stream("guard-reuse-5"))
+
+    def test_hardened_adversarial_run_matches_always_pickle(
+        self, setup, monkeypatch
+    ):
+        reused = self.hostile_run(setup)
+        totals = reused.guard_totals()
+        assert totals.rollbacks >= 1
+        assert totals.retrains_skipped >= 1
+
+        def always_pickle_push(ring, obj, tag=""):
+            payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+            snapshot = Snapshot(
+                payload=payload,
+                sha256=hashlib.sha256(payload).hexdigest(),
+                tag=tag,
+            )
+            ring._ring.append(snapshot)
+            if len(ring._ring) > ring.capacity:
+                ring._ring.pop(0)
+            return snapshot
+
+        monkeypatch.setattr(SnapshotRing, "push", always_pickle_push)
+        always = self.hostile_run(setup)
+        assert always.guard_totals() == totals
+        assert run_outcome_digest(always) == run_outcome_digest(reused)
+
+    def test_no_retrain_run_pickles_each_expert_once(self, setup, monkeypatch):
+        pickled = []
+        real_dumps = pickle.dumps
+
+        def counting_dumps(obj, *args, **kwargs):
+            if isinstance(obj, DDAModel):
+                pickled.append(obj)
+            return real_dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dumps", counting_dumps)
+        config = dataclasses.replace(setup.config, mic_retrain=False)
+        system = build_crowdlearn(
+            setup, config=config, platform_name="guard-no-retrain"
+        )
+        outcome = system.run(setup.make_stream("guard-no-retrain"))
+        n_experts = len(system.committee.experts)
+        assert len(outcome.cycles) > 1
+        for cycle in outcome.cycles:
+            assert cycle.guards.snapshots == n_experts
+        assert len(pickled) == n_experts
+        assert {id(e) for e in pickled} == {
+            id(e) for e in system.committee.experts
+        }
 
 
 class TestGuardChaos:

@@ -5,10 +5,13 @@ difference numerical gradients — the canonical correctness test for a
 from-scratch NN substrate.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.nn.layers import (
+    AvgPool2D,
     BatchNorm,
     Conv2D,
     Dense,
@@ -16,9 +19,12 @@ from repro.nn.layers import (
     Flatten,
     FusedConvReLU,
     FusedConvReLUPool,
+    GlobalAveragePool,
     MaxPool2D,
     ReLU,
+    Sigmoid,
     Softmax,
+    Tanh,
     col2im,
     fuse_layers,
     im2col,
@@ -371,3 +377,106 @@ class TestFusedKernelParity:
         assert block.conv._cols is None and block.conv._x_shape is None
         assert block.relu._mask is None
         assert block.pool._mask is None and block.pool._x_shape is None
+
+
+#: Attributes a training forward fills for backward to read.
+FORWARD_CACHES = (
+    "_cols", "_x_shape", "_mask", "_routing", "_act_shape",
+    "_input", "_cache", "_output", "_shape",
+)
+
+#: (name, layer factory, input shape) for every layer type.
+LAYER_CASES = [
+    ("dense", lambda rng: Dense(6, 4, rng=rng), (5, 6)),
+    ("conv", lambda rng: Conv2D(3, 4, kernel=3, rng=rng, pad=1), (2, 3, 6, 6)),
+    ("maxpool", lambda rng: MaxPool2D(2), (2, 3, 6, 6)),
+    ("avgpool", lambda rng: AvgPool2D(2), (2, 3, 6, 6)),
+    ("gap", lambda rng: GlobalAveragePool(), (2, 3, 6, 6)),
+    ("relu", lambda rng: ReLU(), (5, 6)),
+    ("sigmoid", lambda rng: Sigmoid(), (5, 6)),
+    ("tanh", lambda rng: Tanh(), (5, 6)),
+    ("softmax", lambda rng: Softmax(), (5, 6)),
+    ("flatten", lambda rng: Flatten(), (2, 3, 4, 4)),
+    ("dropout", lambda rng: Dropout(0.5, rng=rng), (5, 6)),
+    ("batchnorm2d", lambda rng: BatchNorm(6), (5, 6)),
+    ("batchnorm4d", lambda rng: BatchNorm(3), (2, 3, 4, 4)),
+    (
+        "fused_relu",
+        lambda rng: FusedConvReLU(Conv2D(3, 4, kernel=3, rng=rng, pad=1)),
+        (2, 3, 6, 6),
+    ),
+    (
+        "fused_relu_pool",
+        lambda rng: FusedConvReLUPool(Conv2D(3, 4, kernel=3, rng=rng, pad=1)),
+        (2, 3, 6, 6),
+    ),
+]
+
+
+class TestPickleDropsForwardCaches:
+    """A pickled layer carries its state but none of its forward caches."""
+
+    @staticmethod
+    def _trained(factory, shape):
+        rng = np.random.default_rng(0)
+        layer = factory(np.random.default_rng(1))
+        x = rng.normal(size=shape)
+        out = layer.forward(x, training=True)
+        layer.backward(rng.normal(size=out.shape))
+        layer.forward(x, training=True)  # leave the caches full
+        return layer, x
+
+    @pytest.mark.parametrize(
+        "factory,shape", [c[1:] for c in LAYER_CASES], ids=[c[0] for c in LAYER_CASES]
+    )
+    def test_round_trip_keeps_state_and_drops_caches(self, factory, shape):
+        layer, x = self._trained(factory, shape)
+        caches = [k for k in FORWARD_CACHES if k in vars(layer)]
+        assert any(getattr(layer, k) is not None for k in caches)
+
+        restored = pickle.loads(pickle.dumps(layer))
+        for key in caches:
+            assert getattr(restored, key) is None, key
+        assert getattr(restored, "_scratch", {}) == {}
+        for original, copy in zip(
+            layer.params() + layer.grads(), restored.params() + restored.grads()
+        ):
+            assert np.array_equal(original, copy)
+        if isinstance(layer, BatchNorm):
+            assert np.array_equal(restored.running_mean, layer.running_mean)
+            assert np.array_equal(restored.running_var, layer.running_var)
+        if isinstance(layer, Dropout):
+            assert (
+                restored._rng.bit_generator.state
+                == layer._rng.bit_generator.state
+            )
+        assert np.array_equal(
+            restored.forward(x, training=False), layer.forward(x, training=False)
+        )
+
+    @pytest.mark.parametrize(
+        "factory,shape",
+        [c[1:] for c in LAYER_CASES if c[0] != "dropout"],
+        ids=[c[0] for c in LAYER_CASES if c[0] != "dropout"],
+    )
+    def test_backward_before_forward_raises_after_round_trip(
+        self, factory, shape
+    ):
+        layer, x = self._trained(factory, shape)
+        out = layer.forward(x, training=True)
+        restored = pickle.loads(pickle.dumps(layer))
+        with pytest.raises(RuntimeError, match="before a training forward"):
+            restored.backward(np.ones_like(out))
+        # A fresh training forward makes backward work again, identically.
+        restored.forward(x, training=True)
+        assert np.array_equal(
+            restored.backward(np.ones_like(out)), layer.backward(np.ones_like(out))
+        )
+
+    def test_dropout_round_trip_draws_the_same_masks(self):
+        layer, x = self._trained(lambda rng: Dropout(0.5, rng=rng), (5, 6))
+        restored = pickle.loads(pickle.dumps(layer))
+        assert restored._mask is None
+        assert np.array_equal(
+            restored.forward(x, training=True), layer.forward(x, training=True)
+        )

@@ -147,6 +147,29 @@ class TestSubmission:
         )
         assert status.latency_seconds["p99"] >= status.latency_seconds["p50"]
 
+    def test_checkpoint_time_is_reported_apart_from_cycle_latency(
+        self, setup, tmp_path
+    ):
+        memory = CrowdLearnService(setup)
+        memory.submit_event("solo")
+        memory.step()
+        assert memory.event_status("solo").checkpoint_seconds == {
+            "p50": 0.0, "mean": 0.0,
+        }
+        assert memory.registry.get("solo").checkpoint_wall_seconds == []
+
+        durable = CrowdLearnService(setup, serve_dir=tmp_path / "fleet")
+        durable.submit_event("solo")
+        durable.step()
+        durable.step()
+        status = durable.event_status("solo")
+        assert status.checkpoint_seconds["p50"] > 0.0
+        assert status.checkpoint_seconds["mean"] > 0.0
+        deployment = durable.registry.get("solo")
+        assert len(deployment.checkpoint_wall_seconds) == 2
+        assert len(deployment.cycle_wall_seconds) == 2
+        durable.close()
+
 
 class TestIngest:
     def test_burst_extends_stream_and_reopens_event(self, setup):
@@ -265,6 +288,9 @@ class TestLoadgen:
         })
         assert loadgen.check_report(report) == []
         assert report["service"]["drained"]
+        assert report["service"]["checkpoint_latency_seconds"] == {
+            "p50": 0.0, "mean": 0.0,
+        }
         assert report["pool"]["contended"]
         assert set(report["digests"]["per_event"]) == {
             "event-01", "event-02",
