@@ -230,7 +230,7 @@ def _cmd_run_durable(args) -> int:
                 journal = CycleJournal.create(
                     args.journal,
                     fsync=args.fsync,
-                    crash_injector=getattr(system.platform, "faults", None),
+                    crash_injector=system.platform.faults,
                     on_record=on_record,
                 )
             try:

@@ -200,9 +200,8 @@ class PredictionCache:
         the same expert at *any other* version is dropped (the expert has
         moved on; those arrays can never be served again).
         """
-        namespace = getattr(self, "namespace", "")
         key = (
-            namespace, expert.name, expert.model_version, pool_key(dataset)
+            self.namespace, expert.name, expert.model_version, pool_key(dataset)
         )
         cached = self.predictions.get(key)
         if cached is None:
@@ -222,7 +221,7 @@ class PredictionCache:
         after a rollback so a restored snapshot never shares the store
         with its discarded candidate's arrays.
         """
-        namespace = getattr(self, "namespace", "")
+        namespace = self.namespace
         return self.predictions.invalidate(
             lambda key: (
                 key[0] == namespace and key[1] == name

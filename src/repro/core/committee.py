@@ -34,9 +34,8 @@ class Committee:
         normalized to sum to 1.
     """
 
-    #: Shared prediction/feature cache; ``None`` computes votes directly.
-    #: A class-level default so committees unpickled from pre-cache
-    #: checkpoints keep working (uncached).
+    #: Shared prediction/feature cache; ``None`` (the default for a
+    #: standalone committee) computes votes directly.
     cache: "PredictionCache | None" = None
 
     def __init__(

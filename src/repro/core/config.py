@@ -72,7 +72,8 @@ class CrowdLearnConfig:
 
     # Learning-loop guardrails (see repro.core.guards).  The default policy
     # is conservative enough that a healthy run never triggers; disabling
-    # restores the exact pre-guardrails loop.
+    # selects GuardPolicy.disabled(), a guard whose every mechanism is
+    # inert (no snapshots, no rollbacks, no quarantine, no drift flags).
     guards_enabled: bool = True
     guard_holdout_size: int = 24
     guard_regression_tolerance: float = 0.25

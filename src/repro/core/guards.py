@@ -35,9 +35,10 @@ Four mechanisms, configured by :class:`GuardPolicy` and orchestrated by
 Every intervention is tallied in :class:`GuardCounters` (surfaced per
 cycle on :class:`~repro.core.system.CycleOutcome`, aggregated by
 :class:`~repro.core.system.RunOutcome.guard_totals` and bridged into
-telemetry as ``guard_*_total`` counters).  With ``GuardPolicy.disabled()``
-— or a system built without a guard — every code path is byte-identical
-to the unguarded loop.
+telemetry as ``guard_*_total`` counters).  A system always has a guard;
+under ``GuardPolicy.disabled()`` every mechanism is inert (no snapshots,
+no sentinel, no quarantine, no drift flag) and the loop is byte-identical
+to an unguarded one.
 """
 
 from __future__ import annotations
@@ -82,13 +83,11 @@ class GuardPolicy:
     The default policy is deliberately conservative: on a healthy (fault
     free) deployment none of its branches trigger, so guarded runs are
     byte-identical to unguarded ones.  :meth:`hardened` is the sensitive
-    profile the adversarial chaos arm uses; :meth:`disabled` turns the
-    subsystem off entirely (old behaviour).
+    profile the adversarial chaos arm uses; :meth:`disabled` turns every
+    mechanism off.
 
     Parameters
     ----------
-    enabled:
-        Master switch.  Disabled, no guard state is even constructed.
     regression_gate:
         Gate MIC retraining on holdout accuracy (snapshot + rollback).
     holdout_size:
@@ -142,7 +141,6 @@ class GuardPolicy:
         to train on are too anomalous to publish as final output.
     """
 
-    enabled: bool = True
     # Regression-gated retraining.
     regression_gate: bool = True
     holdout_size: int = 24
@@ -221,9 +219,8 @@ class GuardPolicy:
 
     @staticmethod
     def disabled() -> "GuardPolicy":
-        """The unguarded (pre-guardrails) behaviour."""
+        """Every mechanism off: the guard never intervenes or snapshots."""
         return GuardPolicy(
-            enabled=False,
             regression_gate=False,
             sentinel=False,
             quarantine=False,
@@ -515,8 +512,7 @@ class ModelGuard:
 
     #: Shared prediction cache; set by the system so holdout scoring
     #: reuses (and primes) the same per-version votes as the committee.
-    #: Class-level default so guards unpickled from pre-cache checkpoints
-    #: keep working (uncached).
+    #: ``None`` (the default for a standalone guard) scores uncached.
     cache: "PredictionCache | None" = None
 
     def __init__(

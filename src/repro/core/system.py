@@ -34,7 +34,7 @@ from repro.crowd.tasks import QueryResult
 from repro.data.dataset import DisasterDataset, DisasterImage
 from repro.data.stream import SensingCycle, SensingCycleStream
 from repro.models.registry import create_model, default_committee_names
-from repro.telemetry.runtime import Telemetry, get_telemetry
+from repro.telemetry.runtime import Telemetry, get_telemetry, use_telemetry
 from repro.utils.clock import TemporalContext
 from repro.utils.rng import SeedSequencer
 
@@ -168,6 +168,39 @@ class RunOutcome:
         return totals
 
 
+@dataclass
+class _CycleState:
+    """What the stages of one sensing cycle hand to each other."""
+
+    cycle: SensingCycle
+    tel: Telemetry
+    dataset: DisasterDataset
+    #: Non-quarantined experts (``None``: all active); refreshed after the
+    #: guard rescores the committee.
+    mask: np.ndarray | None
+    #: CQC's label distributions; ``(0, k)`` until CQC runs.
+    truth_dists: np.ndarray
+    #: Cache counters at the start of the cycle (``None`` when uncached).
+    cache_stats: dict | None
+    counters: ResilienceCounters = field(default_factory=ResilienceCounters)
+    gcounters: GuardCounters = field(default_factory=GuardCounters)
+    straggler_images: list[DisasterImage] = field(default_factory=list)
+    straggler_labels: list[int] = field(default_factory=list)
+    votes: list[np.ndarray] = field(default_factory=list)
+    #: The QSS selection until the crowd stage ends, then the images
+    #: whose queries were posted and kept.
+    query_indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    posted_indices: list[int] = field(default_factory=list)
+    results: list[QueryResult] = field(default_factory=list)
+    arms: list[int] = field(default_factory=list)
+    incentives: list[float] = field(default_factory=list)
+    cost: float = 0.0
+    truthful: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    reliability: float | None = None
+    flagged: bool = False
+    crowd_delay: float = 0.0
+
+
 class CrowdLearnSystem:
     """The assembled CrowdLearn pipeline.
 
@@ -206,22 +239,17 @@ class CrowdLearnSystem:
         self.config = config
         self.rng = rng
         self.resilience = resilience or ResiliencePolicy()
-        #: Learning-loop guardrails; ``None`` runs the historical unguarded
-        #: loop.  :meth:`build` constructs one from the config/policy.
-        self.guards = guards
+        #: Learning-loop guardrails.  ``None`` builds a
+        #: ``GuardPolicy.disabled()`` guard, whose every mechanism is
+        #: inert; :meth:`build` constructs one from the config/policy.
+        self.guards = guards or ModelGuard(
+            GuardPolicy.disabled(), DisasterDataset([]), committee.n_experts
+        )
         #: Telemetry pipeline; ``None`` resolves the process default (the
         #: no-op singleton unless a trace run swapped one in), so the
         #: uninstrumented path is unchanged.  Attached telemetry travels
         #: with checkpoints, keeping a resumed run's history.
         self.telemetry = telemetry
-        #: Shared prediction/feature cache; ``None`` computes every vote
-        #: directly (the historical loop).  Results are bit-identical
-        #: either way — the cache only removes redundant inference.
-        self.cache = cache
-        if cache is not None:
-            self.committee.attach_cache(cache)
-            if self.guards is not None:
-                self.guards.cache = cache
         #: Virtual-time scheduler; ``None`` keeps the loop synchronous and
         #: byte-identical to the instant-response reproduction.  Attached,
         #: each sensing cycle becomes a real deadline and late responses
@@ -236,13 +264,11 @@ class CrowdLearnSystem:
         #: serving layer (``repro.serve``); ``None`` for standalone runs.
         #: Scopes the prediction-cache namespace and telemetry labels.
         self.event_id = event_id
-        if event_id is not None and cache is not None:
-            # Share the physical stores, isolate the key space: a served
-            # event must never read another event's memoized votes.
-            self.cache = cache.scoped(event_id)
-            self.committee.attach_cache(self.cache)
-            if self.guards is not None:
-                self.guards.cache = self.cache
+        #: Shared prediction/feature cache; ``None`` computes every vote
+        #: directly.  Results are bit-identical either way — the cache
+        #: only removes redundant inference.
+        self.cache: PredictionCache | None = None
+        self.attach_cache(cache)
         #: Per-cycle admission cap imposed by the shared crowd pool;
         #: ``None`` (standalone runs) falls back to
         #: ``config.queries_per_cycle``.  May exceed the nominal per-cycle
@@ -255,6 +281,22 @@ class CrowdLearnSystem:
             # instead of dropping them; "drop" leaves platform.scheduler
             # unset so misses stay misses.
             self.platform.scheduler = scheduler
+
+    def attach_cache(self, cache: PredictionCache | None) -> None:
+        """Route the committee's votes and the guard's holdout scoring
+        through ``cache``.
+
+        A served system (``event_id`` set) gets a view scoped to its
+        event: it shares the physical stores but not the key space, so an
+        event never reads another event's memoized votes.  ``None`` marks
+        the system uncached and detaches nothing.
+        """
+        if cache is not None and self.event_id is not None:
+            cache = cache.scoped(self.event_id)
+        self.cache = cache
+        if cache is not None:
+            self.committee.attach_cache(cache)
+            self.guards.cache = cache
 
     def _telemetry(self) -> Telemetry:
         return self.telemetry if self.telemetry is not None else get_telemetry()
@@ -358,15 +400,8 @@ class CrowdLearnSystem:
             qss = QuerySetSelector(config.qss_epsilon)
         if not isinstance(guards, ModelGuard):
             policy = guards if isinstance(guards, GuardPolicy) else config.guard_policy()
-            guards = (
-                ModelGuard.build(
-                    policy,
-                    training_set,
-                    committee.n_experts,
-                    seeds.get("guards"),
-                )
-                if policy.enabled
-                else None
+            guards = ModelGuard.build(
+                policy, training_set, committee.n_experts, seeds.get("guards")
             )
         if cache is None and config.cache_enabled:
             cache = PredictionCache(
@@ -422,7 +457,7 @@ class CrowdLearnSystem:
         platform would accept the retry, the sensing cycle is over.
         """
         policy = self.resilience
-        scheduler = getattr(self, "scheduler", None)
+        scheduler = self.scheduler
         attempts = policy.max_retries + 1 if policy.enabled else 1
         paid = incentive
         for attempt in range(attempts):
@@ -455,11 +490,9 @@ class CrowdLearnSystem:
                     raise
         raise AssertionError("unreachable")  # pragma: no cover
 
-    @staticmethod
-    def _pre_post_marks(
-        counters: ResilienceCounters, scheduler: VirtualTimeScheduler | None
-    ) -> dict:
+    def _pre_post_marks(self, counters: ResilienceCounters) -> dict:
         """Counter marks taken just before a post, to journal its deltas."""
+        scheduler = self.scheduler
         return {
             "retries": counters.retries,
             "backoff_seconds": counters.backoff_seconds,
@@ -481,29 +514,23 @@ class CrowdLearnSystem:
             "faults_state": None if faults is None else faults.state_dict(),
         }
 
-    def _post_failure_payload(
-        self, kind: str, index, arm: int, incentive: float,
-        counters: ResilienceCounters, before: dict,
-    ) -> dict:
-        """Journal payload for a post that charged nothing.
+    def _log_failed_post(
+        self, st: _CycleState, kind: str, intent: dict, before: dict | None
+    ) -> None:
+        """Journal a post that charged nothing.
 
         ``budget`` (the ledger refused the charge) and ``dropped`` (outage
         retries exhausted) have no external effects, so recovery simply
         re-executes them; the record exists to anchor crash points and to
         verify that re-execution reaches the same outcome.
         """
-        return {
-            "kind": kind,
-            "index": int(index),
-            "arm": int(arm),
-            "incentive": float(incentive),
-            **self._post_counter_deltas(counters, before),
-        }
+        if self.journal is not None:
+            deltas = self._post_counter_deltas(st.counters, before)
+            self._log(st, "post", {"kind": kind, **intent, **deltas})
 
     def _post_success_payload(
-        self, result: QueryResult, paid: float, index, arm: int,
-        incentive: float, counters: ResilienceCounters, before: dict,
-        scheduler: VirtualTimeScheduler | None,
+        self, result: QueryResult, paid: float, intent: dict,
+        counters: ResilienceCounters, before: dict,
     ) -> dict:
         """Journal payload capturing a charged post's full effects.
 
@@ -514,6 +541,7 @@ class CrowdLearnSystem:
         """
         from repro.eval.journal import encode_pending, encode_response
 
+        scheduler = self.scheduler
         scheduled = []
         n_expired = 0
         if scheduler is not None:
@@ -524,9 +552,7 @@ class CrowdLearnSystem:
             n_expired = int(scheduler.expired_total - before["expired"])
         return {
             "kind": "posted",
-            "index": int(index),
-            "arm": int(arm),
-            "incentive": float(incentive),
+            **intent,
             "paid": float(paid),
             "query_id": int(result.query.query_id),
             "image_id": result.query.image_id,
@@ -543,11 +569,7 @@ class CrowdLearnSystem:
         }
 
     def _replay_post(
-        self,
-        cycle: SensingCycle,
-        payload: dict,
-        counters: ResilienceCounters,
-        scheduler: VirtualTimeScheduler | None,
+        self, cycle: SensingCycle, payload: dict, counters: ResilienceCounters
     ) -> tuple[QueryResult, float]:
         """Re-apply a journaled ``posted`` record instead of re-posting.
 
@@ -566,8 +588,8 @@ class CrowdLearnSystem:
         counters.retries += int(payload["retries"])
         counters.backoff_seconds += float(payload["backoff_seconds"])
         counters.outages_hit += int(payload["outages_hit"])
-        if scheduler is not None and payload["backoff_seconds"]:
-            scheduler.advance(float(payload["backoff_seconds"]))
+        if self.scheduler is not None and payload["backoff_seconds"]:
+            self.scheduler.advance(float(payload["backoff_seconds"]))
         faults = self.platform.faults
         if faults is not None and payload.get("faults_state") is not None:
             faults.restore_state(payload["faults_state"])
@@ -624,7 +646,11 @@ class CrowdLearnSystem:
         a hard deadline, with retry backoff consuming it.
         """
         tel = self._telemetry()
-        with tel.span("cycle", index=cycle.index, context=cycle.context.value):
+        # The system's telemetry is the context default for the cycle, so
+        # spans opened deep inside (MIC refits, trainer epochs) reach it.
+        with use_telemetry(tel), tel.span(
+            "cycle", index=cycle.index, context=cycle.context.value
+        ):
             return self._run_cycle(cycle, tel)
 
     def _cycle_worker_reliability(
@@ -706,421 +732,382 @@ class CrowdLearnSystem:
         return images, labels
 
     def _run_cycle(self, cycle: SensingCycle, tel: Telemetry) -> CycleOutcome:
-        dataset = cycle.dataset()
-        true_labels = dataset.labels()
-        policy = self.resilience
-        guard = self.guards
-        counters = ResilienceCounters()
-        # getattr: systems unpickled from pre-scheduler checkpoints have no
-        # scheduler attribute; they keep running synchronously.
-        scheduler = getattr(self, "scheduler", None)
-        # Write-ahead journal (pre-journal checkpoints lack the attribute).
-        # Each append below marks a stage boundary; during crash recovery
-        # the same appends are verified against the journaled history, and
-        # journaled posts are served from the log instead of re-posted.
-        jrn = getattr(self, "journal", None)
-        if jrn is not None:
-            jrn.append(cycle.index, "cycle_start",
-                       {"context": cycle.context.value})
-        straggler_images: list[DisasterImage] = []
-        straggler_labels: list[int] = []
-        if scheduler is not None:
-            # Advance virtual time to this cycle's boundary and harvest the
-            # straggler responses that arrived while the requester slept.
-            with tel.span("scheduler.harvest", cycle=cycle.index) as hspan:
-                scheduler.advance_to(
-                    scheduler.cycle_start(cycle.index)
-                )
-                harvested = self.platform.collect_stragglers()
-                if harvested:
-                    counters.stragglers_harvested += len(harvested)
-                    straggler_images, straggler_labels = (
-                        self._absorb_stragglers(harvested)
-                    )
+        """The stage driver: one span and one journal record per stage.
+
+        Stage and span names, span attributes, journal stage names,
+        payloads and their order are a durable format: crash recovery
+        re-executes a cycle and verifies every append against the log, and
+        crash points are keyed on the journal stage names.
+        """
+        st = self._begin_cycle(cycle, tel)
+        self._log(st, "cycle_start", {"context": cycle.context.value})
+        if self.scheduler is not None:
+            with tel.span("scheduler.harvest", cycle=cycle.index) as span:
+                harvest = self._harvest(st)
                 if tel.enabled:
-                    hspan.set(
-                        harvested=len(harvested),
-                        pending=scheduler.pending_count,
-                    )
-            if jrn is not None:
-                jrn.append(cycle.index, "harvest",
-                           {"harvested": len(harvested),
-                            "pending": scheduler.pending_count})
-        if guard is not None and guard.n_experts != self.committee.n_experts:
-            # A new committee was swapped into a live system: per-expert
-            # guard memory no longer describes anything real.
-            guard.rebind(self.committee.n_experts)
-        gcounters = GuardCounters()
-        mask = guard.active_mask() if guard is not None else None
-        # getattr: systems unpickled from pre-cache checkpoints lack the
-        # attribute; they simply keep running uncached.
-        cache = getattr(self, "cache", None)
-        if cache is not None:
-            if self.committee.cache is not cache:
-                # A new committee was swapped in (or experts replaced
-                # wholesale): route its votes through the shared cache too.
-                self.committee.attach_cache(cache)
-            if guard is not None and guard.cache is not cache:
-                guard.cache = cache
-        cache_stats_before = cache.stats() if cache is not None else None
-
-        # ① committee votes and query selection (quarantined members, if
-        # any, are excluded from the uncertainty estimate via ``mask``).
+                    span.set(**harvest)
+            self._log(st, "harvest", harvest)
+        # ① committee votes and query selection.
         with tel.span("cycle.committee"):
-            votes = self.committee.expert_votes(dataset)
-            entropy = self.committee.committee_entropy(dataset, votes, mask=mask)
+            entropy = self._committee_entropy(st)
         with tel.span("cycle.qss"):
-            # getattr: systems unpickled from pre-serve checkpoints lack
-            # the attribute; they keep the config's nominal cycle size.
-            cap = getattr(self, "cycle_query_cap", None)
-            desired = self.config.queries_per_cycle if cap is None else cap
-            query_size = min(desired, len(dataset))
-            query_indices = self.qss.select(entropy, query_size, self.rng)
-        if jrn is not None:
-            jrn.append(cycle.index, "qss",
-                       {"indices": [int(i) for i in query_indices]})
-
-        incentives: list[float] = []
-        results: list[QueryResult] = []
-        arms: list[int] = []
-        cost = 0.0
-        posted_indices: list[int] = []
-        with tel.span("cycle.crowd", queries=len(query_indices)):
-            for index in query_indices:
-                deadline = None
-                if scheduler is not None:
-                    # What is left of this sensing cycle is the query's
-                    # deadline: retry backoff already spent is gone.
-                    deadline = (
-                        self.config.cycle_seconds - counters.backoff_seconds
-                    )
-                    if deadline <= 0:
-                        counters.dropped_queries += 1
-                        continue  # the cycle is over before we could post
-                with tel.span("cycle.ipd.price"):
-                    arm, incentive = self.ipd.price_query(cycle.context)
-                metadata = dataset[int(index)].metadata
-                replayed = None
-                before = None
-                if jrn is not None:
-                    jrn.append(cycle.index, "post_intent",
-                               {"index": int(index), "arm": int(arm),
-                                "incentive": float(incentive)})
-                    replayed = jrn.peek_replay(cycle.index, "post")
-                    before = self._pre_post_marks(counters, scheduler)
-                if replayed is not None and replayed.get("kind") == "posted":
-                    # The crashed run already paid for this query: apply
-                    # the journaled effects, never post or charge again.
-                    result, paid = self._replay_post(
-                        cycle, replayed, counters, scheduler
-                    )
-                    jrn.append(cycle.index, "post", replayed)
-                    jrn.requeries_avoided_cents += paid
-                else:
-                    try:
-                        result, paid = self._post_with_retries(
-                            metadata, incentive, cycle.context, counters,
-                            deadline_seconds=deadline,
-                        )
-                    except BudgetExhausted:
-                        if jrn is not None:
-                            jrn.append(cycle.index, "post",
-                                       self._post_failure_payload(
-                                           "budget", index, arm, incentive,
-                                           counters, before))
-                        break  # budget gone: images stay with the AI
-                    except PlatformUnavailable:
-                        if not policy.enabled:
-                            raise
-                        counters.dropped_queries += 1
-                        if jrn is not None:
-                            jrn.append(cycle.index, "post",
-                                       self._post_failure_payload(
-                                           "dropped", index, arm, incentive,
-                                           counters, before))
-                        continue  # this image stays with the AI
-                    if jrn is not None:
-                        jrn.append(cycle.index, "post",
-                                   self._post_success_payload(
-                                       result, paid, index, arm, incentive,
-                                       counters, before, scheduler))
-                if not result.responses and policy.enabled:
-                    if result.n_late:
-                        # Every worker answered — after the deadline.  The
-                        # money is spent on submitted work (no refund), IPD
-                        # observes the realized cost of waiting the cycle
-                        # out, and (under "harvest") the answers arrive as
-                        # stragglers in a later cycle.
-                        counters.late_queries += 1
-                        counters.late_spent_cents += paid
-                        cost += paid
-                        incentives.append(paid)
-                        self.ipd.observe(
-                            cycle.context, arm, self._observed_delay(result)
-                        )
-                        if self.platform.scheduler is not None:
-                            self._straggler_queries[result.query.query_id] = (
-                                StragglerRecord(
-                                    image=dataset[int(index)], result=result
-                                )
-                            )
-                        if policy.fallback_to_committee:
-                            counters.fallbacks += 1
-                        continue
-                    # Charged, but nobody submitted anything (abandonment):
-                    # refund and keep the committee's label.
-                    if policy.refund_failed:
-                        self.ledger.refund(paid)
-                        counters.refunds += 1
-                        counters.refunded_cents += paid
-                    else:
-                        cost += paid
-                    if policy.fallback_to_committee:
-                        counters.fallbacks += 1
-                    continue
-                if result.n_late and self.platform.scheduler is not None:
-                    # Partially late: the on-time responses proceed through
-                    # CQC now; the rest will be folded in at harvest.
-                    self._straggler_queries[result.query.query_id] = (
-                        StragglerRecord(image=dataset[int(index)], result=result)
-                    )
-                incentives.append(paid)
-                arms.append(arm)
-                results.append(result)
-                posted_indices.append(int(index))
-                cost += paid
-        query_indices = np.array(posted_indices, dtype=np.int64)
-
+            st.query_indices = self._select_queries(st, entropy)
+        self._log(st, "qss", {"indices": [int(i) for i in st.query_indices]})
+        # ② pricing and posting; per-post records are journaled inside.
+        with tel.span("cycle.crowd", queries=len(st.query_indices)):
+            self._crowd(st)
         # ③ quality control + ④ calibration (only if anything was queried).
-        flagged = False
-        if results:
-            with tel.span("cycle.cqc", queries=len(results)):
-                truthful = self.cqc.truthful_labels(results)
-                truth_dists = self.cqc.label_distributions(results)
-                # Reliability must be read *before* this cycle's answers are
-                # graded, so it reflects strictly historical behaviour.
-                reliability = (
-                    self._cycle_worker_reliability(results)
-                    if guard is not None
-                    else None
-                )
-                for result, label in zip(results, truthful):
-                    self.platform.reveal_ground_truth(
-                        result.query.query_id, int(label)
-                    )
-            if jrn is not None:
-                jrn.append(cycle.index, "cqc",
-                           {"labels": [int(x) for x in truthful],
-                            "query_ids": [
-                                int(r.query.query_id) for r in results
-                            ]})
-            query_votes = [v[query_indices] for v in votes]
-            pre_vote: np.ndarray | None = None
-            if guard is not None or isinstance(self.qss, AdaptiveQuerySetSelector):
-                pre_vote = self.committee.committee_vote(dataset, votes, mask=mask)
-            # VDBE extension: feed the surprise (mean committee-vs-truth
-            # divergence on the query set) back into an adaptive QSS.
-            if isinstance(self.qss, AdaptiveQuerySetSelector):
-                from repro.metrics.information import bounded_divergence
-
-                surprise = float(
-                    np.mean(
-                        [
-                            bounded_divergence(pre_vote[int(i)], dist)
-                            for i, dist in zip(query_indices, truth_dists)
-                        ]
-                    )
-                )
-                self.qss.observe_surprise(surprise)
-            if guard is not None:
-                guard.observe_committee(self.committee, gcounters)
-                mask = guard.active_mask()
-                consensus = np.argmax(pre_vote[query_indices], axis=1)
-                flagged = guard.observe_labels(
-                    consensus, truthful, reliability, gcounters
-                )
-            if jrn is not None:
-                jrn.append(cycle.index, "guard", {"flagged": bool(flagged)})
+        if st.results:
+            with tel.span("cycle.cqc", queries=len(st.results)):
+                fused = self._quality_control(st)
+            self._log(st, "cqc", fused)
+            self._log(st, "guard", self._observe_labels(st))
             with tel.span("cycle.mic.reweight"):
-                if (
-                    flagged
-                    and guard.policy.drift_skips_reweight
-                    and self.mic.reweight
-                ):
-                    gcounters.reweights_skipped += 1
-                else:
-                    self.mic.update_weights(
-                        self.committee, query_votes, truth_dists,
-                        active_mask=mask,
-                    )
+                self._reweight(st)
+        # Harvested stragglers are retrained on even when nothing new was
+        # queried; with neither, retraining would only push snapshots.
+        if st.results or st.straggler_images:
             with tel.span("cycle.mic.retrain"):
-                query_images = [dataset[int(i)] for i in query_indices]
-                # Harvested straggler labels join this cycle's retraining
-                # batch — late answers still teach, they just teach later.
-                if straggler_images and not flagged:
-                    retrain_images = query_images + straggler_images
-                    retrain_labels = np.concatenate(
-                        [
-                            np.asarray(truthful, dtype=np.int64),
-                            np.asarray(straggler_labels, dtype=np.int64),
-                        ]
-                    )
-                    if tel.enabled:
-                        tel.counter(
-                            "stragglers_retrained_total",
-                            help="straggler labels fed into MIC retraining",
-                        ).inc(len(straggler_images))
-                else:
-                    retrain_images, retrain_labels = query_images, truthful
-                if flagged:
-                    if self.mic.retrain and query_images:
-                        gcounters.retrains_skipped += 1
-                elif guard is not None:
-                    guard.guarded_retrain(
-                        self.mic,
-                        self.committee,
-                        retrain_images,
-                        retrain_labels,
-                        self.replay_pool,
-                        self.rng,
-                        gcounters,
-                        telemetry=tel,
-                    )
-                else:
-                    self.mic.retrain_experts(
-                        self.committee,
-                        retrain_images,
-                        retrain_labels,
-                        self.replay_pool,
-                        self.rng,
-                    )
-            if jrn is not None:
-                jrn.append(cycle.index, "retrain", {})
+                self._retrain(st)
+            self._log(st, "retrain", {})
+        if st.results:
             with tel.span("cycle.ipd.observe"):
-                for result, arm in zip(results, arms):
-                    self.ipd.observe(
-                        cycle.context, arm, self._observed_delay(result)
-                    )
-            crowd_delay = float(
-                np.mean([self._observed_delay(r) for r in results])
-            )
-        else:
-            truthful = np.empty(0, dtype=np.int64)
-            truth_dists = np.empty((0, self.committee.experts[0].n_classes))
-            crowd_delay = 0.0
-            if straggler_images:
-                # Nothing new was queried this cycle, but last cycle's
-                # stragglers arrived: retrain on them alone.
-                with tel.span("cycle.mic.retrain"):
-                    if tel.enabled:
-                        tel.counter(
-                            "stragglers_retrained_total",
-                            help="straggler labels fed into MIC retraining",
-                        ).inc(len(straggler_images))
-                    labels = np.asarray(straggler_labels, dtype=np.int64)
-                    if guard is not None:
-                        guard.guarded_retrain(
-                            self.mic,
-                            self.committee,
-                            straggler_images,
-                            labels,
-                            self.replay_pool,
-                            self.rng,
-                            gcounters,
-                            telemetry=tel,
-                        )
-                    else:
-                        self.mic.retrain_experts(
-                            self.committee,
-                            straggler_images,
-                            labels,
-                            self.replay_pool,
-                            self.rng,
-                        )
-                if jrn is not None:
-                    jrn.append(cycle.index, "retrain", {})
-
-        # Final labels: reweighted committee, query set offloaded to the
-        # crowd — unless the drift detector flagged this cycle's labels, in
-        # which case the committee's own labels stand (labels too anomalous
-        # to train on are too anomalous to publish).
-        committee_vote = self.committee.committee_vote(dataset, votes, mask=mask)
-        committee_labels = np.argmax(committee_vote, axis=1)
-        if flagged and guard.policy.drift_skips_offload and self.mic.offload:
-            gcounters.offloads_skipped += 1
-            final_labels = committee_labels
-            final_scores = committee_vote
-        else:
-            final_labels = self.mic.offload_labels(
-                committee_labels, query_indices, truthful
-            )
-            final_scores = self.mic.offload_distributions(
-                committee_vote, query_indices, truth_dists
-            )
+                self._observe_delays(st)
+        final_labels, final_scores = self._publish(st)
         if tel.enabled:
-            tel.counter(
-                "cycles_total", help="sensing cycles completed"
-            ).inc()
-            tel.counter(
-                "queries_posted_total", help="crowd queries paid and kept"
-            ).inc(len(results))
-            tel.counter(
-                "responses_total", help="worker responses received"
-            ).inc(sum(len(r.responses) for r in results))
-            tel.counter(
-                "cost_cents_total", help="crowd spend charged (cents)"
-            ).inc(cost)
-            for paid in incentives:
-                tel.histogram(
-                    "incentive_cents", help="paid incentive per query",
-                    buckets=(0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0),
-                ).observe(paid)
-            if crowd_delay:
-                tel.histogram(
-                    "crowd_delay_seconds", help="mean crowd delay per cycle",
-                ).observe(crowd_delay)
-            tel.gauge(
-                "budget_remaining_cents", help="ledger budget left"
-            ).set(self.ledger.remaining)
-            # Bridge the cycle's resilience interventions into the registry.
-            tel.merge_counters(
-                {f"{k}_total": v for k, v in counters.as_dict().items()},
-                prefix="resilience_",
-                help="resilience interventions (see repro.core.resilience)",
-            )
-            if guard is not None:
-                tel.merge_counters(
-                    {f"{k}_total": v for k, v in gcounters.as_dict().items()},
-                    prefix="guard_",
-                    help="guard interventions (see repro.core.guards)",
-                )
-            if cache_stats_before is not None:
-                after = cache.stats()
-                tel.merge_counters(
-                    {
-                        f"{k}_total": after[k] - v
-                        for k, v in cache_stats_before.items()
-                    },
-                    prefix="cache_",
-                    help="prediction/feature cache activity "
-                    "(see repro.core.cache)",
-                )
-        if jrn is not None:
-            jrn.append(cycle.index, "cycle_end", {"cost_cents": float(cost)})
+            self._record_metrics(st)
+        self._log(st, "cycle_end", {"cost_cents": float(st.cost)})
         return CycleOutcome(
             cycle_index=cycle.index,
             context=cycle.context,
-            true_labels=true_labels,
+            true_labels=st.dataset.labels(),
             final_labels=final_labels,
             final_scores=final_scores,
-            query_indices=query_indices,
-            incentives_cents=np.array(incentives),
-            crowd_delay=crowd_delay,
-            cost_cents=cost,
+            query_indices=st.query_indices,
+            incentives_cents=np.array(st.incentives),
+            crowd_delay=st.crowd_delay,
+            cost_cents=st.cost,
             expert_weights=self.committee.weights,
-            resilience=counters,
-            guards=gcounters,
+            resilience=st.counters,
+            guards=st.gcounters,
         )
+
+    def _log(self, st: _CycleState, stage: str, payload) -> None:
+        """Journal one stage boundary (verified against the log in recovery)."""
+        if self.journal is not None:
+            self.journal.append(st.cycle.index, stage, payload)
+
+    def _begin_cycle(self, cycle: SensingCycle, tel: Telemetry) -> _CycleState:
+        guard = self.guards
+        if guard.n_experts != self.committee.n_experts:
+            # A new committee was swapped into a live system: per-expert
+            # guard memory no longer describes anything real.
+            guard.rebind(self.committee.n_experts)
+        cache = self.cache
+        stale = cache is not self.committee.cache or cache is not guard.cache
+        if cache is not None and stale:
+            # A new committee or guard was swapped in: route it through the
+            # shared cache too.
+            self.attach_cache(cache)
+        return _CycleState(
+            cycle=cycle,
+            tel=tel,
+            dataset=cycle.dataset(),
+            mask=guard.active_mask(),
+            truth_dists=np.empty((0, self.committee.experts[0].n_classes)),
+            cache_stats=None if cache is None else cache.stats(),
+        )
+
+    def _harvest(self, st: _CycleState) -> dict:
+        """Advance virtual time to this cycle's boundary and harvest the
+        straggler responses that arrived while the requester slept."""
+        scheduler = self.scheduler
+        scheduler.advance_to(scheduler.cycle_start(st.cycle.index))
+        harvested = self.platform.collect_stragglers()
+        if harvested:
+            st.counters.stragglers_harvested += len(harvested)
+            st.straggler_images, st.straggler_labels = self._absorb_stragglers(harvested)
+        return {"harvested": len(harvested), "pending": scheduler.pending_count}
+
+    def _committee_entropy(self, st: _CycleState) -> np.ndarray:
+        """Expert votes, and their entropy over the unquarantined members."""
+        st.votes = self.committee.expert_votes(st.dataset)
+        return self.committee.committee_entropy(st.dataset, st.votes, mask=st.mask)
+
+    def _select_queries(self, st: _CycleState, entropy: np.ndarray) -> np.ndarray:
+        cap = self.cycle_query_cap
+        desired = self.config.queries_per_cycle if cap is None else cap
+        return self.qss.select(entropy, min(desired, len(st.dataset)), self.rng)
+
+    def _crowd(self, st: _CycleState) -> None:
+        """Price and post every selected query, then keep what was posted."""
+        counters = st.counters
+        for index in st.query_indices:
+            deadline = None
+            if self.scheduler is not None:
+                # What is left of this sensing cycle is the query's
+                # deadline: retry backoff already spent is gone.
+                deadline = self.config.cycle_seconds - counters.backoff_seconds
+                if deadline <= 0:
+                    counters.dropped_queries += 1
+                    continue  # the cycle is over before we could post
+            with st.tel.span("cycle.ipd.price"):
+                arm, incentive = self.ipd.price_query(st.cycle.context)
+            try:
+                posted = self._post(st, index, arm, incentive, deadline)
+            except BudgetExhausted:
+                break  # budget gone: images stay with the AI
+            if posted is not None:
+                self._settle(st, index, arm, *posted)
+        st.query_indices = np.array(st.posted_indices, dtype=np.int64)
+
+    def _post(
+        self, st: _CycleState, index, arm: int, incentive: float,
+        deadline: float | None,
+    ) -> tuple[QueryResult, float] | None:
+        """Post one query (``post_intent`` and ``post`` journaled).
+
+        Returns ``(result, paid)``, or ``None`` when outage retries ran
+        out and the image stays with the AI.  A post the journal already
+        holds is replayed from it instead of re-posted.
+        """
+        cycle, counters, jrn = st.cycle, st.counters, self.journal
+        intent = {"index": int(index), "arm": int(arm), "incentive": float(incentive)}
+        replayed = before = None
+        if jrn is not None:
+            jrn.append(cycle.index, "post_intent", intent)
+            replayed = jrn.peek_replay(cycle.index, "post")
+            before = self._pre_post_marks(counters)
+        if replayed is not None and replayed.get("kind") == "posted":
+            # The crashed run already paid for this query: apply the
+            # journaled effects, never post or charge again.
+            result, paid = self._replay_post(cycle, replayed, counters)
+            jrn.append(cycle.index, "post", replayed)
+            jrn.requeries_avoided_cents += paid
+            return result, paid
+        try:
+            result, paid = self._post_with_retries(
+                st.dataset[int(index)].metadata, incentive, cycle.context,
+                counters, deadline_seconds=deadline,
+            )
+        except BudgetExhausted:
+            self._log_failed_post(st, "budget", intent, before)
+            raise
+        except PlatformUnavailable:
+            if not self.resilience.enabled:
+                raise
+            counters.dropped_queries += 1
+            self._log_failed_post(st, "dropped", intent, before)
+            return None
+        if jrn is not None:
+            payload = self._post_success_payload(result, paid, intent, counters, before)
+            jrn.append(cycle.index, "post", payload)
+        return result, paid
+
+    def _settle(
+        self, st: _CycleState, index, arm: int, result: QueryResult,
+        paid: float,
+    ) -> None:
+        """Account for one charged post: keep it, or fall back to the AI."""
+        policy, counters = self.resilience, st.counters
+        if result.n_late and self.platform.scheduler is not None:
+            # Late responses are still in flight; harvest folds them in.
+            self._straggler_queries[result.query.query_id] = StragglerRecord(
+                image=st.dataset[int(index)], result=result
+            )
+        if not result.responses and policy.enabled:
+            if result.n_late:
+                # Every worker answered — after the deadline.  The money
+                # is spent on submitted work (no refund), IPD observes the
+                # realized cost of waiting the cycle out, and (under
+                # "harvest") the answers arrive as stragglers in a later
+                # cycle.
+                counters.late_queries += 1
+                counters.late_spent_cents += paid
+                st.cost += paid
+                st.incentives.append(paid)
+                self.ipd.observe(
+                    st.cycle.context, arm, self._observed_delay(result)
+                )
+            elif policy.refund_failed:
+                # Charged, but nobody submitted anything (abandonment):
+                # refund and keep the committee's label.
+                self.ledger.refund(paid)
+                counters.refunds += 1
+                counters.refunded_cents += paid
+            else:
+                st.cost += paid
+            if policy.fallback_to_committee:
+                counters.fallbacks += 1
+            return
+        # On time, or partially late: the on-time responses proceed
+        # through CQC now.
+        st.incentives.append(paid)
+        st.arms.append(arm)
+        st.results.append(result)
+        st.posted_indices.append(int(index))
+        st.cost += paid
+
+    def _quality_control(self, st: _CycleState) -> dict:
+        """Fuse the crowd's labels and grade the workers who gave them."""
+        results = st.results
+        st.truthful = self.cqc.truthful_labels(results)
+        st.truth_dists = self.cqc.label_distributions(results)
+        # Reliability must be read *before* this cycle's answers are
+        # graded, so it reflects strictly historical behaviour.
+        st.reliability = self._cycle_worker_reliability(results)
+        for result, label in zip(results, st.truthful):
+            self.platform.reveal_ground_truth(result.query.query_id, int(label))
+        return {"labels": [int(x) for x in st.truthful],
+                "query_ids": [int(r.query.query_id) for r in results]}
+
+    def _observe_labels(self, st: _CycleState) -> dict:
+        """Feed the fused labels to adaptive QSS and the guard.
+
+        The guard rescores the committee (quarantine) and flags the cycle
+        when the labels drift anomalously from the committee's consensus.
+        """
+        guard = self.guards
+        pre_vote = self.committee.committee_vote(
+            st.dataset, st.votes, mask=st.mask
+        )
+        # VDBE extension: feed the surprise (mean committee-vs-truth
+        # divergence on the query set) back into an adaptive QSS.
+        if isinstance(self.qss, AdaptiveQuerySetSelector):
+            from repro.metrics.information import bounded_divergence
+
+            surprise = float(
+                np.mean(
+                    [
+                        bounded_divergence(pre_vote[int(i)], dist)
+                        for i, dist in zip(st.query_indices, st.truth_dists)
+                    ]
+                )
+            )
+            self.qss.observe_surprise(surprise)
+        guard.observe_committee(self.committee, st.gcounters)
+        st.mask = guard.active_mask()
+        consensus = np.argmax(pre_vote[st.query_indices], axis=1)
+        st.flagged = guard.observe_labels(
+            consensus, st.truthful, st.reliability, st.gcounters
+        )
+        return {"flagged": bool(st.flagged)}
+
+    def _reweight(self, st: _CycleState) -> None:
+        if st.flagged and self.guards.policy.drift_skips_reweight and self.mic.reweight:
+            st.gcounters.reweights_skipped += 1
+            return
+        self.mic.update_weights(
+            self.committee,
+            [v[st.query_indices] for v in st.votes],
+            st.truth_dists,
+            active_mask=st.mask,
+        )
+
+    def _retrain(self, st: _CycleState) -> None:
+        """Guarded MIC retraining on the crowd labels and stragglers.
+
+        Harvested straggler labels join the batch — late answers still
+        teach, they just teach later — unless the cycle was flagged, in
+        which case nothing is retrained.
+        """
+        query_images = [st.dataset[int(i)] for i in st.query_indices]
+        images, labels = query_images, st.truthful
+        if st.straggler_images and not st.flagged:
+            images = query_images + st.straggler_images
+            labels = np.concatenate(
+                [
+                    np.asarray(st.truthful, dtype=np.int64),
+                    np.asarray(st.straggler_labels, dtype=np.int64),
+                ]
+            )
+            if st.tel.enabled:
+                st.tel.counter(
+                    "stragglers_retrained_total",
+                    help="straggler labels fed into MIC retraining",
+                ).inc(len(st.straggler_images))
+        if st.flagged:
+            if self.mic.retrain and query_images:
+                st.gcounters.retrains_skipped += 1
+            return
+        self.guards.guarded_retrain(
+            self.mic,
+            self.committee,
+            images,
+            labels,
+            self.replay_pool,
+            self.rng,
+            st.gcounters,
+            telemetry=st.tel,
+        )
+
+    def _observe_delays(self, st: _CycleState) -> None:
+        """Reward IPD with each query's observed delay."""
+        delays = [self._observed_delay(r) for r in st.results]
+        for arm, delay in zip(st.arms, delays):
+            self.ipd.observe(st.cycle.context, arm, delay)
+        st.crowd_delay = float(np.mean(delays))
+
+    def _publish(self, st: _CycleState) -> tuple[np.ndarray, np.ndarray]:
+        """Final labels and scores: the reweighted committee, with the
+        query set offloaded to the crowd.
+
+        A cycle the drift detector flagged keeps the committee's own
+        labels: labels too anomalous to train on are too anomalous to
+        publish.
+        """
+        vote = self.committee.committee_vote(st.dataset, st.votes, mask=st.mask)
+        labels = np.argmax(vote, axis=1)
+        if st.flagged and self.guards.policy.drift_skips_offload and self.mic.offload:
+            st.gcounters.offloads_skipped += 1
+            return labels, vote
+        return (
+            self.mic.offload_labels(labels, st.query_indices, st.truthful),
+            self.mic.offload_distributions(
+                vote, st.query_indices, st.truth_dists
+            ),
+        )
+
+    def _record_metrics(self, st: _CycleState) -> None:
+        """Bridge the cycle's books into the telemetry registry."""
+        tel = st.tel
+        responses = sum(len(r.responses) for r in st.results)
+        for name, help_text, amount in (
+            ("cycles_total", "sensing cycles completed", 1.0),
+            ("queries_posted_total", "crowd queries paid and kept", len(st.results)),
+            ("responses_total", "worker responses received", responses),
+            ("cost_cents_total", "crowd spend charged (cents)", st.cost),
+        ):
+            tel.counter(name, help=help_text).inc(amount)
+        for paid in st.incentives:
+            tel.histogram(
+                "incentive_cents", help="paid incentive per query",
+                buckets=(0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0),
+            ).observe(paid)
+        if st.crowd_delay:
+            tel.histogram(
+                "crowd_delay_seconds", help="mean crowd delay per cycle",
+            ).observe(st.crowd_delay)
+        tel.gauge(
+            "budget_remaining_cents", help="ledger budget left"
+        ).set(self.ledger.remaining)
+        tel.merge_counters(
+            {f"{k}_total": v for k, v in st.counters.as_dict().items()},
+            prefix="resilience_",
+            help="resilience interventions (see repro.core.resilience)",
+        )
+        tel.merge_counters(
+            {f"{k}_total": v for k, v in st.gcounters.as_dict().items()},
+            prefix="guard_",
+            help="guard interventions (see repro.core.guards)",
+        )
+        if st.cache_stats is not None:
+            after = self.cache.stats()
+            tel.merge_counters(
+                {f"{k}_total": after[k] - v for k, v in st.cache_stats.items()},
+                prefix="cache_",
+                help="prediction/feature cache activity (see repro.core.cache)",
+            )
 
     def run(
         self,
@@ -1150,11 +1137,6 @@ class CrowdLearnSystem:
             raise ValueError(
                 f"checkpoint_every must be positive, got {checkpoint_every}"
             )
-        if checkpoint_path is None and journal is None:
-            outcome = RunOutcome()
-            for cycle in stream:
-                outcome.append(self.run_cycle(cycle))
-            return outcome
         return self._run_from(stream, RunOutcome(), 0, checkpoint_path,
                               checkpoint_every, journal=journal)
 

@@ -259,9 +259,8 @@ class CrowdsourcingPlatform:
                         help="per-response worker delay",
                         context=context.value,
                     ).observe(response.delay_seconds)
-        on_post = getattr(self, "on_post", None)
-        if on_post is not None:
-            on_post(result)
+        if self.on_post is not None:
+            self.on_post(result)
         return result
 
     def restore_posted_query(
@@ -354,11 +353,10 @@ class CrowdsourcingPlatform:
                     help="per-response worker delay",
                     context=query.context.value,
                 ).observe(response.delay_seconds)
-        on_post = getattr(self, "on_post", None)
-        if on_post is not None:
+        if self.on_post is not None:
             # Replays meter capacity exactly like the original posts did,
             # so a resumed pool's books match the uninterrupted run's.
-            on_post(result)
+            self.on_post(result)
         return result
 
     def __getstate__(self) -> dict:

@@ -692,7 +692,7 @@ def resume_run(
         system, stream = fresh()
         outcome = RunOutcome()
         next_cycle = 0
-    injector = getattr(system.platform, "faults", None)
+    injector = system.platform.faults
     if injector is not None:
         injector.disarm_crashes()
     journal, info = CycleJournal.resume(

@@ -52,7 +52,11 @@ _FORMAT_VERSION = 1
 # load time instead of resuming a silently corrupted deployment.
 # Version 3 adds the state's byte length, so truncation is distinguishable
 # from bit corruption (length vs sha256) in the load error.
-_CHECKPOINT_VERSION = 3
+# Version 4 requires every attribute a feature added after the first
+# checkpoints (system scheduler/journal/cache/query cap, an always-present
+# guard, cache namespace, telemetry base labels, platform post observer);
+# older files fail the version check rather than loading without them.
+_CHECKPOINT_VERSION = 4
 
 
 class CheckpointIntegrityError(ValueError):
@@ -246,8 +250,8 @@ def save_checkpoint(
     if next_cycle < 0:
         raise ValueError(f"next_cycle must be >= 0, got {next_cycle}")
     path = Path(path)
-    telemetry = getattr(system, "telemetry", None)
-    scheduler = getattr(system, "scheduler", None)
+    telemetry = system.telemetry
+    scheduler = system.scheduler
     state = pickle.dumps(
         {
             "next_cycle": int(next_cycle),

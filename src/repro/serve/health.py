@@ -58,13 +58,10 @@ def tick_failed(outcome: CycleOutcome) -> bool:
     Committee fallbacks and refunds alone are *not* failures: they are
     the degraded modes working as designed.
     """
-    resilience = outcome.resilience
-    if resilience is not None and resilience.platform_failures() > 0:
-        return True
-    guards = outcome.guards
-    if guards is not None and guards.rollbacks > 0:
-        return True
-    return False
+    return (
+        outcome.resilience.platform_failures() > 0
+        or outcome.guards.rollbacks > 0
+    )
 
 
 @dataclass(frozen=True)

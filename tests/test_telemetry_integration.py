@@ -87,6 +87,23 @@ class TestInstrumentedRun:
         for span in telemetry.tracer.by_name("cycle.qss"):
             assert ids[span.parent_id].name == "cycle"
 
+    def test_retrain_spans_reach_attached_telemetry(self, traced):
+        """Spans opened deep in MIC and the trainer go to the system's own
+        telemetry even when it is not installed as the context default."""
+        telemetry, _, _ = traced
+        ids = {s.span_id: s for s in telemetry.tracer.spans}
+
+        def ancestors(span):
+            while span.parent_id is not None:
+                span = ids[span.parent_id]
+                yield span.name
+
+        for name in ("cycle.mic.retrain.fit", "trainer.fit", "trainer.epoch"):
+            spans = telemetry.tracer.by_name(name)
+            assert spans, f"missing span {name}"
+            for span in spans:
+                assert "cycle" in ancestors(span)
+
     def test_counters_match_outcome(self, traced):
         telemetry, system, outcome = traced
         reg = telemetry.registry
