@@ -89,7 +89,7 @@ def _print_run_report(system, outcome) -> None:
             f"{system.scheduler.pending_count} still in flight "
             f"at t={system.scheduler.now:.0f}s"
         )
-    if getattr(system.mic, "warm_start", False):
+    if system.mic.warm_start:
         stats = system.mic.retrain_stats()
         print(
             "warm-start: "
@@ -112,36 +112,8 @@ def _crash_specs(args) -> list[str]:
 
 
 def cmd_run(args) -> int:
-    import dataclasses
-
-    from repro.eval.runner import build_crowdlearn
-
-    durable = any(
-        getattr(args, flag, None)
-        for flag in (
-            "checkpoint", "journal", "resume", "crash_at",
-            "digest_file", "cycles",
-        )
-    )
-    if durable:
-        return _cmd_run_durable(args)
-    setup = _prepare(args)
-    overrides = {}
-    if getattr(args, "scheduler", False):
-        overrides["scheduler_enabled"] = True
-    if getattr(args, "warm_start", False):
-        overrides["mic_warm_start"] = True
-    if getattr(args, "fused", False):
-        overrides["fused_kernels"] = True
-    config = dataclasses.replace(setup.config, **overrides) if overrides else None
-    system = build_crowdlearn(setup, config=config)
-    outcome = system.run(setup.make_stream("cli-run"))
-    _print_run_report(system, outcome)
-    return 0
-
-
-def _cmd_run_durable(args) -> int:
-    """``repro run`` with a checkpoint, a write-ahead journal, or both."""
+    """``repro run``, optionally with a checkpoint, a write-ahead journal,
+    or both; without either it is one plain ``system.run``."""
     import dataclasses
     import os
     from pathlib import Path
@@ -184,8 +156,6 @@ def _cmd_run_durable(args) -> int:
             overrides["scheduler_enabled"] = True
         if getattr(args, "warm_start", False):
             overrides["mic_warm_start"] = True
-        if getattr(args, "fused", False):
-            overrides["fused_kernels"] = True
         if getattr(args, "cycles", None):
             overrides["n_cycles"] = args.cycles
         if overrides:
@@ -490,7 +460,7 @@ def cmd_bench(args) -> int:
             fit_speedup = retrain.get("fit_speedup", 0.0)
             if fit_speedup < budget:
                 print(
-                    "FAIL: warm-start + fused expert refit speedup is "
+                    "FAIL: warm-start expert refit speedup is "
                     f"{fit_speedup:.2f}x "
                     f"(budget: >= {budget:.1f}x at "
                     f"{'paper' if full_scale else 'fast'} scale; the 5x "
@@ -501,8 +471,8 @@ def cmd_bench(args) -> int:
         print(
             "bench check passed: cached vote at least as fast as uncached, "
             "the loop served predictions from the cache, journaling cost "
-            "under 5% of cycle wall time, and warm-start + fused kernels "
-            "beat the expert-refit speedup budget "
+            "under 5% of cycle wall time, and warm-start beat the "
+            "expert-refit speedup budget "
             f"({retrain.get('fit_speedup', 0.0):.2f}x)",
             file=sys.stderr,
         )
@@ -841,11 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="warm-start incremental retraining: fine-tune "
                      "incumbent weights on new crowd labels + a crowd "
                      "replay sample, with periodic full refits",
-            )
-            sub.add_argument(
-                "--fused", action="store_true",
-                help="run CNN experts through fused conv+relu(+pool) "
-                     "kernels (bit-identical, faster)",
             )
         if name in ("run", "supervise"):
             sub.add_argument(

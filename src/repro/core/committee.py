@@ -79,19 +79,6 @@ class Committee:
         for expert in self.experts:
             expert.attach_cache(cache)
 
-    def set_fused(self, fused: bool) -> "Committee":
-        """Toggle fused conv kernels on every expert that supports them.
-
-        Third-party experts without the hook are skipped; built-in CNN
-        experts switch execution strategy bit-identically (no version bump
-        needed — predictions are unchanged).
-        """
-        for expert in self.experts:
-            set_fused = getattr(expert, "set_fused", None)
-            if callable(set_fused):
-                set_fused(fused)
-        return self
-
     def _after_update(self, expert: DDAModel, version_before: int) -> None:
         """Ensure a retrained expert's version moved and evict stale votes.
 

@@ -61,12 +61,6 @@ class CrowdLearnConfig:
     mic_full_refit_every: int = 20
     mic_warm_epochs: int = 1
 
-    # Fused conv kernels (see repro.nn.layers.fuse_layers): run each CNN
-    # expert's conv+relu(+pool) chains as single-pass fused ops with
-    # preallocated im2col scratch.  Bit-identical to the layer-by-layer
-    # path — a pure execution-strategy switch.
-    fused_kernels: bool = False
-
     # CQC.
     cqc_use_questionnaire: bool = True
 
@@ -78,11 +72,10 @@ class CrowdLearnConfig:
     guard_holdout_size: int = 24
     guard_regression_tolerance: float = 0.25
 
-    # Shared prediction/feature cache (see repro.core.cache): each expert's
-    # votes are computed once per (model version, image pool) and reused by
-    # every call site in the cycle; disabling restores direct computation
-    # (results are bit-identical either way).
-    cache_enabled: bool = True
+    # Shared prediction/feature cache (see repro.core.cache), always
+    # attached: each expert's votes are computed once per (model version,
+    # image pool) and reused by every call site in the cycle.  These bound
+    # its two LRU stores.
     cache_max_pools: int = 256
     cache_max_features: int = 8192
 

@@ -390,8 +390,6 @@ class CrowdLearnSystem:
             full_refit_every=config.mic_full_refit_every,
             warm_epochs=config.mic_warm_epochs,
         )
-        if config.fused_kernels:
-            committee.set_fused(True)
         if config.qss_adaptive:
             qss: QuerySetSelector = AdaptiveQuerySetSelector(
                 initial_epsilon=config.qss_epsilon
@@ -403,7 +401,7 @@ class CrowdLearnSystem:
             guards = ModelGuard.build(
                 policy, training_set, committee.n_experts, seeds.get("guards")
             )
-        if cache is None and config.cache_enabled:
+        if cache is None:
             cache = PredictionCache(
                 max_pools=config.cache_max_pools,
                 max_features=config.cache_max_features,

@@ -1,9 +1,10 @@
 """Benchmark harness for the closed loop (``repro bench``).
 
 Times one full CrowdLearn deployment with telemetry spans enabled and
-aggregates per-stage wall time, then micro-benchmarks the committee-vote
-hot path cached vs uncached on a fixed image pool.  Results are written to
-``BENCH_cycle.json`` so CI can archive them and assert the shared
+aggregates per-stage wall time, micro-benchmarks the committee-vote hot
+path cached vs uncached on a fixed image pool, and A/Bs the retrain stage
+cold vs warm-start.  Results are written to ``BENCH_cycle.json`` so CI can
+archive them and assert the shared
 :class:`~repro.core.cache.PredictionCache` never makes the vote stage
 slower than computing votes from scratch.
 
@@ -137,17 +138,16 @@ def _scheduler_benchmark(setup) -> dict[str, Any]:
 
 
 def _retrain_benchmark(setup) -> dict[str, Any]:
-    """A/B the retrain hot path: cold/naive vs warm-start + fused kernels.
+    """A/B the retrain hot path: cold refits vs warm-start fine-tuning.
 
     Both arms share the same platform seed and sensing stream (named RNG
     streams are reproducible per name), so the delta is the retrain
     strategy: the cold arm refits on ``crowd batch + golden replay`` with
-    full per-expert epoch schedules through layer-by-layer kernels, the
-    warm arm fine-tunes incumbent weights for ``mic_warm_epochs`` on
-    ``crowd batch + crowd ReplayBuffer sample`` through fused kernels
-    (periodic full refits included).  CI gates the retrain-stage speedup;
-    macro-F1 is reported per arm so accuracy regressions are visible in
-    the artifact.
+    full per-expert epoch schedules, the warm arm fine-tunes incumbent
+    weights for ``mic_warm_epochs`` on ``crowd batch + crowd ReplayBuffer
+    sample`` (periodic full refits included).  CI gates the retrain-stage
+    speedup; macro-F1 is reported per arm so accuracy regressions are
+    visible in the artifact.
     """
     import dataclasses
 
@@ -181,10 +181,9 @@ def _retrain_benchmark(setup) -> dict[str, Any]:
         }, system
 
     cold, _ = run_arm(setup.config)
-    warm_config = dataclasses.replace(
-        setup.config, mic_warm_start=True, fused_kernels=True
+    warm, warm_system = run_arm(
+        dataclasses.replace(setup.config, mic_warm_start=True)
     )
-    warm, warm_system = run_arm(warm_config)
 
     def ratio(a: float, b: float) -> float:
         return a / b if b > 0 else float("inf")
@@ -193,10 +192,10 @@ def _retrain_benchmark(setup) -> dict[str, Any]:
         "cold": cold,
         "warm": warm,
         # The gated number: how much faster the experts are *refit* — the
-        # work warm-start + fused kernels actually attack.  The whole-stage
-        # and whole-cycle ratios include the per-retrain guard tax
-        # (snapshots + holdout gating), which is identical in both arms and
-        # reported per arm as guard_seconds.
+        # work warm-start actually attacks.  The whole-stage and
+        # whole-cycle ratios include the per-retrain guard tax (snapshots +
+        # holdout gating), which is identical in both arms and reported per
+        # arm as guard_seconds.
         "fit_speedup": ratio(cold["fit_seconds"], warm["fit_seconds"]),
         "retrain_speedup": ratio(
             cold["retrain_seconds"], warm["retrain_seconds"]
@@ -253,11 +252,11 @@ def run_bench(
     The report has five sections: ``loop`` (a full instrumented run with
     per-stage span aggregates and end-of-run cache statistics),
     ``committee_vote`` (the cached-vs-uncached micro-benchmark),
-    ``retrain`` (the warm-start + fused-kernels vs cold/naive retrain
-    A/B), ``journal`` (the write-ahead journal's overhead fraction) and
-    ``meta`` (seed, scale, interpreter — enough to compare artifacts
-    across CI runs).  With ``scheduler`` set, a sixth section A/Bs the
-    loop with the virtual-time scheduler off vs on.
+    ``retrain`` (the warm-start vs cold retrain A/B), ``journal`` (the
+    write-ahead journal's overhead fraction) and ``meta`` (seed, scale,
+    interpreter — enough to compare artifacts across CI runs).  With
+    ``scheduler`` set, a sixth section A/Bs the loop with the virtual-time
+    scheduler off vs on.
     """
     if repeats <= 0:
         raise ValueError(f"repeats must be positive, got {repeats}")
@@ -273,7 +272,6 @@ def run_bench(
         outcome = system.run(setup.make_stream("bench"))
     wall_seconds = time.perf_counter() - started
 
-    cache = system.cache
     y_true, y_pred = outcome.y_true(), outcome.y_pred()
     report = {
         "meta": {
@@ -288,7 +286,7 @@ def run_bench(
             "wall_seconds": wall_seconds,
             "macro_f1": float(macro_f1(y_true, y_pred)) if len(y_true) else 0.0,
             "stages": _stage_table(telemetry.tracer.spans),
-            "cache": cache.stats() if cache is not None else {},
+            "cache": system.cache.stats(),
         },
         "committee_vote": _vote_benchmark(setup, repeats),
         "retrain": _retrain_benchmark(setup),
@@ -351,7 +349,7 @@ def render_bench(report: dict[str, Any]) -> str:
             "",
             "retrain A/B: "
             f"expert refit cold {ab['cold']['fit_seconds']:.2f}s -> "
-            f"warm+fused {ab['warm']['fit_seconds']:.2f}s "
+            f"warm {ab['warm']['fit_seconds']:.2f}s "
             f"({ab['fit_speedup']:.1f}x); "
             f"whole stage {ab['cold']['retrain_seconds']:.2f}s -> "
             f"{ab['warm']['retrain_seconds']:.2f}s "

@@ -56,7 +56,8 @@ _FORMAT_VERSION = 1
 # checkpoints (system scheduler/journal/cache/query cap, an always-present
 # guard, cache namespace, telemetry base labels, platform post observer);
 # older files fail the version check rather than loading without them.
-_CHECKPOINT_VERSION = 4
+# Version 5 drops the fused conv blocks, which a version-4 file may pickle.
+_CHECKPOINT_VERSION = 5
 
 
 class CheckpointIntegrityError(ValueError):

@@ -81,16 +81,6 @@ class DDAModel(ABC):
         """
         return None
 
-    def set_fused(self, fused: bool) -> "DDAModel":
-        """Select fused conv kernels for this expert (hook).
-
-        The base implementation does nothing: experts without a conv
-        stack (BoVW) have nothing to fuse.  CNN experts toggle
-        :meth:`repro.nn.model.Sequential.fuse` / ``unfuse`` — a pure
-        execution-strategy switch that is bit-identical either way.
-        """
-        return self
-
     @property
     def n_classes(self) -> int:
         """Number of output damage classes."""

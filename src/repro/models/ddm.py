@@ -45,7 +45,6 @@ class DDMModel(DDAModel):
         image_size: int = 32,
         head_epochs: int = 40,
         head_retrain_epochs: int | None = None,
-        fused: bool = False,
     ) -> None:
         if image_size % 4:
             raise ValueError(f"image_size must be divisible by 4, got {image_size}")
@@ -64,7 +63,6 @@ class DDMModel(DDAModel):
         #: backbone schedule as ``max(2 * backbone_epochs, 2)`` (the
         #: historical behavior).
         self.head_retrain_epochs = head_retrain_epochs
-        self.fused = fused
         self.backbone: Sequential | None = None
         self.head: Sequential | None = None
         self._backbone_trainer: Trainer | None = None
@@ -108,25 +106,6 @@ class DDMModel(DDAModel):
             rng=rng,
             batch_size=self.batch_size,
         )
-        if self.fused:
-            self.set_fused(True)
-
-    def set_fused(self, fused: bool) -> "DDMModel":
-        """Toggle fused conv kernels on the backbone.
-
-        The last conv block stays unfused (``keep_last_conv``): Grad-CAM
-        needs that layer's pre-activation feature maps addressable by
-        index, so only the earlier blocks fuse.  Grad-CAM is rebuilt
-        because fusing shifts layer indices.
-        """
-        self.fused = bool(fused)
-        if self.backbone is not None:
-            if self.fused:
-                self.backbone.fuse(keep_last_conv=True)
-            else:
-                self.backbone.unfuse()
-            self._gradcam = GradCAM(self.backbone)
-        return self
 
     def _head_features(self, x: np.ndarray) -> np.ndarray:
         """[cnn probs, moderate-heatmap mass, severe-heatmap mass] per image.

@@ -35,9 +35,6 @@ class VGGModel(DDAModel):
         Channel width of the first conv block (doubles in the second).
     image_size:
         Input spatial size (must be divisible by 4).
-    fused:
-        Run the conv stack through fused ``conv+relu(+pool)`` kernels
-        (bit-identical, faster; see :func:`repro.nn.layers.fuse_layers`).
     """
 
     name = "VGG16"
@@ -51,7 +48,6 @@ class VGGModel(DDAModel):
         batch_size: int = 32,
         image_size: int = 32,
         dropout: float = 0.2,
-        fused: bool = False,
     ) -> None:
         if image_size % 4:
             raise ValueError(f"image_size must be divisible by 4, got {image_size}")
@@ -62,7 +58,6 @@ class VGGModel(DDAModel):
         self.batch_size = batch_size
         self.image_size = image_size
         self.dropout = dropout
-        self.fused = fused
         self.model: Sequential | None = None
         self._trainer: Trainer | None = None
 
@@ -94,14 +89,6 @@ class VGGModel(DDAModel):
             rng=rng,
             batch_size=self.batch_size,
         )
-        if self.fused:
-            self.model.fuse()
-
-    def set_fused(self, fused: bool) -> "VGGModel":
-        self.fused = bool(fused)
-        if self.model is not None:
-            self.model.fuse() if self.fused else self.model.unfuse()
-        return self
 
     def fit(self, dataset: DisasterDataset, rng: np.random.Generator) -> "VGGModel":
         self._build(rng)

@@ -29,10 +29,6 @@ __all__ = [
     "Dropout",
     "BatchNorm",
     "Softmax",
-    "FusedConvReLU",
-    "FusedConvReLUPool",
-    "fuse_layers",
-    "unfuse_layers",
     "im2col",
     "col2im",
 ]
@@ -43,8 +39,7 @@ __all__ = [
 #: ``None``, every backward reader raises on ``None``, and every backward
 #: follows a fresh training forward that refills them.
 _FORWARD_CACHES = (
-    "_cols", "_x_shape", "_mask", "_routing", "_act_shape",
-    "_input", "_cache", "_output", "_shape",
+    "_cols", "_x_shape", "_mask", "_input", "_cache", "_output", "_shape",
 )
 
 
@@ -52,13 +47,11 @@ class Layer:
     """Base class for all layers; parameter-free layers inherit the no-ops.
 
     Pickling keeps parameters, gradients, running statistics and generators
-    but drops forward caches and fused-kernel scratch buffers.
+    but drops forward caches.
     """
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        if "_scratch" in state:
-            state["_scratch"] = {}
         for key in _FORWARD_CACHES:
             if key in state:
                 state[key] = None
@@ -562,290 +555,3 @@ class Tanh(Layer):
         if self._output is None:
             raise RuntimeError("backward called before a training forward pass")
         return grad * (1.0 - self._output**2)
-
-
-class _FusedConvBase(Layer):
-    """Shared plumbing for fused conv blocks.
-
-    A fused block *wraps* the original :class:`Conv2D` instance rather than
-    copying its parameters, so weight/bias/grad arrays stay shared with any
-    optimizer that captured them before fusion, and :func:`unfuse_layers`
-    can hand the untouched layer objects back.
-
-    The im2col patch matrix and the col2im gradient accumulator are written
-    into preallocated scratch buffers reused across minibatches and epochs
-    (the patch layout is built directly in ``(n, oh, ow, c, k, k)`` order,
-    skipping the transpose-copy the reference :func:`im2col` pays).  Every
-    arithmetic op matches the layer-by-layer chain operand for operand, so
-    the fused path is bit-identical to running the separate layers.
-
-    Scratch and caches are transient: :meth:`Layer.__getstate__` drops
-    them on pickling, so guard snapshots and checkpoints stay lean.
-    """
-
-    def __init__(self, conv: Conv2D) -> None:
-        if type(conv) is not Conv2D:
-            raise TypeError(
-                f"fused blocks wrap a plain Conv2D, got {type(conv).__name__}"
-            )
-        self.conv = conv
-        # The wrapped layer's backward cache is stale the moment it is
-        # fused over — drop it so snapshots/checkpoints of fused models do
-        # not carry the last pre-fusion minibatch around forever.
-        conv._cols = None
-        conv._x_shape = None
-        self._scratch: dict[str, np.ndarray] = {}
-        self._cols: np.ndarray | None = None
-        self._x_shape: tuple[int, int, int, int] | None = None
-
-    def params(self) -> list[np.ndarray]:
-        return self.conv.params()
-
-    def grads(self) -> list[np.ndarray]:
-        return self.conv.grads()
-
-    def _buf(
-        self, name: str, shape: tuple[int, ...], dtype, zeroed: bool = False
-    ) -> np.ndarray:
-        buf = self._scratch.get(name)
-        if buf is None or buf.shape != shape or buf.dtype != dtype:
-            alloc = np.zeros if zeroed else np.empty
-            buf = alloc(shape, dtype=dtype)
-            self._scratch[name] = buf
-        return buf
-
-    def _conv_forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """im2col + matmul; returns (patch matrix, NCHW conv output)."""
-        conv = self.conv
-        if x.ndim != 4 or x.shape[1] != conv.weight.shape[1]:
-            raise ValueError(
-                f"Conv2D expected (batch, {conv.weight.shape[1]}, H, W), "
-                f"got {x.shape}"
-            )
-        k, s, p = conv.kernel, conv.stride, conv.pad
-        n, c, h, w = x.shape
-        out_h = (h + 2 * p - k) // s + 1
-        out_w = (w + 2 * p - k) // s + 1
-        if out_h <= 0 or out_w <= 0:
-            raise ValueError(
-                f"kernel {k} with stride {s}, pad {p} does not fit "
-                f"input of spatial size {h}x{w}"
-            )
-        if p:
-            # Borders are zeroed once at allocation and never written after,
-            # so refilling only the interior keeps the zero padding intact.
-            padded = self._buf("pad", (n, c, h + 2 * p, w + 2 * p), x.dtype,
-                               zeroed=True)
-            padded[:, :, p:p + h, p:p + w] = x
-        else:
-            padded = x
-        # The patch matrix holds exact element copies of the padded input,
-        # so the gather strategy is free to differ from :func:`im2col` as
-        # long as the same values land in the same positions — the result
-        # is bit-identical either way.  Wide patches (c*k*k large) gather
-        # fastest in ONE strided pass: a zero-copy sliding-window view of
-        # ``padded``, transposed to patch-row order and written straight
-        # into reusable scratch (half of im2col's memory traffic).  Narrow
-        # patches (e.g. 3-channel input blocks) have too little contiguous
-        # run per window for that to pay off, so they keep im2col's
-        # two-pass pattern, just into preallocated scratch.
-        cols = self._buf("cols", (n * out_h * out_w, c * k * k), x.dtype)
-        cols6 = cols.reshape(n, out_h, out_w, c, k, k)
-        if c * k * k >= 64:
-            sn, sc, sh, sw = padded.strides
-            windows = np.lib.stride_tricks.as_strided(
-                padded,
-                shape=(n, c, k, k, out_h, out_w),
-                strides=(sn, sc, sh, sw, sh * s, sw * s),
-                writeable=False,
-            )
-            np.copyto(cols6, windows.transpose(0, 4, 5, 1, 2, 3))
-        else:
-            patches = self._buf("patches", (n, c, k, k, out_h, out_w), x.dtype)
-            for ky in range(k):
-                y_end = ky + s * out_h
-                for kx in range(k):
-                    x_end = kx + s * out_w
-                    patches[:, :, ky, kx, :, :] = padded[
-                        :, :, ky:y_end:s, kx:x_end:s
-                    ]
-            np.copyto(cols6, patches.transpose(0, 4, 5, 1, 2, 3))
-        out_channels = conv.weight.shape[0]
-        flat_w = conv.weight.reshape(out_channels, -1)
-        out = cols @ flat_w.T + conv.bias
-        out = out.reshape(n, out_h, out_w, out_channels)
-        return cols, out.transpose(0, 3, 1, 2)
-
-    def _conv_backward(self, g: np.ndarray) -> np.ndarray:
-        """Parameter grads + input grad from the post-activation grad ``g``."""
-        conv = self.conv
-        n, c, h, w = self._x_shape
-        k, s, p = conv.kernel, conv.stride, conv.pad
-        out_channels = conv.weight.shape[0]
-        grad_flat = g.transpose(0, 2, 3, 1).reshape(-1, out_channels)
-        conv.grad_weight += (grad_flat.T @ self._cols).reshape(conv.weight.shape)
-        conv.grad_bias += grad_flat.sum(axis=0)
-        grad_cols = grad_flat @ conv.weight.reshape(out_channels, -1)
-        out_h = (h + 2 * p - k) // s + 1
-        out_w = (w + 2 * p - k) // s + 1
-        gpad = self._buf("gpad", (n, c, h + 2 * p, w + 2 * p), grad_cols.dtype)
-        gpad[...] = 0.0
-        # Identical accumulation order to :func:`col2im`.
-        rcols = grad_cols.reshape(n, out_h, out_w, c, k, k).transpose(0, 3, 4, 5, 1, 2)
-        for ky in range(k):
-            y_end = ky + s * out_h
-            for kx in range(k):
-                x_end = kx + s * out_w
-                gpad[:, :, ky:y_end:s, kx:x_end:s] += rcols[:, :, ky, kx, :, :]
-        if p == 0:
-            return gpad
-        return gpad[:, :, p:-p, p:-p]
-
-
-class FusedConvReLU(_FusedConvBase):
-    """Single-pass ``Conv2D -> ReLU`` (forward and backward)."""
-
-    def __init__(self, conv: Conv2D, relu: ReLU | None = None) -> None:
-        super().__init__(conv)
-        self.relu = relu if relu is not None else ReLU()
-        self.relu._mask = None
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        cols, conv_out = self._conv_forward(x)
-        mask = conv_out > 0
-        out = conv_out * mask
-        if training:
-            self._cols = cols
-            self._x_shape = x.shape
-            self._mask = mask
-        else:
-            self._cols = None
-            self._x_shape = None
-            self._mask = None
-        return out
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cols is None or self._mask is None:
-            raise RuntimeError("backward called before a training forward pass")
-        return self._conv_backward(grad * self._mask)
-
-
-class FusedConvReLUPool(_FusedConvBase):
-    """Single-pass ``Conv2D -> ReLU -> MaxPool2D``.
-
-    Backward routes the pooled gradient through one combined boolean mask
-    (``pool-argmax AND relu``) instead of two sequential mask multiplies;
-    masks are 0/1 selections, so the composition is exact.
-    """
-
-    def __init__(
-        self,
-        conv: Conv2D,
-        pool: MaxPool2D | None = None,
-        relu: ReLU | None = None,
-    ) -> None:
-        super().__init__(conv)
-        self.relu = relu if relu is not None else ReLU()
-        self.pool = pool if pool is not None else MaxPool2D()
-        if type(self.pool) is not MaxPool2D:
-            raise TypeError(
-                f"fused blocks pool with MaxPool2D, got {type(self.pool).__name__}"
-            )
-        self.relu._mask = None
-        self.pool._mask = None
-        self.pool._x_shape = None
-        self._routing: np.ndarray | None = None
-        self._act_shape: tuple[int, int, int, int] | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        cols, conv_out = self._conv_forward(x)
-        relu_mask = conv_out > 0
-        act = conv_out * relu_mask
-        n, c, h, w = act.shape
-        s = self.pool.size
-        if h % s or w % s:
-            raise ValueError(
-                f"MaxPool2D size {s} must evenly divide spatial dims {h}x{w}"
-            )
-        blocks = act.reshape(n, c, h // s, s, w // s, s).transpose(0, 1, 2, 4, 3, 5)
-        out = blocks.max(axis=(4, 5))
-        if training:
-            flat = (blocks == out[..., None, None]).reshape(
-                n, c, h // s, w // s, s * s
-            )
-            # Break ties so exactly one element per window routes the gradient.
-            first = flat.argmax(axis=-1)
-            pool_mask = np.zeros_like(flat, dtype=bool)
-            np.put_along_axis(pool_mask, first[..., None], True, axis=-1)
-            relu_windows = relu_mask.reshape(
-                n, c, h // s, s, w // s, s
-            ).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // s, w // s, s * s)
-            self._routing = pool_mask & relu_windows
-            self._cols = cols
-            self._x_shape = x.shape
-            self._act_shape = act.shape
-        else:
-            self._cols = None
-            self._x_shape = None
-            self._routing = None
-            self._act_shape = None
-        return out
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cols is None or self._routing is None:
-            raise RuntimeError("backward called before a training forward pass")
-        n, c, h, w = self._act_shape
-        s = self.pool.size
-        spread = self._routing * grad[..., None]
-        spread = spread.reshape(n, c, h // s, w // s, s, s)
-        g = spread.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
-        return self._conv_backward(g)
-
-
-def fuse_layers(layers: list[Layer], keep_last_conv: bool = False) -> list[Layer]:
-    """Collapse ``Conv2D -> ReLU [-> MaxPool2D]`` runs into fused blocks.
-
-    Only exact base-class instances fuse (subclasses may override behavior).
-    ``keep_last_conv`` leaves the final :class:`Conv2D` of the stack — and
-    its following layers — untouched, preserving per-layer access to its
-    pre-activation output (Grad-CAM hooks the last conv by index).
-    Layer instances are shared, never copied, so optimizer parameter lists
-    captured before fusing remain valid.
-    """
-    layers = list(layers)
-    protected = -1
-    if keep_last_conv:
-        for i, layer in enumerate(layers):
-            if type(layer) is Conv2D:
-                protected = i
-    fused: list[Layer] = []
-    i = 0
-    while i < len(layers):
-        layer = layers[i]
-        nxt = layers[i + 1] if i + 1 < len(layers) else None
-        if type(layer) is Conv2D and i != protected and type(nxt) is ReLU:
-            after = layers[i + 2] if i + 2 < len(layers) else None
-            if type(after) is MaxPool2D:
-                fused.append(FusedConvReLUPool(layer, pool=after, relu=nxt))
-                i += 3
-            else:
-                fused.append(FusedConvReLU(layer, relu=nxt))
-                i += 2
-        else:
-            fused.append(layer)
-            i += 1
-    return fused
-
-
-def unfuse_layers(layers: list[Layer]) -> list[Layer]:
-    """Expand fused blocks back into the original layer instances."""
-    out: list[Layer] = []
-    for layer in layers:
-        if isinstance(layer, FusedConvReLUPool):
-            out += [layer.conv, layer.relu, layer.pool]
-        elif isinstance(layer, FusedConvReLU):
-            out += [layer.conv, layer.relu]
-        else:
-            out.append(layer)
-    return out

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.nn.layers import Layer, _FusedConvBase, fuse_layers, unfuse_layers
+from repro.nn.layers import Layer
 from repro.nn.losses import softmax
 
 __all__ = ["Sequential"]
@@ -59,28 +59,6 @@ class Sequential:
         """Point every stochastic layer (Dropout) at ``rng``."""
         for layer in self.layers:
             layer.reseed(rng)
-
-    # -- kernel fusion -----------------------------------------------------
-
-    @property
-    def is_fused(self) -> bool:
-        """Whether any layer is a fused conv block."""
-        return any(isinstance(layer, _FusedConvBase) for layer in self.layers)
-
-    def fuse(self, keep_last_conv: bool = False) -> "Sequential":
-        """Fuse ``Conv2D -> ReLU [-> MaxPool2D]`` runs in place.
-
-        Parameter arrays are shared with the wrapped layers, so optimizers
-        built before fusing keep working; outputs and gradients are
-        bit-identical to the unfused stack.  Idempotent.
-        """
-        self.layers = fuse_layers(self.layers, keep_last_conv=keep_last_conv)
-        return self
-
-    def unfuse(self) -> "Sequential":
-        """Restore the original per-layer stack in place.  Idempotent."""
-        self.layers = unfuse_layers(self.layers)
-        return self
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Softmax class probabilities for a batch of inputs."""

@@ -198,13 +198,9 @@ class CrowdLearnService:
         self.ticks = 0
         self._drained: dict[str, bool] = {}
         #: Shared physical cache; each event gets a namespaced view.
-        self.cache: PredictionCache | None = (
-            PredictionCache(
-                max_pools=setup.config.cache_max_pools,
-                max_features=setup.config.cache_max_features,
-            )
-            if setup.config.cache_enabled
-            else None
+        self.cache = PredictionCache(
+            max_pools=setup.config.cache_max_pools,
+            max_features=setup.config.cache_max_features,
         )
         self.serve_dir = Path(serve_dir) if serve_dir is not None else None
         self._journal_fh = None
@@ -936,11 +932,10 @@ class CrowdLearnService:
 
                 outcome = RunOutcome()
                 next_cycle = 0
-            if service.cache is not None:
-                # Checkpointed systems drop cache entries on pickle; give
-                # the restored system its namespaced view of the shared
-                # physical stores again.
-                system.attach_cache(service.cache)
+            # Checkpointed systems drop cache entries on pickle; give the
+            # restored system its namespaced view of the shared physical
+            # stores again.
+            system.attach_cache(service.cache)
             injector = system.platform.faults
             if injector is not None:
                 injector.disarm_crashes()

@@ -1,10 +1,9 @@
-"""Digest parity for the retrain fast paths (warm start + fused kernels).
+"""Digest parity for the warm-start retrain path.
 
-Both optimizations promise *invisible speed*: fused kernels reorganize
-memory traffic without touching arithmetic, and warm-start retraining with
-``full_refit_every=1`` degenerates to the cold schedule.  Either claim is
-checked the strongest way available — the full closed loop must produce a
-bit-identical outcome digest.
+Warm-start retraining with ``full_refit_every=1`` degenerates to the cold
+schedule, and a warm retrain's version bump must reach the prediction
+cache.  Both claims are checked the strongest way available — the full
+closed loop must produce a bit-identical outcome digest.
 """
 
 import dataclasses
@@ -13,7 +12,6 @@ import pytest
 
 from repro.eval.persistence import run_outcome_digest
 from repro.eval.runner import build_crowdlearn, prepare
-from repro.models.vgg import VGGModel
 
 
 @pytest.fixture(scope="module")
@@ -21,13 +19,23 @@ def setup():
     return prepare(seed=11, fast=True)
 
 
-def _run(setup, name, **overrides):
+def _detach_cache(system) -> None:
+    """Make ``system`` the uncached reference arm: every vote and holdout
+    score is computed directly."""
+    system.committee.attach_cache(None)
+    system.guards.cache = None
+    system.cache = None
+
+
+def _run(setup, name, cached=True, **overrides):
     config = (
         dataclasses.replace(setup.config, **overrides)
         if overrides
         else setup.config
     )
     system = build_crowdlearn(setup, config=config, platform_name=name)
+    if not cached:
+        _detach_cache(system)
     outcome = system.run(setup.make_stream(name))
     return system, run_outcome_digest(outcome)
 
@@ -36,19 +44,6 @@ def _run(setup, name, **overrides):
 def cold_digest(setup):
     _, digest = _run(setup, "retrain-parity")
     return digest
-
-
-class TestFusedDigestParity:
-    def test_fused_run_bit_identical_to_naive(self, setup, cold_digest):
-        system, digest = _run(setup, "retrain-parity", fused_kernels=True)
-        assert digest == cold_digest
-        # ...and the parity is not vacuous: the CNN experts really fused.
-        fused = [
-            expert.model.is_fused
-            for expert in system.committee.experts
-            if isinstance(expert, VGGModel)
-        ]
-        assert fused and all(fused)
 
 
 class TestWarmDigestParity:
@@ -80,10 +75,9 @@ class TestWarmRunIntegrity:
         PredictionCache ever served a pre-retrain array afterwards, the
         cached and uncached deployments would diverge.
         """
-        overrides = dict(mic_warm_start=True, fused_kernels=True)
-        cached_system, cached = _run(setup, "warm-fresh", **overrides)
+        cached_system, cached = _run(setup, "warm-fresh", mic_warm_start=True)
         _, uncached = _run(
-            setup, "warm-fresh", cache_enabled=False, **overrides
+            setup, "warm-fresh", cached=False, mic_warm_start=True
         )
         assert cached == uncached
         assert cached_system.cache.stats()["prediction_hits"] > 0

@@ -8,7 +8,6 @@ array may survive a retrain, a guard rollback, or an expert swap-in.
 
 from __future__ import annotations
 
-import dataclasses
 import pickle
 from collections import Counter
 
@@ -29,9 +28,18 @@ def setup():
     return prepare(seed=7, fast=True)
 
 
-def _run(setup, cache_enabled: bool, name: str):
-    config = dataclasses.replace(setup.config, cache_enabled=cache_enabled)
-    system = build_crowdlearn(setup, config=config, platform_name=name)
+def _detach_cache(system) -> None:
+    """Make ``system`` the uncached reference arm: every vote and holdout
+    score is computed directly."""
+    system.committee.attach_cache(None)
+    system.guards.cache = None
+    system.cache = None
+
+
+def _run(setup, cached: bool, name: str):
+    system = build_crowdlearn(setup, platform_name=name)
+    if not cached:
+        _detach_cache(system)
     return system, system.run(setup.make_stream(name))
 
 
@@ -92,11 +100,7 @@ class TestComputeOncePerVersion:
 
             monkeypatch.setattr(cls, "predict_proba", counted)
 
-        config = dataclasses.replace(setup.config, cache_enabled=True)
-        system = build_crowdlearn(
-            setup, config=config, platform_name="cache-counts"
-        )
-        system.run(setup.make_stream("cache-counts"))
+        _run(setup, True, "cache-counts")
         cached_calls = dict(calls)
         assert cached_calls, "counting wrapper never fired"
         assert max(cached_calls.values()) == 1, {
@@ -104,11 +108,7 @@ class TestComputeOncePerVersion:
         }
 
         calls.clear()
-        config = dataclasses.replace(setup.config, cache_enabled=False)
-        system = build_crowdlearn(
-            setup, config=config, platform_name="cache-counts"
-        )
-        system.run(setup.make_stream("cache-counts"))
+        _run(setup, False, "cache-counts")
         uncached_calls = dict(calls)
         # The same loop recomputes holdout votes at >= 3 call sites.
         assert max(uncached_calls.values()) >= 3

@@ -103,6 +103,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "CrowdLearn:" in out
         assert "crowd delay" in out
+        assert "run digest " in out
 
     def test_pilot(self, capsys):
         assert main(["pilot", "--seed", "61"]) == 0

@@ -17,8 +17,6 @@ from repro.nn.layers import (
     Dense,
     Dropout,
     Flatten,
-    FusedConvReLU,
-    FusedConvReLUPool,
     GlobalAveragePool,
     MaxPool2D,
     ReLU,
@@ -26,7 +24,6 @@ from repro.nn.layers import (
     Softmax,
     Tanh,
     col2im,
-    fuse_layers,
     im2col,
 )
 
@@ -278,111 +275,9 @@ class TestSoftmax:
         np.testing.assert_allclose(layer.forward(x), layer.forward(x + 100.0))
 
 
-class TestFusedKernelParity:
-    """Fused conv blocks are an execution strategy, not a new computation.
-
-    Forward activations, input gradients and parameter gradients must be
-    bit-identical (``np.array_equal``, no tolerance) to the layer-by-layer
-    path — the fused kernels reorganize memory traffic, never arithmetic.
-    """
-
-    def _stacks(self, seed=0):
-        import copy
-
-        rng = np.random.default_rng(seed)
-        naive = [
-            Conv2D(3, 5, kernel=3, rng=rng, pad=1),
-            ReLU(),
-            MaxPool2D(2),
-            Conv2D(5, 7, kernel=3, rng=rng, pad=0, stride=2),
-            ReLU(),
-        ]
-        return naive, fuse_layers(copy.deepcopy(naive))
-
-    @staticmethod
-    def _forward(layers, x, training):
-        out = x
-        for layer in layers:
-            out = layer.forward(out, training=training)
-        return out
-
-    @staticmethod
-    def _backward(layers, grad):
-        for layer in reversed(layers):
-            grad = layer.backward(grad)
-        return grad
-
-    def test_fuse_collapses_blocks(self):
-        _, fused = self._stacks()
-        assert len(fused) == 2
-        assert type(fused[0]) is FusedConvReLUPool
-        assert type(fused[1]) is FusedConvReLU
-
-    @pytest.mark.parametrize("training", [False, True])
-    def test_forward_bit_identical(self, training):
-        naive, fused = self._stacks()
-        x = np.random.default_rng(1).normal(size=(4, 3, 12, 12))
-        assert np.array_equal(
-            self._forward(naive, x, training),
-            self._forward(fused, x, training),
-        )
-
-    def test_backward_and_param_grads_bit_identical(self):
-        naive, fused = self._stacks()
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(4, 3, 12, 12))
-        out = self._forward(naive, x, training=True)
-        assert np.array_equal(out, self._forward(fused, x, training=True))
-        upstream = rng.normal(size=out.shape)
-        grad_naive = self._backward(naive, upstream)
-        grad_fused = self._backward(fused, upstream)
-        assert np.array_equal(grad_naive, grad_fused)
-        naive_grads = [g for layer in naive for g in layer.grads()]
-        fused_grads = [g for layer in fused for g in layer.grads()]
-        assert len(naive_grads) == len(fused_grads) == 4  # 2x (weight, bias)
-        for gn, gf in zip(naive_grads, fused_grads):
-            assert np.array_equal(gn, gf)
-
-    def test_small_channel_path_bit_identical(self):
-        """The strided-gather / loop-gather split must not change values.
-
-        A 1-input-channel stack keeps ``c * k * k`` under the gather
-        threshold, exercising the loop path; the wide stack above takes the
-        as_strided path.  Both must match the reference exactly.
-        """
-        import copy
-
-        rng = np.random.default_rng(3)
-        naive = [Conv2D(1, 3, kernel=2, rng=rng, pad=1), ReLU(), MaxPool2D(2)]
-        fused = fuse_layers(copy.deepcopy(naive))
-        x = np.random.default_rng(4).normal(size=(2, 1, 9, 9))
-        out = self._forward(naive, x, training=True)
-        assert np.array_equal(out, self._forward(fused, x, training=True))
-        upstream = np.random.default_rng(5).normal(size=out.shape)
-        assert np.array_equal(
-            self._backward(naive, upstream), self._backward(fused, upstream)
-        )
-
-    def test_fuse_clears_stale_backward_caches(self):
-        """Fusing after a training step must drop the wrapped layers' caches.
-
-        Without this, snapshots of freshly-fused models would carry the
-        last pre-fusion minibatch (im2col patches, pool masks) forever.
-        """
-        naive, _ = self._stacks()
-        x = np.random.default_rng(6).normal(size=(4, 3, 12, 12))
-        self._forward(naive, x, training=True)  # populate every cache
-        fused = fuse_layers(naive)
-        block = fused[0]
-        assert block.conv._cols is None and block.conv._x_shape is None
-        assert block.relu._mask is None
-        assert block.pool._mask is None and block.pool._x_shape is None
-
-
 #: Attributes a training forward fills for backward to read.
 FORWARD_CACHES = (
-    "_cols", "_x_shape", "_mask", "_routing", "_act_shape",
-    "_input", "_cache", "_output", "_shape",
+    "_cols", "_x_shape", "_mask", "_input", "_cache", "_output", "_shape",
 )
 
 #: (name, layer factory, input shape) for every layer type.
@@ -400,16 +295,6 @@ LAYER_CASES = [
     ("dropout", lambda rng: Dropout(0.5, rng=rng), (5, 6)),
     ("batchnorm2d", lambda rng: BatchNorm(6), (5, 6)),
     ("batchnorm4d", lambda rng: BatchNorm(3), (2, 3, 4, 4)),
-    (
-        "fused_relu",
-        lambda rng: FusedConvReLU(Conv2D(3, 4, kernel=3, rng=rng, pad=1)),
-        (2, 3, 6, 6),
-    ),
-    (
-        "fused_relu_pool",
-        lambda rng: FusedConvReLUPool(Conv2D(3, 4, kernel=3, rng=rng, pad=1)),
-        (2, 3, 6, 6),
-    ),
 ]
 
 
@@ -437,7 +322,6 @@ class TestPickleDropsForwardCaches:
         restored = pickle.loads(pickle.dumps(layer))
         for key in caches:
             assert getattr(restored, key) is None, key
-        assert getattr(restored, "_scratch", {}) == {}
         for original, copy in zip(
             layer.params() + layer.grads(), restored.params() + restored.grads()
         ):
