@@ -5,11 +5,8 @@ from repro.bandit.budget import BudgetExhausted, BudgetLedger
 from repro.bandit.ccmb import UCBALPBandit
 from repro.bandit.epsilon import EpsilonGreedyBandit
 from repro.bandit.policies import FixedIncentivePolicy, RandomIncentivePolicy
-from repro.bandit.regret import PullRecord, RegretTracker
 
 __all__ = [
-    "PullRecord",
-    "RegretTracker",
     "ArmStats",
     "ContextualPolicy",
     "BudgetExhausted",

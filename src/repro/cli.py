@@ -103,8 +103,8 @@ def _crash_specs(args) -> list[str]:
     """Crash-point specs from ``--crash-at`` or ``REPRO_CRASH_AT``."""
     import os
 
-    specs = list(getattr(args, "crash_at", None) or [])
-    if not specs and getattr(args, "journal", None):
+    specs = list(args.crash_at or [])
+    if not specs and args.journal:
         env = os.environ.get("REPRO_CRASH_AT", "").strip()
         if env:
             specs = [s.strip() for s in env.split(",") if s.strip()]
@@ -125,17 +125,14 @@ def cmd_run(args) -> int:
         InjectedCrash,
     )
     from repro.eval.journal import CycleJournal, heartbeat_writer, resume_run
-    from repro.eval.persistence import (
-        CheckpointIntegrityError,
-        run_outcome_digest,
-    )
+    from repro.eval.persistence import run_outcome_digest
     from repro.utils.rng import SeedSequencer
 
     specs = _crash_specs(args)
     if args.resume and not (args.journal and args.checkpoint):
         print("--resume requires --journal and --checkpoint", file=sys.stderr)
         return 2
-    if getattr(args, "crash_at", None) and not args.journal:
+    if args.crash_at and not args.journal:
         print(
             "--crash-at requires --journal "
             "(crash points fire at journal stage boundaries)",
@@ -152,11 +149,11 @@ def cmd_run(args) -> int:
 
         setup = _prepare(args)
         overrides = {}
-        if getattr(args, "scheduler", False):
+        if args.scheduler:
             overrides["scheduler_enabled"] = True
-        if getattr(args, "warm_start", False):
+        if args.warm_start:
             overrides["mic_warm_start"] = True
-        if getattr(args, "cycles", None):
+        if args.cycles:
             overrides["n_cycles"] = args.cycles
         if overrides:
             setup.config = dataclasses.replace(setup.config, **overrides)
@@ -213,17 +210,11 @@ def cmd_run(args) -> int:
             finally:
                 if journal is not None:
                     journal.close()
-    except CheckpointIntegrityError as exc:
-        print(
-            f"corrupt checkpoint ({exc.check} check failed): {exc}",
-            file=sys.stderr,
-        )
-        return 3
     except InjectedCrash as exc:
         print(f"injected crash: {exc}", file=sys.stderr)
         return 75
     digest = run_outcome_digest(outcome)
-    if getattr(args, "digest_file", None):
+    if args.digest_file:
         Path(args.digest_file).write_text(digest + "\n")
     _print_run_report(system, outcome)
     print(f"run digest {digest}")
@@ -250,11 +241,11 @@ def cmd_supervise(args) -> int:
     ]
     if args.full:
         argv.append("--full")
-    if getattr(args, "scheduler", False):
+    if args.scheduler:
         argv.append("--scheduler")
-    if getattr(args, "cycles", None):
+    if args.cycles:
         argv += ["--cycles", str(args.cycles)]
-    if getattr(args, "digest_file", None):
+    if args.digest_file:
         argv += ["--digest-file", args.digest_file]
     heartbeat = args.heartbeat or f"{args.journal}.heartbeat"
     config = SupervisorConfig(
@@ -263,7 +254,7 @@ def cmd_supervise(args) -> int:
         backoff_base_seconds=args.backoff,
     )
     first_env = None
-    if getattr(args, "crash_at", None):
+    if args.crash_at:
         first_env = {"REPRO_CRASH_AT": ",".join(args.crash_at)}
     outcome = supervise(
         argv,
@@ -340,24 +331,24 @@ def cmd_budget(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    if getattr(args, "crash", False):
+    if args.crash:
         from repro.eval.supervisor import run_crash_chaos
 
         kwargs = {}
-        if getattr(args, "crash_at", None):
+        if args.crash_at:
             kwargs["crash_specs"] = tuple(args.crash_at)
         return run_crash_chaos(
             seed=args.seed,
-            cycles=getattr(args, "cycles", None) or 3,
+            cycles=args.cycles or 3,
             full=args.full,
             **kwargs,
         )
-    if getattr(args, "workers", None):
+    if args.workers:
         return _cmd_chaos_parallel(args)
     from repro.eval.experiments import run_chaos, run_guard_chaos
 
     setup = _prepare(args)
-    print(run_chaos(setup, scheduler=getattr(args, "scheduler", False)).render())
+    print(run_chaos(setup, scheduler=args.scheduler).render())
     print()
     print(run_guard_chaos(setup).render())
     return 0
@@ -367,7 +358,7 @@ def _cmd_chaos_parallel(args) -> int:
     """The chaos sweep with one worker process per intensity arm."""
     from repro.eval.parallel import run_chaos_arms
 
-    if getattr(args, "scheduler", False):
+    if args.scheduler:
         print(
             "note: --scheduler is ignored with --workers "
             "(the parallel arms run the synchronous loop)",
@@ -418,7 +409,7 @@ def cmd_bench(args) -> int:
         seed=args.seed,
         fast=not args.full,
         repeats=args.repeats,
-        scheduler=getattr(args, "scheduler", False),
+        scheduler=args.scheduler,
     )
     print(render_bench(report))
     path = write_bench(report, args.output or DEFAULT_OUTPUT)
@@ -504,10 +495,10 @@ def cmd_trace(args) -> int:
         f"(budget {system.ledger.total / 100:.2f} USD), "
         f"mean crowd delay {outcome.mean_crowd_delay():.1f}s"
     )
-    if getattr(args, "jsonl", None):
+    if args.jsonl:
         path = export_jsonl(telemetry, args.jsonl)
         print(f"wrote JSONL event log to {path}", file=sys.stderr)
-    if getattr(args, "prometheus", None):
+    if args.prometheus:
         from pathlib import Path
 
         Path(args.prometheus).write_text(to_prometheus(telemetry.registry))
@@ -517,61 +508,35 @@ def cmd_trace(args) -> int:
 
 def cmd_serve(args) -> int:
     """Run (or resume) a multi-event serving fleet to drain."""
-    import os
-    import signal
     from pathlib import Path
 
-    from repro.eval.persistence import CheckpointIntegrityError
     from repro.serve import (
         CrowdLearnService,
         SharedCrowdPool,
         create_admission_policy,
     )
-    from repro.serve.service import ServeJournalError
+    from repro.serve.loadgen import drive
 
     if args.resume and not args.serve_dir:
         print("--resume requires --serve-dir", file=sys.stderr)
         return 2
-    try:
-        policy = create_admission_policy(args.policy)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        if args.resume:
-            service = CrowdLearnService.resume(args.serve_dir)
-        else:
-            setup = _prepare(args)
-            pool = SharedCrowdPool(
-                capacity_per_cycle=args.capacity,
-                policy=policy,
-                max_backlog=args.max_backlog,
-            )
-            service = CrowdLearnService(
-                setup,
-                pool=pool,
-                serve_dir=args.serve_dir,
-                fsync=args.fsync,
-            )
-            for i in range(args.events):
-                service.submit_event(f"event-{i + 1:02d}")
-        while True:
-            if (
-                args.crash_at_tick is not None
-                and service.ticks >= args.crash_at_tick
-            ):
-                os.kill(os.getpid(), signal.SIGKILL)
-            if service.step() is None:
-                break
-    except CheckpointIntegrityError as exc:
-        print(
-            f"corrupt event checkpoint ({exc.check} check failed): {exc}",
-            file=sys.stderr,
+    if args.resume:
+        service = CrowdLearnService.resume(args.serve_dir)
+    else:
+        pool = SharedCrowdPool(
+            capacity_per_cycle=args.capacity,
+            policy=create_admission_policy(args.policy),
+            max_backlog=args.max_backlog,
         )
-        return 3
-    except ServeJournalError as exc:
-        print(f"serve journal integrity failure: {exc}", file=sys.stderr)
-        return 3
+        service = CrowdLearnService(
+            _prepare(args),
+            pool=pool,
+            serve_dir=args.serve_dir,
+            fsync=args.fsync,
+        )
+        for i in range(args.events):
+            service.submit_event(f"event-{i + 1:02d}")
+    drive(service, burst_images=0, crash_at_tick=args.crash_at_tick)
     quarantined = service.quarantined_events()
     for deployment in service.registry.all():
         status = service.event_status(deployment.event_id)
@@ -590,14 +555,14 @@ def cmd_serve(args) -> int:
         reason = service.health[event_id].quarantine_reason or "breaker open"
         print(f"quarantined {event_id}: {reason}", file=sys.stderr)
     digest = service.combined_digest()
-    if getattr(args, "digest_file", None):
+    if args.digest_file:
         Path(args.digest_file).write_text(digest + "\n")
     print(f"serve digest {digest}")
-    if not service.pool.conserved():
-        print("pool conservation violated", file=sys.stderr)
-        service.close()
-        return 4
+    conserved = service.pool.conserved()
     service.close()
+    if not conserved:
+        print("pool conservation violated", file=sys.stderr)
+        return 4
     if quarantined:
         # Completed-with-casualties: the healthy events drained, the
         # parked ones need operator attention (see docs/SERVING.md).
@@ -610,72 +575,24 @@ def cmd_loadgen(args) -> int:
     from repro.eval.persistence import CheckpointIntegrityError
     from repro.serve.loadgen import (
         DEFAULT_OUTPUT,
-        build_report,
         check_report,
-        drive,
-        reference_digests,
         render_report,
+        resume_loadgen,
         run_loadgen,
         write_report,
     )
-    from repro.serve.service import CrowdLearnService, ServeJournalError
 
     if args.resume and not args.serve_dir:
         print("--resume requires --serve-dir", file=sys.stderr)
         return 2
     try:
         if args.resume:
-            service = CrowdLearnService.resume(args.serve_dir)
-            already_burst = any(
-                d.bursts for d in service.registry.all()
-            )
-            started = time.perf_counter()
-            drive(
-                service,
-                burst_images=0 if already_burst else args.burst_images,
+            report = resume_loadgen(
+                args.serve_dir,
+                burst_images=args.burst_images,
                 burst_seed=args.burst_seed,
                 crash_at_tick=args.crash_at_tick,
             )
-            wall = time.perf_counter() - started
-            manifest = service._manifest
-            # A chaos run announces itself in the manifest: events with
-            # fault plans.  Re-derive the clean reference digests (the
-            # reference run is deterministic and fault-free) so the
-            # resumed report carries the same blast-radius section.
-            faulted = [
-                entry["event_id"]
-                for entry in manifest["events"]
-                if entry.get("fault_plan")
-            ]
-            clean_digests = None
-            if faulted:
-                clean_digests = reference_digests(
-                    service.setup,
-                    n_events=len(service.registry),
-                    burst_images=args.burst_images,
-                    burst_seed=args.burst_seed,
-                )
-            meta = {
-                "bench": "serve-loadgen",
-                "seed": manifest["seed"],
-                "fast": manifest["fast"],
-                "n_events": len(service.registry),
-                "capacity_per_cycle": service.pool.capacity_per_cycle,
-                "policy": service.pool.policy.name,
-                "max_backlog": service.pool.max_backlog,
-                "burst": {
-                    "images": args.burst_images, "seed": args.burst_seed,
-                },
-                "durable": True,
-                "fsync": manifest["fsync"],
-                "resumed": True,
-                "chaos": bool(faulted),
-                "faulted_event": faulted[0] if faulted else None,
-            }
-            report = build_report(
-                service, wall, meta, clean_digests=clean_digests
-            )
-            service.close()
         else:
             report = run_loadgen(
                 seed=args.seed,
@@ -691,15 +608,8 @@ def cmd_loadgen(args) -> int:
                 crash_at_tick=args.crash_at_tick,
                 chaos=args.chaos,
             )
-    except CheckpointIntegrityError as exc:
-        print(
-            f"corrupt event checkpoint ({exc.check} check failed): {exc}",
-            file=sys.stderr,
-        )
-        return 3
-    except ServeJournalError as exc:
-        print(f"serve journal integrity failure: {exc}", file=sys.stderr)
-        return 3
+    except CheckpointIntegrityError:
+        raise  # exit 3 from main(), not a usage error
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -995,9 +905,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A corrupt checkpoint or serve journal escaping any command is exit 3.
+    """
+    from repro.eval.persistence import CheckpointIntegrityError
+    from repro.serve.service import ServeJournalError
+
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CheckpointIntegrityError as exc:
+        print(
+            f"corrupt checkpoint ({exc.check} check failed): {exc}",
+            file=sys.stderr,
+        )
+    except ServeJournalError as exc:
+        print(f"serve journal integrity failure: {exc}", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -8,7 +8,6 @@ from repro.data.archetypes import (
     make_low_resolution,
     make_regular,
 )
-from repro.data.export import export_dataset_sample, save_ppm, to_ppm
 from repro.data.dataset import (
     DisasterDataset,
     DisasterImage,
@@ -25,9 +24,6 @@ from repro.data.metadata import (
 from repro.data.stream import SensingCycle, SensingCycleStream
 
 __all__ = [
-    "export_dataset_sample",
-    "save_ppm",
-    "to_ppm",
     "ARCHETYPE_MAKERS",
     "make_closeup",
     "make_fake",

@@ -17,9 +17,10 @@ into a service:
   capacity across events through pluggable
   :mod:`~repro.serve.admission` policies, with per-event ledgers and
   explicit backpressure (deferred to later windows or shed),
-- a synchronous service core (:class:`~repro.serve.service.CrowdLearnService`),
-  an asyncio façade (:class:`~repro.serve.facade.AsyncCrowdLearnService`)
-  and a surge load generator (:mod:`~repro.serve.loadgen`),
+- a synchronous service core (:class:`~repro.serve.service.CrowdLearnService`)
+  in which a live tick and a tick reconstructed on resume settle through
+  the same admission and settlement path, and a surge load generator
+  (:mod:`~repro.serve.loadgen`) that also drives ``repro serve``,
 - service-level resilience: per-event circuit breakers
   (:mod:`~repro.serve.breaker`), a degradation ladder
   (:mod:`~repro.serve.health`), and bulkhead isolation in the service
@@ -36,7 +37,6 @@ from repro.serve.admission import (
 )
 from repro.serve.breaker import BREAKER_STATES, BreakerPolicy, CircuitBreaker
 from repro.serve.deployment import Deployment
-from repro.serve.facade import AsyncCrowdLearnService, DrainOutcome
 from repro.serve.health import (
     HEALTH_STATES,
     EventHealth,
@@ -51,14 +51,12 @@ __all__ = [
     "AdmissionDecision",
     "AdmissionPolicy",
     "AdmissionRequest",
-    "AsyncCrowdLearnService",
     "BREAKER_STATES",
     "BreakerPolicy",
     "CircuitBreaker",
     "CrowdLearnService",
     "DeadlineAwarePolicy",
     "Deployment",
-    "DrainOutcome",
     "EventHealth",
     "EventLedger",
     "EventRegistry",

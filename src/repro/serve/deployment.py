@@ -198,20 +198,3 @@ class Deployment:
              -1 if burst_seed is None else int(burst_seed))
         )
         return added
-
-    def status(self) -> dict:
-        """JSON-safe progress summary (the service adds pool books)."""
-        ledger = self.system.ledger
-        return {
-            "event_id": self.event_id,
-            "priority": self.priority,
-            "next_cycle": self.next_cycle,
-            "n_cycles": self.n_cycles,
-            "done": self.done,
-            "start_window": self.start_window,
-            "spent_cents": float(ledger.spent),
-            "charged_cents": float(ledger.total_charged),
-            "refunded_cents": float(ledger.total_refunded),
-            "remaining_cents": float(ledger.remaining),
-            "bursts": len(self.bursts),
-        }

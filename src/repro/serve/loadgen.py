@@ -44,8 +44,8 @@ from repro.serve.admission import create_admission_policy
 from repro.serve.pool import SharedCrowdPool
 from repro.serve.service import CrowdLearnService
 
-__all__ = ["run_loadgen", "check_report", "write_report", "render_report",
-           "chaos_plan", "DEFAULT_OUTPUT"]
+__all__ = ["run_loadgen", "resume_loadgen", "check_report", "write_report",
+           "render_report", "chaos_plan", "DEFAULT_OUTPUT"]
 
 DEFAULT_OUTPUT = Path("benchmarks/results/BENCH_serve.json")
 
@@ -134,18 +134,17 @@ def drive(
     """Run the surge timeline to drain; returns ticks executed.
 
     The imagery burst lands on the first event once ``burst_after_ticks``
-    cycles have run (default: one full fleet round).  ``crash_at_tick``
-    SIGKILLs the process after that many ticks — the crash half of the
-    serve crash/recovery drill; a supervisor is expected to ``resume``.
+    cycles have run (default: one full fleet round); ``burst_images=0``
+    is a plain drain.  ``crash_at_tick`` SIGKILLs the process after that
+    many ticks — the crash half of the serve crash/recovery drill; a
+    supervisor is expected to ``resume``.
 
     Both thresholds compare against ``service.ticks`` — the *global*
     cycle count, restored on resume — so a resumed drive continues the
     original timeline instead of restarting it.
     """
-    n_events = len(service.registry)
     if burst_after_ticks is None:
-        burst_after_ticks = n_events
-    first_event = min(d.event_id for d in service.registry.all())
+        burst_after_ticks = len(service.registry)
     executed = 0
     burst_done = burst_images <= 0
     while True:
@@ -155,6 +154,7 @@ def drive(
 
             os.kill(os.getpid(), signal.SIGKILL)
         if not burst_done and service.ticks >= burst_after_ticks:
+            first_event = min(d.event_id for d in service.registry.all())
             service.ingest_images(
                 first_event, n_images=burst_images, burst_seed=burst_seed
             )
@@ -309,25 +309,13 @@ def run_loadgen(
     """One full surge run: build, drive to drain, report.
 
     ``chaos=True`` runs the blast-radius drill instead of the metered
-    surge: the clean reference fleet first (for parity digests), then
-    the same fleet with a permanent platform outage scoped to the last
-    event.  The chaos fleet is unmetered — see the module docstring.
+    surge: the fleet with a permanent platform outage scoped to the last
+    event, then the clean reference fleet (for parity digests).  The
+    chaos fleet is unmetered — see the module docstring.
     """
     from repro.eval.runner import prepare
 
     setup = prepare(seed=seed, fast=fast)
-    clean_digests = None
-    fault_plans = None
-    faulted = None
-    if chaos:
-        faulted = faulted_event_id(n_events)
-        fault_plans = {faulted: chaos_plan()}
-        clean_digests = reference_digests(
-            setup,
-            n_events=n_events,
-            burst_images=burst_images,
-            burst_seed=burst_seed,
-        )
     service = build_service(
         setup,
         n_events=n_events,
@@ -337,30 +325,79 @@ def run_loadgen(
         serve_dir=serve_dir,
         fsync=fsync,
         unmetered=chaos,
-        fault_plans=fault_plans,
+        fault_plans=(
+            {faulted_event_id(n_events): chaos_plan()} if chaos else None
+        ),
     )
+    return _drive_and_report(service, burst_images, burst_seed, crash_at_tick)
+
+
+def resume_loadgen(
+    serve_dir: str | Path,
+    burst_images: int = 10,
+    burst_seed: int = 1234,
+    crash_at_tick: int | None = None,
+) -> dict[str, Any]:
+    """Resume a crashed durable surge run, drive it to drain, report."""
+    return _drive_and_report(
+        CrowdLearnService.resume(serve_dir),
+        burst_images, burst_seed, crash_at_tick, resumed=True,
+    )
+
+
+def _drive_and_report(
+    service: CrowdLearnService,
+    burst_images: int,
+    burst_seed: int,
+    crash_at_tick: int | None,
+    resumed: bool = False,
+) -> dict[str, Any]:
+    """Drive the fleet to drain, then report on it and close it.
+
+    A resumed fleet skips the burst if it landed before the crash.  A
+    chaos run announces itself in the manifest — events with fault
+    plans — so the clean reference digests are derived from the same
+    manifest whether the run is fresh or resumed (the reference run is
+    deterministic and fault-free).
+    """
+    already_burst = any(d.bursts for d in service.registry.all())
     started = time.perf_counter()
     drive(
         service,
-        burst_images=burst_images,
+        burst_images=0 if already_burst else burst_images,
         burst_seed=burst_seed,
         crash_at_tick=crash_at_tick,
     )
     wall_seconds = time.perf_counter() - started
+    faulted = [
+        entry["event_id"]
+        for entry in service._manifest["events"]
+        if entry["fault_plan"]
+    ]
+    clean_digests = None
+    if faulted:
+        clean_digests = reference_digests(
+            service.setup,
+            n_events=len(service.registry),
+            burst_images=burst_images,
+            burst_seed=burst_seed,
+        )
     meta = {
         "bench": "serve-loadgen",
-        "seed": seed,
-        "fast": fast,
-        "n_events": n_events,
+        "seed": service.setup.seed,
+        "fast": service.setup.fast,
+        "n_events": len(service.registry),
         "capacity_per_cycle": service.pool.capacity_per_cycle,
-        "policy": policy,
-        "max_backlog": max_backlog,
+        "policy": service.pool.policy.name,
+        "max_backlog": service.pool.max_backlog,
         "burst": {"images": burst_images, "seed": burst_seed},
         "durable": service.durable,
-        "fsync": fsync,
-        "chaos": chaos,
-        "faulted_event": faulted,
+        "fsync": service.fsync,
+        "chaos": bool(faulted),
+        "faulted_event": faulted[0] if faulted else None,
     }
+    if resumed:
+        meta["resumed"] = True
     report = build_report(
         service, wall_seconds, meta, clean_digests=clean_digests
     )

@@ -39,12 +39,6 @@ class EventRegistry:
                 f"{sorted(self._events)}"
             ) from None
 
-    def remove(self, event_id: str) -> Deployment:
-        """Deregister and return a deployment."""
-        deployment = self.get(event_id)
-        del self._events[event_id]
-        return deployment
-
     def active(self) -> list[Deployment]:
         """Unfinished deployments, sorted by event id (deterministic)."""
         return sorted(
@@ -64,7 +58,3 @@ class EventRegistry:
 
     def __iter__(self) -> Iterator[Deployment]:
         return iter(self._events.values())
-
-    def status_table(self) -> dict[str, dict]:
-        """JSON-safe ``{event_id: status}`` for every deployment."""
-        return {d.event_id: d.status() for d in self.all()}

@@ -10,8 +10,8 @@ windows* of ``config.cycle_seconds``; at each window boundary the
 the full request set, and every cycle executed inside the window is
 metered against them.
 
-Durable mode (``serve_dir``) layers the PR 6 crash-tolerance machinery
-per event — one checkpoint + write-ahead journal pair each, snapshot and
+Durable mode (``serve_dir``) layers the single-run crash-tolerance
+machinery per event — one checkpoint + write-ahead journal pair each, snapshot and
 rotated after every cycle — plus a service-level append-only journal
 (``serve.journal``) recording window rollovers, admissions and imagery
 bursts, each with a post-mutation pool snapshot.  :meth:`resume`
@@ -45,23 +45,27 @@ import hashlib
 import heapq
 import json
 import os
-import time
+from collections import Counter
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from repro.core.cache import PredictionCache
-from repro.core.system import CrowdLearnSystem
+from repro.core.system import CrowdLearnSystem, CycleOutcome
 from repro.crowd.faults import FaultInjector, FaultPlan, InjectedCrash
 from repro.data.dataset import build_dataset
 from repro.data.stream import SensingCycleStream
 from repro.eval.persistence import run_outcome_digest
 from repro.serve.deployment import Deployment
 from repro.serve.health import EventHealth, HealthPolicy, tick_failed
-from repro.serve.pool import AdmissionRequest, SharedCrowdPool
+from repro.serve.pool import (
+    AdmissionDecision,
+    AdmissionRequest,
+    SharedCrowdPool,
+)
 from repro.serve.registry import EventRegistry
-from repro.telemetry.runtime import Telemetry, use_telemetry
+from repro.telemetry.runtime import Telemetry
 
 __all__ = ["CrowdLearnService", "EventStatus", "ServeJournalError"]
 
@@ -89,9 +93,6 @@ class EventStatus:
     #: which ``latency_seconds`` leaves out (zeros in memory mode).
     checkpoint_seconds: dict[str, float]
     health: dict[str, Any] | None = None
-
-    def as_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
 
 
 def _record_line(record: dict) -> str:
@@ -196,7 +197,6 @@ class CrowdLearnService:
         self._heap: list[tuple[float, str, int]] = []
         self._seq = 0
         self.ticks = 0
-        self._drained: dict[str, bool] = {}
         #: Shared physical cache; each event gets a namespaced view.
         self.cache = PredictionCache(
             max_pools=setup.config.cache_max_pools,
@@ -231,16 +231,11 @@ class CrowdLearnService:
         """The window a newly submitted event starts in."""
         return 0 if self.pool.window < 0 else self.pool.window + 1
 
-    def _due(self, deployment: Deployment) -> float:
-        return (
-            (deployment.start_window + deployment.next_cycle)
-            * self.cycle_seconds
-        )
-
     def _push(self, deployment: Deployment) -> None:
+        due_window = deployment.start_window + deployment.next_cycle
         heapq.heappush(
             self._heap,
-            (self._due(deployment), deployment.event_id, self._seq),
+            (due_window * self.cycle_seconds, deployment.event_id, self._seq),
         )
         self._seq += 1
 
@@ -269,12 +264,9 @@ class CrowdLearnService:
 
     def _health(self, event_id: str) -> EventHealth:
         """The event's health record (created on first touch)."""
-        try:
-            return self.health[event_id]
-        except KeyError:
-            health = EventHealth(self.health_policy)
-            self.health[event_id] = health
-            return health
+        if event_id not in self.health:
+            self.health[event_id] = EventHealth(self.health_policy)
+        return self.health[event_id]
 
     def _health_map(self) -> dict[str, dict]:
         """JSON-safe per-event health snapshots (journaled per record)."""
@@ -283,10 +275,12 @@ class CrowdLearnService:
             for event_id, health in sorted(self.health.items())
         }
 
-    def _count(self, event_id: str, name: str, help_text: str) -> None:
+    def _count(
+        self, event_id: str, name: str, help_text: str, amount: int = 1
+    ) -> None:
         telemetry = self.telemetries.get(event_id)
         if telemetry is not None:
-            telemetry.counter(name, help=help_text).inc()
+            telemetry.counter(name, help=help_text).inc(amount)
 
     def _telemetry_for(self, event_id: str) -> Telemetry | None:
         if not self.instrument:
@@ -295,16 +289,87 @@ class CrowdLearnService:
         self.telemetries[event_id] = telemetry
         return telemetry
 
-    def _wire_pool_observer(self, deployment: Deployment) -> None:
-        """Meter the event's actual posts into its pool ledger."""
-        event_id = deployment.event_id
-        workers_per_query = deployment.system.platform.workers_per_query
+    def _build_event(
+        self, entry: dict[str, Any]
+    ) -> tuple[CrowdLearnSystem, SensingCycleStream]:
+        """A fresh system and stream for the event a manifest entry names.
+
+        Every RNG stream is keyed by name (``platform-<platform_name>``,
+        ``stream-<stream_name>``, ``faults-event-<id>``), so events are
+        independent of each other and of submission order, and a resumed
+        fleet rebuilds an event identically.
+        """
+        from repro.eval.runner import build_crowdlearn
+
+        setup = self.setup
+        event_id = entry["event_id"]
+        injector = None
+        if entry["fault_plan"]:
+            injector = FaultInjector(
+                plan=FaultPlan.from_dict(entry["fault_plan"]),
+                rng=setup.seeds.get(f"faults-event-{event_id}"),
+            )
+        system = build_crowdlearn(
+            setup,
+            platform_name=entry["platform_name"],
+            telemetry=self._telemetry_for(event_id),
+            seed=entry["seed"],
+            event_id=event_id,
+            cache=self.cache,
+            faults=injector,
+        )
+        stream = SensingCycleStream(
+            setup.test_set,
+            n_cycles=entry["n_cycles"],
+            images_per_cycle=setup.config.images_per_cycle,
+            cycles_per_context=setup.config.cycles_per_context,
+            rng=setup.seeds.get(f"stream-{entry['stream_name']}"),
+        )
+        return system, stream
+
+    def _register(
+        self,
+        entry: dict[str, Any],
+        system: CrowdLearnSystem,
+        stream: SensingCycleStream,
+        **state,
+    ) -> Deployment:
+        """Wrap an event's system and stream in a registered deployment
+        whose actual crowd posts are metered into its pool ledger."""
+        event_id = entry["event_id"]
+        deployment = Deployment(
+            event_id=event_id,
+            system=system,
+            stream=stream,
+            priority=entry["priority"],
+            start_window=entry["start_window"],
+            checkpoint_path=(
+                self._event_paths(event_id)[0] if self.durable else None
+            ),
+            **state,
+        )
+        self.registry.add(deployment)
+        # Capture the pool, not the service: a platform -> service
+        # reference cycle would keep a dropped fleet alive until the
+        # cyclic collector runs.
         pool = self.pool
+        workers_per_query = system.platform.workers_per_query
+        system.platform.on_post = lambda result: pool.note_post(
+            event_id, workers_per_query
+        )
+        return deployment
 
-        def on_post(result) -> None:
-            pool.note_post(event_id, workers_per_query)
+    def _open_journal(self, deployment: Deployment) -> None:
+        """Start the event's write-ahead journal at its next cycle."""
+        from repro.eval.journal import CycleJournal
 
-        deployment.system.platform.on_post = on_post
+        _, journal_path = self._event_paths(deployment.event_id)
+        deployment.journal = CycleJournal.create(
+            journal_path,
+            fsync=self.fsync,
+            crash_injector=deployment.system.platform.faults,
+            next_cycle=deployment.next_cycle,
+        )
 
     # -- event lifecycle ---------------------------------------------------
 
@@ -312,32 +377,22 @@ class CrowdLearnService:
         self,
         event_id: str,
         seed: int | None = None,
-        n_cycles: int | None = None,
         priority: float = 1.0,
         platform_name: str | None = None,
         stream_name: str | None = None,
-        system: CrowdLearnSystem | None = None,
-        stream: SensingCycleStream | None = None,
-        start_window: int | None = None,
         fault_plan: FaultPlan | None = None,
     ) -> Deployment:
         """Register a new disaster event and schedule its first cycle.
 
-        With no explicit ``system``/``stream``, both are built from the
-        shared setup under per-event names — platform RNG
-        ``platform-event-<id>``, stream RNG ``stream-event-<id>``, and a
-        per-event root seed derived from the event id — so two events'
-        random streams are independent by construction and independent
-        of submission order (the
-        :class:`~repro.utils.rng.SeedSequencer` hashes names, not call
-        order).
+        The event's system and stream are built from the shared setup
+        under per-event names (default ``event-<id>``, with a root seed
+        derived from the event id); see :meth:`_build_event`.
 
         ``fault_plan`` scopes chaos to this event alone: the plan is
-        armed on the event's own platform with an RNG stream derived
-        from ``faults-event-<id>`` and recorded in the manifest, so a
-        resumed fleet re-arms it deterministically.  Other events never
-        see the injector — that isolation is what the blast-radius drill
-        asserts.
+        armed on the event's own platform and recorded in the manifest,
+        so a resumed fleet re-arms it deterministically.  Other events
+        never see the injector — that isolation is what the blast-radius
+        drill asserts.
         """
         if not event_id or any(c in event_id for c in "/\\ \t\n"):
             raise ValueError(
@@ -346,80 +401,27 @@ class CrowdLearnService:
             )
         if event_id in self.registry:
             raise ValueError(f"event {event_id!r} is already registered")
-        setup = self.setup
-        platform_name = platform_name or f"event-{event_id}"
-        stream_name = stream_name or f"event-{event_id}"
         if seed is None:
-            seed = setup.seeds.seed_for(f"event-{event_id}")
-        telemetry = self._telemetry_for(event_id)
-        injector = None
-        if fault_plan is not None and not fault_plan.is_noop():
-            injector = FaultInjector(
-                plan=fault_plan,
-                rng=setup.seeds.get(f"faults-event-{event_id}"),
-            )
-        if system is None:
-            from repro.eval.runner import build_crowdlearn
-
-            system = build_crowdlearn(
-                setup,
-                platform_name=platform_name,
-                telemetry=telemetry,
-                seed=seed,
-                event_id=event_id,
-                cache=self.cache,
-                faults=injector,
-            )
-        elif injector is not None:
-            system.platform.faults = injector
-        if stream is None:
-            stream = SensingCycleStream(
-                setup.test_set,
-                n_cycles=n_cycles or setup.config.n_cycles,
-                images_per_cycle=setup.config.images_per_cycle,
-                cycles_per_context=setup.config.cycles_per_context,
-                rng=setup.seeds.get(f"stream-{stream_name}"),
-            )
-        if start_window is None:
-            start_window = self._next_window()
-        checkpoint_path = journal = None
+            seed = self.setup.seeds.seed_for(f"event-{event_id}")
+        entry = {
+            "event_id": event_id,
+            "seed": int(seed),
+            "priority": float(priority),
+            "n_cycles": self.setup.config.n_cycles,
+            "start_window": self._next_window(),
+            "platform_name": platform_name or f"event-{event_id}",
+            "stream_name": stream_name or f"event-{event_id}",
+            "fault_plan": (
+                None if fault_plan is None or fault_plan.is_noop()
+                else fault_plan.as_dict()
+            ),
+        }
+        deployment = self._register(entry, *self._build_event(entry))
         if self.durable:
-            from repro.eval.journal import CycleJournal
-
-            checkpoint_path, journal_path = self._event_paths(event_id)
-            journal = CycleJournal.create(
-                journal_path,
-                fsync=self.fsync,
-                crash_injector=system.platform.faults,
-            )
-        deployment = Deployment(
-            event_id=event_id,
-            system=system,
-            stream=stream,
-            priority=priority,
-            start_window=start_window,
-            checkpoint_path=checkpoint_path,
-            journal=journal,
-        )
-        self.registry.add(deployment)
+            self._open_journal(deployment)
         self._health(event_id)
-        self._wire_pool_observer(deployment)
         self._push(deployment)
-        self._manifest["events"].append(
-            {
-                "event_id": event_id,
-                "seed": int(seed),
-                "priority": float(priority),
-                "n_cycles": len(stream),
-                "start_window": int(start_window),
-                "platform_name": platform_name,
-                "stream_name": stream_name,
-                "fault_plan": (
-                    None if fault_plan is None or fault_plan.is_noop()
-                    else fault_plan.as_dict()
-                ),
-            }
-        )
+        self._manifest["events"].append(entry)
         self._write_manifest()
         return deployment
 
@@ -435,7 +437,9 @@ class CrowdLearnService:
         Either pass ``images`` directly, or ``(n_images, burst_seed)`` to
         generate a deterministic synthetic burst — the journaled,
         crash-replayable form the load generator uses.  Returns the
-        number of sensing cycles the burst added.
+        number of sensing cycles the burst added.  A burst into a drained
+        event reopens it: it is rescheduled and, in durable mode, its
+        write-ahead journal restarts at its next cycle.
         """
         deployment = self.registry.get(event_id)
         if images is None:
@@ -452,7 +456,8 @@ class CrowdLearnService:
         was_done = deployment.done
         added = deployment.ingest(images, burst_seed=burst_seed)
         if added and was_done:
-            self._drained.pop(event_id, None)
+            if self.durable:
+                self._open_journal(deployment)
             self._push(deployment)
         self._append_journal(
             {
@@ -492,94 +497,113 @@ class CrowdLearnService:
             deployment = self.registry.get(event_id)
             if deployment.done:
                 continue  # stale entry (e.g. rescheduled after a burst)
-            health = self._health(event_id)
             window = int(due // self.cycle_seconds)
             if window > self.pool.window:
                 self._begin_window(window)
-            if health.state == "quarantined":
-                # A parked event's only heap entry is its scheduled
-                # recovery probe; half-open the breaker before admitting.
-                if not health.begin_probe(window):
-                    continue  # stale entry; probe budget already spent
-                self._count(
-                    event_id, "breaker_half_open_total",
-                    "recovery probes started by the circuit breaker",
-                )
-            decision = self.pool.admit(
-                event_id, deployment.demand(), deployment.max_servable()
+            admitted = self._admit(
+                event_id, window,
+                deployment.demand(), deployment.max_servable(),
             )
-            grant = health.cap_grant(decision.granted)
-            if grant < decision.granted:
-                # The ladder shaved the batch; the difference goes back
-                # to this window's water-fill and the event's backlog.
-                self.pool.release(
-                    event_id, decision.granted - grant, requeue=True
-                )
-            telemetry = self.telemetries.get(event_id)
-            state_before = health.state
+            if admitted is None:
+                continue  # stale entry; probe budget already spent
+            decision, grant = admitted
             try:
-                if telemetry is not None:
-                    with use_telemetry(telemetry):
-                        outcome_cycle = deployment.run_next_cycle(grant)
-                else:
-                    outcome_cycle = deployment.run_next_cycle(grant)
-            except InjectedCrash:
-                raise
-            except (KeyboardInterrupt, SystemExit):
+                cycle_outcome = deployment.run_next_cycle(grant)
+            except (InjectedCrash, KeyboardInterrupt, SystemExit):
                 raise
             except Exception as exc:  # noqa: BLE001 - the bulkhead boundary
                 self._trip(deployment, window, grant, exc)
                 return event_id
-            self.ticks += 1
-            failed = tick_failed(outcome_cycle)
-            state = health.observe(failed, window)
-            self._append_journal(
-                {
-                    "kind": "tick",
-                    "event": event_id,
-                    "cycle": deployment.next_cycle - 1,
-                    "window": window,
-                    "granted": grant,
-                    "deferred": decision.deferred,
-                    "shed": decision.shed,
-                    "failed": failed,
-                    "pool": self.pool.snapshot(),
-                    "health": self._health_map(),
-                }
-            )
-            if telemetry is not None:
-                counter = telemetry.counter(
-                    "serve_queries_deferred_total",
-                    help="queries pushed to a later window by backpressure",
-                )
-                counter.inc(decision.deferred)
-                if failed:
-                    telemetry.counter(
-                        "health_failed_ticks_total",
-                        help="completed ticks carrying a failure signal",
-                    ).inc()
-                if state != state_before:
-                    telemetry.counter(
-                        "health_transitions_total",
-                        help="degradation-ladder state changes",
-                    ).inc()
-            if deployment.done:
-                self._finish_event(deployment)
-            elif state == "quarantined":
-                self._count(
-                    event_id, "breaker_opened_total",
-                    "breakers opened (failure rate or bulkhead trip)",
-                )
-                self._park(deployment, window)
-            else:
-                if state_before == "quarantined" and state != "quarantined":
-                    self._count(
-                        event_id, "breaker_closed_total",
-                        "breakers closed by a clean recovery probe",
-                    )
-                self._push(deployment)
+            self._settle(deployment, window, decision, grant, cycle_outcome)
             return event_id
         return None
+
+    def _admit(
+        self, event_id: str, window: int, demand: int, servable: int
+    ) -> tuple[AdmissionDecision, int] | None:
+        """Admit one tick's queries and cap the grant by the event's health.
+
+        A parked event's only heap entry is its scheduled recovery probe,
+        so a quarantined event half-opens its breaker first; ``None``
+        means no probe is due and nothing was admitted.  The part of the
+        pool's grant the ladder shaves goes back to this window's
+        water-fill and the event's backlog.
+        """
+        health = self._health(event_id)
+        if health.state == "quarantined":
+            if not health.begin_probe(window):
+                return None
+            self._count(
+                event_id, "breaker_half_open_total",
+                "recovery probes started by the circuit breaker",
+            )
+        decision = self.pool.admit(event_id, demand, servable)
+        grant = health.cap_grant(decision.granted)
+        if grant < decision.granted:
+            self.pool.release(
+                event_id, decision.granted - grant, requeue=True
+            )
+        return decision, grant
+
+    def _settle(
+        self,
+        deployment: Deployment,
+        window: int,
+        decision: AdmissionDecision,
+        grant: int,
+        cycle_outcome: CycleOutcome,
+        reconstructed: bool = False,
+    ) -> None:
+        """Book a completed tick: ladder, ``tick`` record, counters, and
+        then finish, park or reschedule the event."""
+        event_id = deployment.event_id
+        health = self._health(event_id)
+        state_before = health.state
+        probing = health.breaker.state == "half_open"
+        self.ticks += 1
+        failed = tick_failed(cycle_outcome)
+        state = health.observe(failed, window)
+        record = {
+            "kind": "tick",
+            "event": event_id,
+            "cycle": deployment.next_cycle - 1,
+            "window": window,
+            "granted": grant,
+            "deferred": decision.deferred,
+            "shed": decision.shed,
+            "failed": failed,
+            "pool": self.pool.snapshot(),
+            "health": self._health_map(),
+        }
+        if reconstructed:
+            record["reconstructed"] = True
+        self._append_journal(record)
+        self._count(
+            event_id, "serve_queries_deferred_total",
+            "queries pushed to a later window by backpressure",
+            decision.deferred,
+        )
+        if failed:
+            self._count(
+                event_id, "health_failed_ticks_total",
+                "completed ticks carrying a failure signal",
+            )
+        if state != state_before:
+            self._count(
+                event_id, "health_transitions_total",
+                "degradation-ladder state changes",
+            )
+        if deployment.done:
+            self._finish_event(deployment)
+        elif state == "quarantined":
+            self._park(deployment, window)
+        else:
+            if probing:
+                self._count(
+                    event_id, "breaker_closed_total",
+                    "breakers closed by a clean recovery probe",
+                )
+            self._push(deployment)
 
     def _trip(
         self, deployment: Deployment, window: int, grant: int, exc: Exception
@@ -593,12 +617,8 @@ class CrowdLearnService:
         and the event is parked for good.
         """
         event_id = deployment.event_id
-        health = self._health(event_id)
-        reason = f"tick raised {type(exc).__name__}: {exc}"
-        health.trip(window, reason)
-        self._count(
-            event_id, "breaker_opened_total",
-            "breakers opened (failure rate or bulkhead trip)",
+        self._health(event_id).trip(
+            window, f"tick raised {type(exc).__name__}: {exc}"
         )
         if grant > 0:
             self.pool.release(event_id, grant, requeue=False)
@@ -615,6 +635,10 @@ class CrowdLearnService:
         event_id = deployment.event_id
         health = self._health(event_id)
         parked_backlog = self.pool.park(event_id)
+        self._count(
+            event_id, "breaker_opened_total",
+            "breakers opened (failure rate or bulkhead trip)",
+        )
         self._count(
             event_id, "health_quarantined_total",
             "events parked by the bulkhead or breaker",
@@ -709,7 +733,6 @@ class CrowdLearnService:
         """Close the event's books: unservable backlog is shed."""
         event_id = deployment.event_id
         shed = self.pool.shed_backlog(event_id)
-        self._drained[event_id] = True
         if deployment.journal is not None:
             deployment.journal.close()
             deployment.journal = None
@@ -823,21 +846,50 @@ class CrowdLearnService:
     ) -> "CrowdLearnService":
         """Rebuild a durable service after a crash.
 
-        Reads the manifest, rebuilds the shared world (unless ``setup``
-        is passed in), restores every event from its checkpoint +
-        journal (or rebuilds it fresh when it crashed before its first
-        checkpoint), re-applies journaled imagery bursts the checkpoints
-        predate, restores the pool from the last service-journal record,
-        reconstructs the at-most-one admission record a crash can
-        swallow, and reassembles the heap.  The resumed service then
-        continues deterministically: ``drain()`` yields the same
-        per-event digests an uninterrupted run produces.
+        Five stages: the manifest and pool (:meth:`_reopen`), the health
+        ladders (:meth:`_restore_health`), each event from its checkpoint
+        + journal or fresh from its manifest entry
+        (:meth:`_restore_event`), the check that every event's ticks
+        match the serve journal (:meth:`_lost_tick`), and the heap
+        (:meth:`_reschedule`).  The at-most-one admission record a crash
+        can swallow is then reconstructed.  The resumed service continues
+        deterministically: ``drain()`` yields the same per-event digests
+        an uninterrupted run produces.
         """
-        from repro.eval.journal import CycleJournal
-        from repro.eval.persistence import load_checkpoint
-        from repro.eval.runner import build_crowdlearn, prepare
+        service, records = cls._reopen(Path(serve_dir), setup, instrument)
+        service._restore_health(records)
+        ticks_by_event = Counter(
+            record["event"] for record in records if record["kind"] == "tick"
+        )
+        missing_tick: Deployment | None = None
+        for entry in service._manifest["events"]:
+            deployment = service._restore_event(entry, records)
+            recorded = ticks_by_event[deployment.event_id]
+            if service._lost_tick(deployment, recorded):
+                if missing_tick is not None:
+                    raise ServeJournalError(
+                        "more than one admission record is missing "
+                        f"({missing_tick.event_id!r} and "
+                        f"{deployment.event_id!r}); the serve journal "
+                        "cannot lag its checkpoints by more than one tick"
+                    )
+                missing_tick = deployment
+            else:
+                service._reschedule(deployment)
+        service.ticks = sum(ticks_by_event.values())
+        if missing_tick is not None:
+            service._reconstruct_tick(missing_tick)
+        return service
 
-        serve_dir = Path(serve_dir)
+    @classmethod
+    def _reopen(
+        cls, serve_dir: Path, setup, instrument: bool
+    ) -> tuple["CrowdLearnService", list[dict]]:
+        """Stage 1: the manifest, the shared world, the pool and an empty
+        service over them; returns the service and the journal records."""
+        from repro.eval.runner import prepare
+        from repro.serve.admission import create_admission_policy
+
         manifest_path = serve_dir / _MANIFEST_NAME
         if not manifest_path.exists():
             raise FileNotFoundError(f"no serve manifest at {manifest_path}")
@@ -845,9 +897,6 @@ class CrowdLearnService:
         if setup is None:
             setup = prepare(seed=manifest["seed"], fast=manifest["fast"])
         records = _read_serve_journal(serve_dir / _JOURNAL_NAME, repair=True)
-
-        from repro.serve.admission import create_admission_policy
-
         pool = SharedCrowdPool(
             capacity_per_cycle=manifest["capacity_per_cycle"],
             policy=create_admission_policy(manifest["policy"]),
@@ -869,131 +918,97 @@ class CrowdLearnService:
             health_policy=health_policy,
         )
         service._manifest = manifest
+        return service, records
+
+    def _restore_health(self, records: list[dict]) -> None:
+        """Stage 2: every event's ladder from the newest health snapshot."""
         for record in reversed(records):
             if "health" in record:
                 for event_id, state in record["health"].items():
-                    service.health[event_id] = EventHealth.restore(
-                        state, policy=service.health_policy
+                    self.health[event_id] = EventHealth.restore(
+                        state, policy=self.health_policy
                     )
-                break
+                return
 
-        ticks_by_event: dict[str, int] = {}
-        for record in records:
-            if record["kind"] == "tick":
-                ticks_by_event[record["event"]] = (
-                    ticks_by_event.get(record["event"], 0) + 1
-                )
-        drained = {
-            record["event"] for record in records
-            if record["kind"] == "drained"
-        }
+    def _restore_event(
+        self, entry: dict[str, Any], records: list[dict]
+    ) -> Deployment:
+        """Stage 3: one event from its checkpoint and journal.
 
-        missing_tick: Deployment | None = None
-        for entry in manifest["events"]:
-            event_id = entry["event_id"]
-            checkpoint_path, journal_path = service._event_paths(event_id)
-            telemetry = service._telemetry_for(event_id)
-            if checkpoint_path.exists():
-                system, stream, outcome, next_cycle = load_checkpoint(
-                    checkpoint_path
-                )
-                if telemetry is not None:
-                    system.telemetry = telemetry
-                    system.platform.telemetry = telemetry
-            else:
-                # Crashed before the first checkpoint: rebuild from the
-                # manifest (re-arming any event-scoped fault plan from
-                # its recorded spec — the injector RNG starts fresh, and
-                # so does the replayed cycle); the event journal replays
-                # cycle 0.
-                rebuilt_injector = None
-                if entry.get("fault_plan"):
-                    rebuilt_injector = FaultInjector(
-                        plan=FaultPlan.from_dict(entry["fault_plan"]),
-                        rng=setup.seeds.get(f"faults-event-{event_id}"),
-                    )
-                system = build_crowdlearn(
-                    setup,
-                    platform_name=entry["platform_name"],
-                    telemetry=telemetry,
-                    seed=entry["seed"],
-                    event_id=event_id,
-                    cache=service.cache,
-                    faults=rebuilt_injector,
-                )
-                stream = SensingCycleStream(
-                    setup.test_set,
-                    n_cycles=entry["n_cycles"],
-                    images_per_cycle=setup.config.images_per_cycle,
-                    cycles_per_context=setup.config.cycles_per_context,
-                    rng=setup.seeds.get(f"stream-{entry['stream_name']}"),
-                )
-                from repro.core.system import RunOutcome
+        An event that crashed before its first checkpoint is rebuilt from
+        its manifest entry (re-arming any event-scoped fault plan — the
+        injector RNG starts fresh, and so does the replayed cycle), and
+        its journal replays cycle 0.  Journaled imagery bursts the
+        checkpoint predates are re-applied.
+        """
+        from repro.core.system import RunOutcome
+        from repro.eval.journal import CycleJournal
+        from repro.eval.persistence import load_checkpoint
 
-                outcome = RunOutcome()
-                next_cycle = 0
-            # Checkpointed systems drop cache entries on pickle; give the
-            # restored system its namespaced view of the shared physical
-            # stores again.
-            system.attach_cache(service.cache)
-            injector = system.platform.faults
-            if injector is not None:
-                injector.disarm_crashes()
-            journal, _info = CycleJournal.resume(
-                journal_path, next_cycle, fsync=manifest["fsync"],
-                crash_injector=injector,
+        event_id = entry["event_id"]
+        checkpoint_path, journal_path = self._event_paths(event_id)
+        if checkpoint_path.exists():
+            system, stream, outcome, next_cycle = load_checkpoint(
+                checkpoint_path
             )
-            deployment = Deployment(
-                event_id=event_id,
-                system=system,
-                stream=stream,
-                priority=entry["priority"],
-                start_window=entry["start_window"],
-                checkpoint_path=checkpoint_path,
-                journal=journal,
-                outcome=outcome,
-                next_cycle=next_cycle,
+            telemetry = self._telemetry_for(event_id)
+            if telemetry is not None:
+                system.telemetry = telemetry
+                system.platform.telemetry = telemetry
+        else:
+            system, stream = self._build_event(entry)
+            outcome, next_cycle = RunOutcome(), 0
+        # Checkpointed systems drop cache entries on pickle; give the
+        # restored system its namespaced view of the shared physical
+        # stores again.
+        system.attach_cache(self.cache)
+        injector = system.platform.faults
+        if injector is not None:
+            injector.disarm_crashes()
+        journal, _info = CycleJournal.resume(
+            journal_path, next_cycle, fsync=self.fsync,
+            crash_injector=injector,
+        )
+        deployment = self._register(
+            entry, system, stream,
+            journal=journal, outcome=outcome, next_cycle=next_cycle,
+        )
+        self._replay_bursts(deployment, records)
+        return deployment
+
+    def _lost_tick(self, deployment: Deployment, recorded: int) -> bool:
+        """Stage 4: whether the event's last tick record was swallowed.
+
+        The event checkpoint may lead the serve journal by exactly one
+        tick (killed between the checkpoint and the service append); any
+        other disagreement means the two describe different runs.
+        """
+        if deployment.next_cycle == recorded + 1:
+            return True
+        if deployment.next_cycle != recorded:
+            raise ServeJournalError(
+                f"event {deployment.event_id!r} checkpoint is at cycle "
+                f"{deployment.next_cycle} but the serve journal recorded "
+                f"{recorded} ticks"
             )
-            service.registry.add(deployment)
-            service._wire_pool_observer(deployment)
-            service._replay_bursts(deployment, records)
-            if next_cycle == ticks_by_event.get(event_id, 0) + 1:
-                if missing_tick is not None:
-                    raise ServeJournalError(
-                        "more than one admission record is missing "
-                        f"({missing_tick.event_id!r} and {event_id!r}); "
-                        "the serve journal cannot lag its checkpoints by "
-                        "more than one tick"
-                    )
-                missing_tick = deployment
-            elif next_cycle != ticks_by_event.get(event_id, 0):
-                raise ServeJournalError(
-                    f"event {event_id!r} checkpoint is at cycle "
-                    f"{next_cycle} but the serve journal recorded "
-                    f"{ticks_by_event.get(event_id, 0)} ticks"
-                )
-            if deployment.done:
-                service._drained[event_id] = True
-                if deployment.journal is not None:
-                    deployment.journal.close()
-                    deployment.journal = None
-            elif deployment is missing_tick:
-                pass  # _reconstruct_tick reschedules after replaying health
-            elif service._health(event_id).state == "quarantined":
-                # Parked when we died.  The kill may have landed between
-                # the tick append and the quarantine append, so park
-                # again (idempotent — backlog already moved parks zero)
-                # and re-schedule the probe, or nothing if terminal.
-                service.pool.park(event_id)
-                service._schedule_probe(deployment)
-            else:
-                service._push(deployment)
-        for event_id in drained:
-            service._drained[event_id] = True
-        service.ticks = sum(ticks_by_event.values())
-        if missing_tick is not None:
-            service._reconstruct_tick(missing_tick)
-        return service
+        return False
+
+    def _reschedule(self, deployment: Deployment) -> None:
+        """Stage 5: put a restored event back on the heap (or not)."""
+        event_id = deployment.event_id
+        if deployment.done:
+            if deployment.journal is not None:
+                deployment.journal.close()
+                deployment.journal = None
+        elif self._health(event_id).state == "quarantined":
+            # Parked when we died.  The kill may have landed between
+            # the tick append and the quarantine append, so park
+            # again (idempotent — backlog already moved parks zero)
+            # and re-schedule the probe, or nothing if terminal.
+            self.pool.park(event_id)
+            self._schedule_probe(deployment)
+        else:
+            self._push(deployment)
 
     def _replay_bursts(
         self, deployment: Deployment, records: list[dict]
@@ -1031,70 +1046,40 @@ class CrowdLearnService:
         journal rotation are durable) but the service append never
         landed.  The restored pool and health state are exactly the
         pre-admission state, and admission, health capping and the
-        breaker are all deterministic, so replaying them with the
-        completed cycle's demand and outcome reproduces the lost
-        mutations; the reconstructed record is then appended like any
-        other, and the event is rescheduled (or parked) exactly as
-        :meth:`step` would have.
+        breaker are all deterministic, so the tick is settled again
+        through :meth:`_admit` and :meth:`_settle` with the completed
+        cycle's demand and outcome — the same path, record and counters
+        as a live :meth:`step`, with the record marked ``reconstructed``.
         """
         event_id = deployment.event_id
         cycle_index = deployment.next_cycle - 1
-        due_window = deployment.start_window + cycle_index
-        cycle = deployment.stream.cycle(cycle_index)
-        demand = min(self.setup.config.queries_per_cycle, len(cycle))
-        if due_window > self.pool.window:
+        window = deployment.start_window + cycle_index
+        if window > self.pool.window:
             # The window record is appended (and fsynced) *before* the
             # cycle runs, so a lost tick can never also lose its window.
             raise ServeJournalError(
                 f"event {event_id!r} completed a cycle in window "
-                f"{due_window} but the serve journal never opened it; "
+                f"{window} but the serve journal never opened it; "
                 "the journal is missing more than its final record"
             )
-        health = self._health(event_id)
-        if health.state == "quarantined":
-            # A quarantined event only ticks through its scheduled
-            # probe; the swallowed tick completed, so replay the
-            # half-open transition it must have taken.
-            if not health.begin_probe(due_window):
-                raise ServeJournalError(
-                    f"event {event_id!r} completed a cycle while "
-                    "quarantined with no probe due; the serve journal "
-                    "and checkpoints disagree"
-                )
-        decision = self.pool.admit(event_id, demand, len(cycle))
-        grant = health.cap_grant(decision.granted)
-        if grant < decision.granted:
-            self.pool.release(
-                event_id, decision.granted - grant, requeue=True
+        cycle = deployment.stream.cycle(cycle_index)
+        demand = min(self.setup.config.queries_per_cycle, len(cycle))
+        admitted = self._admit(event_id, window, demand, len(cycle))
+        if admitted is None:
+            raise ServeJournalError(
+                f"event {event_id!r} completed a cycle while "
+                "quarantined with no probe due; the serve journal "
+                "and checkpoints disagree"
             )
+        decision, grant = admitted
         deployment.grants.append(grant)
         # Re-meter the completed cycle's crowd utilization: the restored
         # pool snapshot predates it, and the cycle will not run again.
-        posted = int(deployment.outcome.cycles[-1].query_indices.size)
+        completed = deployment.outcome.cycles[-1]
         workers_per_query = deployment.system.platform.workers_per_query
-        for _ in range(posted):
+        for _ in range(int(completed.query_indices.size)):
             self.pool.note_post(event_id, workers_per_query)
-        self.ticks += 1
-        failed = tick_failed(deployment.outcome.cycles[-1])
-        state = health.observe(failed, due_window)
-        self._append_journal(
-            {
-                "kind": "tick",
-                "event": event_id,
-                "cycle": cycle_index,
-                "window": due_window,
-                "granted": grant,
-                "deferred": decision.deferred,
-                "shed": decision.shed,
-                "failed": failed,
-                "reconstructed": True,
-                "pool": self.pool.snapshot(),
-                "health": self._health_map(),
-            }
+        self._settle(
+            deployment, window, decision, grant, completed,
+            reconstructed=True,
         )
-        if deployment.done:
-            self._finish_event(deployment)
-        elif state == "quarantined":
-            self._park(deployment, due_window)
-        else:
-            self._push(deployment)

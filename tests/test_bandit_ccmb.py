@@ -139,3 +139,37 @@ class TestConstruction:
     def test_empty_arms_raise(self):
         with pytest.raises(ValueError):
             UCBALPBandit(2, ())
+
+
+class TestConvergence:
+    def test_ucb_bandit_has_sublinear_regret(self):
+        """The UCB-ALP learner converges: late regret slope < early slope.
+
+        Regret of each pull is the hindsight-best arm's empirical mean
+        payoff in that context minus the realized payoff.
+        """
+        rng = np.random.default_rng(1)
+        true_means = np.array([[-1.2, -0.6, -0.2], [-0.3, -0.9, -1.4]])
+        bandit = UCBALPBandit(2, (1.0, 2.0, 4.0), exploration=0.6)
+        contexts, arms, payoffs = [], [], []
+        for t in range(800):
+            context = t % 2
+            arm = bandit.select(context, None)
+            payoff = float(true_means[context, arm] + rng.normal(0, 0.05))
+            bandit.update(context, arm, payoff)
+            contexts.append(context)
+            arms.append(arm)
+            payoffs.append(payoff)
+        contexts, arms, payoffs = map(np.asarray, (contexts, arms, payoffs))
+        total = np.zeros((2, 3))
+        count = np.zeros((2, 3))
+        np.add.at(total, (contexts, arms), payoffs)
+        np.add.at(count, (contexts, arms), 1)
+        means = np.where(count > 0, total / np.maximum(count, 1), -np.inf)
+        cumulative = np.cumsum(means.max(axis=1)[contexts] - payoffs)
+        window = len(cumulative) // 4
+        early = cumulative[window - 1] / window
+        late = (cumulative[-1] - cumulative[-window - 1]) / window
+        assert late <= early + 1e-12
+        # And it found the per-context best arms.
+        np.testing.assert_array_equal(means.argmax(axis=1), [2, 0])

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.crowd.faults import CrashPoint, FaultPlan, InjectedCrash
+from repro.eval.journal import read_journal
 from repro.eval.runner import prepare
 from repro.serve import CrowdLearnService, SharedCrowdPool
 from repro.serve.service import ServeJournalError, _read_serve_journal
@@ -136,6 +138,45 @@ class TestResume:
         surge_timeline(service, interrupt_after=6)
         resumed = CrowdLearnService.resume(serve_dir, setup=setup)
         assert resumed.ticks == 6
+        resumed.close()
+
+
+class TestReopenedEvent:
+    """A burst into a drained durable event reopens its write-ahead log."""
+
+    def test_crash_in_reopened_cycle_replays_its_journal(
+        self, setup, tmp_path
+    ):
+        twin = make_service(setup)
+        twin.submit_event("alpha")
+        twin.drain()
+        twin.ingest_images("alpha", n_images=10, burst_seed=7)
+        twin.drain()
+
+        serve_dir = tmp_path / "fleet"
+        service = make_service(setup, serve_dir=serve_dir)
+        reopened_cycle = setup.config.n_cycles
+        plan = FaultPlan(
+            crash_points=(CrashPoint.parse(f"post:{reopened_cycle}:0:raise"),)
+        )
+        service.submit_event("alpha", fault_plan=plan)
+        service.drain()
+        service.ingest_images("alpha", n_images=10, burst_seed=7)
+        with pytest.raises(InjectedCrash):
+            service.step()
+
+        journal_path = serve_dir / "event-alpha.journal"
+        stages = [
+            record["stage"]
+            for record in read_journal(journal_path).records
+            if record["cycle"] == reopened_cycle
+        ]
+        assert "post" in stages
+
+        resumed = CrowdLearnService.resume(serve_dir, setup=setup)
+        assert not journal_path.with_name(journal_path.name + ".stale").exists()
+        resumed.drain()
+        assert resumed.digests() == twin.digests()
         resumed.close()
 
 

@@ -9,7 +9,6 @@ books stay conserved through release and re-water-fill; and the whole
 drill survives a SIGKILL mid-quarantine plus a CLI resume.
 """
 
-import asyncio
 import json
 import os
 import signal
@@ -19,9 +18,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.crowd.faults import FaultPlan
 from repro.eval.runner import prepare
 from repro.serve import (
-    AsyncCrowdLearnService,
     CrowdLearnService,
     SharedCrowdPool,
     create_admission_policy,
@@ -96,21 +95,6 @@ class TestBulkhead:
         assert service.pool.conserved()
         assert service.pool.ledger("b").conserved()
 
-    def test_async_drain_surfaces_quarantine_as_outcome(self, setup):
-        async def drive():
-            inner = CrowdLearnService(setup)
-            service = AsyncCrowdLearnService(inner)
-            await service.submit_event("a")
-            await service.submit_event("b")
-            poison(inner, "b")
-            return await service.drain()
-
-        outcome = asyncio.run(drive())
-        assert not outcome.clean
-        assert outcome.drained == ("a",)
-        assert set(outcome.quarantined) == {"b"}
-        assert "RuntimeError" in outcome.quarantined["b"]
-
     def test_quarantine_record_embeds_wal_post_mortem(self, setup, tmp_path):
         serve_dir = tmp_path / "fleet"
         service = CrowdLearnService(setup, serve_dir=serve_dir)
@@ -132,6 +116,26 @@ class TestBulkhead:
         assert wal["exists"] is True
         assert wal["in_doubt_posts"] == 0  # trip hit before any post intent
         assert quarantines[0]["released_budget_cents"] > 0
+
+
+class TestBreakerCounters:
+    def test_clean_probe_counts_one_full_breaker_cycle(self, setup):
+        """A transient outage opens the breaker once; after the cooldown
+        one half-open probe runs clean and closes it again."""
+        service = CrowdLearnService(setup, instrument=True)
+        service.submit_event(
+            "a", fault_plan=FaultPlan(outage_windows=((0, 8),))
+        )
+        service.drain()
+
+        assert service.registry.get("a").done
+        registry = service.telemetries["a"].registry
+        for name in (
+            "breaker_opened_total",
+            "breaker_half_open_total",
+            "breaker_closed_total",
+        ):
+            assert registry.value(name, event="a") == 1, name
 
 
 class TestChaosLadder:

@@ -1,7 +1,5 @@
 """Tests for the multi-event serving core: parity, isolation, backpressure."""
 
-import asyncio
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from repro.eval.persistence import run_outcome_digest
 from repro.eval.runner import build_crowdlearn, prepare
 from repro.serve import (
     CrowdLearnService,
-    AsyncCrowdLearnService,
     SharedCrowdPool,
     create_admission_policy,
 )
@@ -233,46 +230,6 @@ class TestCacheNamespacing:
             key[0] for key in service.cache.predictions.keys()
         }
         assert namespaces == {"one", "two"}
-
-
-class TestAsyncFacade:
-    def test_async_drive_matches_sync_digests(self, setup):
-        sync = contended_service(setup)
-        sync.submit_event("a")
-        sync.submit_event("b")
-        sync.drain()
-
-        async def drive():
-            service = AsyncCrowdLearnService(contended_service(setup))
-            await service.submit_event("a")
-            await service.submit_event("b")
-            outcome = await service.drain()
-            status = await service.event_status("a")
-            assert status.done
-            return outcome, await service.combined_digest()
-
-        outcome, digest = asyncio.run(drive())
-        assert outcome.ticks == sync.ticks
-        assert outcome.clean
-        assert set(outcome.drained) == {"a", "b"}
-        assert digest == sync.combined_digest()
-
-    def test_status_interleaves_with_drain(self, setup):
-        async def drive():
-            service = AsyncCrowdLearnService(contended_service(setup))
-            await service.submit_event("a")
-            await service.submit_event("b")
-            drain_task = asyncio.create_task(service.drain())
-            statuses = []
-            while not drain_task.done():
-                statuses.append(await service.event_status("a"))
-                await asyncio.sleep(0)
-            await drain_task
-            return statuses
-
-        statuses = asyncio.run(drive())
-        # Mid-drain observations saw the event part-way through.
-        assert any(0 < s.next_cycle < s.n_cycles for s in statuses)
 
 
 class TestLoadgen:
