@@ -13,12 +13,33 @@ and play an arm drawn from x[current context].  The LP is what moves spend
 *across* contexts: it buys expensive arms where they pay (morning) and cheap
 arms where delay is flat anyway (evening/midnight) — the behaviour Figure 8
 credits IPD with.
+
+The LP is solved exactly in closed form.  Apart from the per-context
+simplex rows it has a single coupling row, the budget, which makes it a
+fractional multiple-choice knapsack.  In one context, only arms on the upper
+concave hull of (cost c_k, index u_{z,k}) can be optimal, and moving from one
+hull arm to the next buys P(z)·Δu of objective for P(z)·Δc of budget, at the
+segment's slope Δu/Δc.  The hull's slopes decrease, so the greedy is exact:
+
+1. every context starts at its cheapest hull arm (the budget check before
+   the solve guarantees ρ covers it);
+2. all hull segments with a positive slope, across contexts, are applied
+   in descending slope order, each spending P(z)·Δc of what ρ leaves;
+3. the first segment that no longer fits is taken fractionally, and the
+   greedy stops.
+
+This is the LP optimum at a vertex: at most one context mixes two adjacent
+hull arms, every other context plays one arm.  Where the optimum is not
+unique, a fixed tie rule picks it.  A zero-slope segment is not an upgrade.
+Among segments of equal slope, the one whose upper arm is cheaper goes
+first, then the one with the lower arm index, then the lower context index.
+A context with zero occupancy costs and earns nothing, so it stays at its
+cheapest hull arm.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.bandit.base import ContextualPolicy
 
@@ -106,10 +127,16 @@ class UCBALPBandit(ContextualPolicy):
         UCB-best arm.  ``context_distribution`` overrides the static prior
         with the occupancy of the *remaining* rounds — in blocked deployments
         (10 consecutive cycles per context) this is what stops the LP from
-        assuming already-finished contexts will come around again.
+        assuming already-finished contexts will come around again.  A NaN or
+        infinite ``budget_per_round`` or ``context_distribution`` entry
+        raises ``ValueError``.
         """
+        if budget_per_round is not None and not np.isfinite(budget_per_round):
+            raise ValueError(
+                f"budget_per_round must be finite, got {budget_per_round}"
+            )
         indices = self._bounded_indices()
-        n_z, n_k = indices.shape
+        n_z = indices.shape[0]
         if budget_per_round is None:
             allocation = np.zeros_like(indices)
             allocation[np.arange(n_z), np.argmax(indices, axis=1)] = 1.0
@@ -119,6 +146,10 @@ class UCBALPBandit(ContextualPolicy):
             p = self.context_distribution
         else:
             p = np.asarray(context_distribution, dtype=np.float64)
+            if not np.all(np.isfinite(p)):
+                raise ValueError(
+                    f"context_distribution must be finite, got {p}"
+                )
             if p.shape != (n_z,) or np.any(p < 0) or p.sum() <= 0:
                 raise ValueError(
                     "context_distribution must be a distribution over contexts"
@@ -133,28 +164,7 @@ class UCBALPBandit(ContextualPolicy):
             allocation[:, int(np.argmin(costs))] = 1.0
             return allocation
 
-        # Variables x_{z,k}, flattened row-major.
-        c_obj = -(p[:, None] * indices).ravel()  # maximize payoff
-        a_ub = (p[:, None] * costs[None, :]).ravel()[None, :]
-        b_ub = np.array([rho])
-        a_eq = np.zeros((n_z, n_z * n_k))
-        for z in range(n_z):
-            a_eq[z, z * n_k : (z + 1) * n_k] = 1.0
-        b_eq = np.ones(n_z)
-        result = linprog(
-            c_obj,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=(0.0, 1.0),
-            method="highs",
-        )
-        if not result.success:  # pragma: no cover - highs solves this LP class
-            allocation = np.zeros_like(indices)
-            allocation[:, int(np.argmin(costs))] = 1.0
-            return allocation
-        allocation = np.clip(result.x.reshape(n_z, n_k), 0.0, None)
+        allocation = np.clip(_solve_alp(indices, costs, p, rho), 0.0, None)
         row_sums = allocation.sum(axis=1, keepdims=True)
         return allocation / np.where(row_sums > 0, row_sums, 1.0)
 
@@ -179,3 +189,72 @@ class UCBALPBandit(ContextualPolicy):
         """The arm with the best empirical mean (no exploration bonus)."""
         means = self.mean_payoffs(context)
         return int(np.argmax(means))
+
+
+def _hull_segments(
+    costs: list[float], values: list[float]
+) -> tuple[int, list[tuple[float, int, int]]]:
+    """The upper concave hull of one context's (cost, UCB index) points.
+
+    Returns the cheapest hull arm and the hull's positive-slope segments
+    as ``(slope, lower arm, upper arm)``, cheapest first, so their slopes
+    never increase.  Among arms of equal cost only the best-valued one
+    (then the lowest index) is a hull candidate; collinear arms stay on
+    the hull, so equal-slope upgrades pass through the cheaper arm.
+    """
+    order = sorted(range(len(costs)), key=lambda k: (costs[k], -values[k], k))
+    candidates = order[:1] + [
+        b for a, b in zip(order, order[1:]) if costs[b] != costs[a]
+    ]
+
+    def slope(lower: int, upper: int) -> float:
+        return (values[upper] - values[lower]) / (costs[upper] - costs[lower])
+
+    hull: list[int] = []
+    for arm in candidates:
+        while len(hull) >= 2 and slope(hull[-2], hull[-1]) < slope(hull[-1], arm):
+            hull.pop()
+        hull.append(arm)
+    segments = []
+    for lower, upper in zip(hull, hull[1:]):
+        gain = slope(lower, upper)
+        if gain <= 0:
+            break  # the hull only falls from here: no upgrade pays
+        segments.append((gain, lower, upper))
+    return hull[0], segments
+
+
+def _solve_alp(
+    indices: np.ndarray, costs: np.ndarray, p: np.ndarray, rho: float
+) -> np.ndarray:
+    """The adaptive LP's optimal allocation by the hull greedy (see above).
+
+    ``p`` is normalised and ``rho`` covers the cheapest arm.
+    """
+    n_z = indices.shape[0]
+    cost_of = costs.tolist()
+    arm_of = np.empty(n_z, dtype=np.intp)
+    upgrades = []
+    for z, values in enumerate(indices.tolist()):
+        arm_of[z], segments = _hull_segments(cost_of, values)
+        if p[z] > 0:
+            upgrades.extend(
+                (-gain, cost_of[upper], upper, z, lower)
+                for gain, lower, upper in segments
+            )
+    left = rho - float(p @ costs[arm_of])
+    mixed = None
+    for _, _, upper, z, lower in sorted(upgrades):
+        step = float(p[z]) * (cost_of[upper] - cost_of[lower])
+        if step > left:
+            mixed = z, lower, upper, max(left, 0.0) / step
+            break
+        arm_of[z] = upper
+        left -= step
+    allocation = np.zeros_like(indices)
+    allocation[np.arange(n_z), arm_of] = 1.0
+    if mixed is not None:
+        z, lower, upper, theta = mixed
+        allocation[z, lower] = 1.0 - theta
+        allocation[z, upper] = theta
+    return allocation

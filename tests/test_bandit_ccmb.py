@@ -102,6 +102,22 @@ class TestAllocation:
         with pytest.raises(ValueError):
             bandit.allocation(2.0, context_distribution=np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("budget", [np.nan, np.inf, -np.inf])
+    def test_non_finite_budget_raises(self, budget):
+        bandit = warmed_bandit([[-0.9, -0.5, -0.3, -0.1]] * 2)
+        with pytest.raises(ValueError, match="budget_per_round"):
+            bandit.allocation(budget)
+        with pytest.raises(ValueError, match="budget_per_round"):
+            bandit.select(0, budget)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_context_distribution_raises(self, entry):
+        bandit = warmed_bandit([[-0.9, -0.5, -0.3, -0.1]] * 2)
+        with pytest.raises(ValueError, match="context_distribution"):
+            bandit.allocation(
+                3.0, context_distribution=np.array([0.5, entry])
+            )
+
 
 class TestSelect:
     def test_deterministic_without_rng(self):

@@ -1,6 +1,11 @@
 """The public API surface: imports, __all__ hygiene, version."""
 
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -48,11 +53,40 @@ class TestPublicApi:
         assert hasattr(repro.CrowdLearnSystem, "build")
 
     def test_no_heavy_framework_dependencies(self):
-        """The reproduction must stay numpy/scipy-only."""
-        import sys
-
+        """The reproduction must stay numpy-only."""
         import repro.core.system  # noqa: F401 - force full import chain
         import repro.eval.runner  # noqa: F401
 
         for forbidden in ("torch", "sklearn", "xgboost", "tensorflow"):
             assert forbidden not in sys.modules
+
+    def test_runtime_never_imports_scipy(self):
+        """numpy is the only runtime dependency; scipy is a test oracle.
+
+        Checked in a fresh interpreter, since this test process may already
+        have imported scipy through the oracle tests.
+        """
+        script = textwrap.dedent(
+            """
+            import sys
+
+            import repro.core.system
+            from repro.eval.runner import build_crowdlearn, prepare
+
+            setup = prepare(seed=0, fast=True)
+            system = build_crowdlearn(setup)
+            system.run_cycle(setup.make_stream("scipy-probe").cycle(0))
+            leaked = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            assert not leaked, leaked[:5]
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert result.returncode == 0, result.stderr
