@@ -331,6 +331,26 @@ def cmd_budget(args) -> int:
 
 
 def cmd_chaos(args) -> int:
+    # Each chaos mode reads only its own flags; any other is a usage error.
+    if args.crash:
+        mode, used = "--crash", {"--cycles", "--crash-at"}
+    elif args.workers:
+        mode, used = "--workers", {"--workers"}
+    else:
+        mode, used = "the serial sweep", {"--scheduler"}
+    given = {
+        "--cycles": args.cycles is not None,
+        "--crash-at": bool(args.crash_at),
+        "--workers": args.workers is not None,
+        "--scheduler": args.scheduler,
+    }
+    ignored = [flag for flag, on in given.items() if on and flag not in used]
+    if ignored:
+        print(
+            f"{' '.join(ignored)} cannot be combined with {mode}",
+            file=sys.stderr,
+        )
+        return 2
     if args.crash:
         from repro.eval.supervisor import run_crash_chaos
 
@@ -358,12 +378,6 @@ def _cmd_chaos_parallel(args) -> int:
     """The chaos sweep with one worker process per intensity arm."""
     from repro.eval.parallel import run_chaos_arms
 
-    if args.scheduler:
-        print(
-            "note: --scheduler is ignored with --workers "
-            "(the parallel arms run the synchronous loop)",
-            file=sys.stderr,
-        )
     started = time.time()
     results = run_chaos_arms(
         seed=args.seed, fast=not args.full, max_workers=args.workers

@@ -61,9 +61,6 @@ class CrowdLearnConfig:
     mic_full_refit_every: int = 20
     mic_warm_epochs: int = 1
 
-    # CQC.
-    cqc_use_questionnaire: bool = True
-
     # Learning-loop guardrails (see repro.core.guards).  The default policy
     # is conservative enough that a healthy run never triggers; disabling
     # selects GuardPolicy.disabled(), a guard whose every mechanism is

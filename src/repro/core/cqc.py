@@ -17,12 +17,18 @@ from repro.boosting.gbt import GradientBoostedClassifier
 from repro.crowd.questionnaire import encode_query_features
 from repro.crowd.tasks import QueryResult
 from repro.data.metadata import DamageLabel
+from repro.truth.base import Aggregator
 
 __all__ = ["CrowdQualityControl"]
 
 
-class CrowdQualityControl:
+class CrowdQualityControl(Aggregator):
     """Gradient-boosted fusion of crowd labels and questionnaire evidence.
+
+    An :class:`~repro.truth.base.Aggregator` fitted on the pilot's golden
+    labels.  :meth:`truthful_labels` keeps the boosted classifier's own
+    ``predict`` rather than the argmax of the softmax, so exact ties break
+    as the committed digests pin.
 
     Parameters
     ----------

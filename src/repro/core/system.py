@@ -365,9 +365,10 @@ class CrowdLearnSystem:
                 incentive_levels=config.incentive_levels,
                 queries_per_cell=config.pilot_queries_per_cell,
             )
-        cqc = CrowdQualityControl(use_questionnaire=config.cqc_use_questionnaire)
         pilot_results, pilot_labels = pilot.all_labeled_results()
-        cqc.fit(pilot_results, np.array(pilot_labels), rng=seeds.get("cqc"))
+        cqc = CrowdQualityControl().fit(
+            pilot_results, np.array(pilot_labels), rng=seeds.get("cqc")
+        )
 
         ledger = BudgetLedger(config.budget_cents)
         ipd = IncentivePolicyDesigner(

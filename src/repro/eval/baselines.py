@@ -30,7 +30,7 @@ from repro.data.dataset import DisasterDataset
 from repro.data.stream import SensingCycleStream
 from repro.metrics.information import normalized_entropy
 from repro.models.base import DDAModel
-from repro.truth.voting import aggregate_by_voting, vote_distribution
+from repro.truth.voting import MajorityVote
 from repro.utils.clock import TemporalContext
 
 __all__ = [
@@ -191,13 +191,12 @@ class HybridParaScheme(Scheme):
                         )
                     )
                     cost += self.incentive_cents
-                crowd_labels = aggregate_by_voting(results)
-                for index, result, crowd_label in zip(chosen, results, crowd_labels):
+                votes = MajorityVote().label_distributions(results)
+                for index, vote in zip(chosen, votes):
                     complexity = normalized_entropy(probs[int(index)])
                     if complexity >= self.complexity_threshold:
-                        labels[int(index)] = crowd_label
-                        scores_row = vote_distribution(result)
-                        probs[int(index)] = scores_row
+                        labels[int(index)] = np.argmax(vote)
+                        probs[int(index)] = vote
                 delays.append(float(np.mean([r.mean_delay for r in results])))
                 delay_contexts.append(cycle.context)
             y_true.append(dataset.labels())
@@ -285,7 +284,7 @@ class HybridALScheme(Scheme):
                         )
                     )
                     cost += self.incentive_cents
-                crowd_labels = aggregate_by_voting(results)
+                crowd_labels = MajorityVote().truthful_labels(results)
                 delays.append(float(np.mean([r.mean_delay for r in results])))
                 delay_contexts.append(cycle.context)
                 self._retrain(dataset, chosen, crowd_labels)

@@ -18,9 +18,7 @@ from repro.crowd.platform import CrowdsourcingPlatform
 from repro.crowd.tasks import QueryResult
 from repro.eval.reporting import format_context_table
 from repro.eval.runner import ExperimentSetup
-from repro.truth.filtering import QualityFilter
-from repro.truth.tdem import TruthDiscoveryEM
-from repro.truth.voting import aggregate_by_voting
+from repro.truth import MajorityVote, QualityFilter, TruthDiscoveryEM
 from repro.utils.clock import TemporalContext
 
 __all__ = ["Table1Data", "run_table1"]
@@ -82,10 +80,17 @@ def run_table1(
     platform = setup.make_platform("table1")
     _prime_worker_histories(platform, setup, rng, n_queries=20)
 
-    cqc = CrowdQualityControl(use_questionnaire=setup.config.cqc_use_questionnaire)
     pilot_results, pilot_labels = setup.pilot.all_labeled_results()
-    cqc.fit(pilot_results, np.array(pilot_labels), rng=setup.seeds.get("table1-cqc"))
-    quality_filter = QualityFilter(platform=platform)
+    aggregators = {
+        "CQC": CrowdQualityControl().fit(
+            pilot_results,
+            np.array(pilot_labels),
+            rng=setup.seeds.get("table1-cqc"),
+        ),
+        "Voting": MajorityVote(),
+        "TD-EM": TruthDiscoveryEM(),
+        "Filtering": QualityFilter(platform=platform),
+    }
 
     # The paper scores aggregation on the queries the deployment actually
     # sends — QSS's picks, not random images.  Mimic that mix: mostly the
@@ -97,9 +102,7 @@ def run_table1(
     n_uncertain = int(round((1.0 - epsilon) * queries_per_context))
     uncertain_pool = ranked[: max(4 * queries_per_context, n_uncertain)]
 
-    accuracy: dict[str, dict[str, float]] = {
-        name: {} for name in ("CQC", "Voting", "TD-EM", "Filtering")
-    }
+    accuracy: dict[str, dict[str, float]] = {name: {} for name in aggregators}
     for context in TemporalContext.ordered():
         uncertain = rng.choice(uncertain_pool, size=n_uncertain, replace=False)
         explore = rng.choice(
@@ -117,12 +120,7 @@ def run_table1(
             )
             truths.append(int(image.true_label))
         golden = np.array(truths, dtype=np.int64)
-        estimates = {
-            "CQC": cqc.truthful_labels(results),
-            "Voting": aggregate_by_voting(results),
-            "TD-EM": TruthDiscoveryEM().aggregate(results),
-            "Filtering": quality_filter.aggregate(results),
-        }
-        for name, labels in estimates.items():
+        for name, aggregator in aggregators.items():
+            labels = aggregator.truthful_labels(results)
             accuracy[name][context.value] = float(np.mean(labels == golden))
     return Table1Data(accuracy=accuracy)

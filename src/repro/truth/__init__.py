@@ -1,17 +1,16 @@
-"""Truth-discovery baselines for crowd label aggregation (Table I)."""
+"""Crowd label aggregators behind one interface (Table I)."""
 
+from repro.truth.base import Aggregator, EMAggregator
 from repro.truth.dawid_skene import DawidSkene
-from repro.truth.filtering import QualityFilter, aggregate_by_filtering
-from repro.truth.tdem import TruthDiscoveryEM, aggregate_by_tdem
-from repro.truth.voting import aggregate_by_voting, majority_vote, vote_distribution
+from repro.truth.filtering import QualityFilter
+from repro.truth.tdem import TruthDiscoveryEM
+from repro.truth.voting import MajorityVote
 
 __all__ = [
+    "Aggregator",
+    "EMAggregator",
     "DawidSkene",
     "QualityFilter",
-    "aggregate_by_filtering",
     "TruthDiscoveryEM",
-    "aggregate_by_tdem",
-    "aggregate_by_voting",
-    "majority_vote",
-    "vote_distribution",
+    "MajorityVote",
 ]

@@ -15,106 +15,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.crowd.tasks import QueryResult
-from repro.data.metadata import DamageLabel
+from repro.truth.base import EMAggregator
 
 __all__ = ["DawidSkene"]
 
 
 @dataclass
-class DawidSkene:
+class DawidSkene(EMAggregator):
     """EM over per-worker confusion matrices (Dawid & Skene, 1979).
 
-    Parameters
-    ----------
-    n_classes:
-        Number of label classes.
-    max_iter, tol:
-        EM stopping criteria.
-    smoothing:
-        Dirichlet pseudo-count added to confusion-matrix rows, biased
-        toward the diagonal so sparsely observed workers default to
-        "mostly correct" rather than to noise.
+    :meth:`fit` returns each worker's ``(n_classes, n_classes)``
+    row-stochastic confusion matrix.  ``smoothing`` is the Dirichlet
+    pseudo-count added to confusion-matrix rows, biased toward the diagonal
+    so sparsely observed workers default to "mostly correct" rather than to
+    noise.
     """
 
-    n_classes: int = DamageLabel.count()
     max_iter: int = 60
-    tol: float = 1e-6
-    smoothing: float = 1.0
 
-    def fit(
-        self, results: list[QueryResult]
-    ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        """Run EM; returns (posteriors, worker confusion matrices).
-
-        ``posteriors`` has shape ``(n_queries, n_classes)``; the confusion
-        dict maps worker id → ``(n_classes, n_classes)`` row-stochastic
-        matrix.
-        """
-        if not results:
-            raise ValueError("no query results to aggregate")
-        worker_ids = sorted(
-            {r.worker_id for result in results for r in result.responses}
-        )
-        index_of = {wid: i for i, wid in enumerate(worker_ids)}
-        n_workers = len(worker_ids)
-        n_queries = len(results)
+    def _m_step(self, posteriors, responses, n_workers):
         k = self.n_classes
-
-        responses: list[list[tuple[int, int]]] = []
-        for result in results:
-            if not result.responses:
-                raise ValueError("a query has no responses")
-            responses.append(
-                [(index_of[r.worker_id], int(r.label)) for r in result.responses]
-            )
-
-        # Initialize posteriors from vote fractions.
-        posteriors = np.zeros((n_queries, k))
-        for q, resp in enumerate(responses):
-            for _, label in resp:
-                posteriors[q, label] += 1.0
-        posteriors /= posteriors.sum(axis=1, keepdims=True)
-
         # Diagonal-biased Dirichlet prior: sparse workers default reliable.
         prior = self.smoothing * (
-            np.full((k, k), 0.5 / max(k - 1, 1)) + np.eye(k) * (2.0 - 0.5)
+            np.full((k, k), 0.5 / (k - 1)) + np.eye(k) * (2.0 - 0.5)
         )
+        counts = np.tile(prior, (n_workers, 1, 1))
+        for q, resp in enumerate(responses):
+            for w, label in resp:
+                counts[w, :, label] += posteriors[q]
+        confusion = counts / counts.sum(axis=2, keepdims=True)
+        class_prior = np.clip(posteriors.mean(axis=0), 1e-9, None)
+        class_prior /= class_prior.sum()
+        return class_prior, confusion
 
-        confusion = np.tile(
-            (np.eye(k) * 0.7 + np.full((k, k), 0.3 / k)), (n_workers, 1, 1)
-        )
-        class_prior = np.full(k, 1.0 / k)
-
-        for _ in range(self.max_iter):
-            # M-step: confusion matrices and class prior from posteriors.
-            counts = np.tile(prior, (n_workers, 1, 1))
-            for q, resp in enumerate(responses):
-                for w, label in resp:
-                    counts[w, :, label] += posteriors[q]
-            confusion = counts / counts.sum(axis=2, keepdims=True)
-            class_prior = np.clip(posteriors.mean(axis=0), 1e-9, None)
-            class_prior /= class_prior.sum()
-
-            # E-step: posterior over truths from the confusion likelihoods.
-            log_confusion = np.log(np.clip(confusion, 1e-12, None))
-            new_posteriors = np.tile(np.log(class_prior), (n_queries, 1))
-            for q, resp in enumerate(responses):
-                for w, label in resp:
-                    new_posteriors[q] += log_confusion[w, :, label]
-            new_posteriors -= new_posteriors.max(axis=1, keepdims=True)
-            new_posteriors = np.exp(new_posteriors)
-            new_posteriors /= new_posteriors.sum(axis=1, keepdims=True)
-
-            shift = float(np.abs(new_posteriors - posteriors).max())
-            posteriors = new_posteriors
-            if shift < self.tol:
-                break
-
-        matrices = {wid: confusion[index_of[wid]] for wid in worker_ids}
-        return posteriors, matrices
-
-    def aggregate(self, results: list[QueryResult]) -> np.ndarray:
-        """MAP labels for each query."""
-        posteriors, _ = self.fit(results)
-        return np.argmax(posteriors, axis=1).astype(np.int64)
+    def _log_likelihood(self, confusion):
+        return np.log(np.clip(confusion, 1e-12, None))

@@ -15,12 +15,13 @@ import numpy as np
 from repro.crowd.platform import CrowdsourcingPlatform
 from repro.crowd.tasks import QueryResult
 from repro.data.metadata import DamageLabel
+from repro.truth.base import Aggregator, vote_fractions
 
-__all__ = ["QualityFilter", "aggregate_by_filtering"]
+__all__ = ["QualityFilter"]
 
 
 @dataclass
-class QualityFilter:
+class QualityFilter(Aggregator):
     """Majority voting over workers that pass a track-record filter.
 
     Parameters
@@ -44,40 +45,16 @@ class QualityFilter:
             return False  # cold start: cannot judge, must keep
         return correct / graded < self.min_accuracy
 
-    def aggregate_one(
-        self, result: QueryResult, n_classes: int = DamageLabel.count()
-    ) -> int:
-        """Filtered plurality label for one query.
+    def label_distributions(self, results: list[QueryResult]) -> np.ndarray:
+        """Vote fractions over each query's non-blacklisted workers.
 
-        Falls back to unfiltered voting when the filter would discard every
-        response (the platform must return *some* answer).
+        A query whose every worker is blacklisted falls back to all of its
+        responses (the platform must return *some* answer).
         """
-        kept = [
-            r for r in result.responses if not self.is_blacklisted(r.worker_id)
-        ]
-        if not kept:
-            kept = list(result.responses)
-        if not kept:
-            raise ValueError("query has no responses")
-        counts = np.bincount(
-            [int(r.label) for r in kept], minlength=n_classes
+        return vote_fractions(
+            [self._kept_labels(result) for result in results], DamageLabel.count()
         )
-        return int(np.argmax(counts))
 
-    def aggregate(self, results: list[QueryResult]) -> np.ndarray:
-        """Filtered plurality labels for a batch of queries."""
-        if not results:
-            raise ValueError("no query results to aggregate")
-        return np.array([self.aggregate_one(r) for r in results], dtype=np.int64)
-
-
-def aggregate_by_filtering(
-    results: list[QueryResult],
-    platform: CrowdsourcingPlatform,
-    min_history: int = 5,
-    min_accuracy: float = 0.7,
-) -> np.ndarray:
-    """Convenience wrapper around :class:`QualityFilter`."""
-    return QualityFilter(
-        platform=platform, min_history=min_history, min_accuracy=min_accuracy
-    ).aggregate(results)
+    def _kept_labels(self, result: QueryResult) -> list[int]:
+        kept = [r for r in result.responses if not self.is_blacklisted(r.worker_id)]
+        return [int(r.label) for r in kept or result.responses]

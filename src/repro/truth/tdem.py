@@ -15,111 +15,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.crowd.tasks import QueryResult
-from repro.data.metadata import DamageLabel
+from repro.truth.base import EMAggregator
 
-__all__ = ["TruthDiscoveryEM", "aggregate_by_tdem"]
+__all__ = ["TruthDiscoveryEM"]
 
 
 @dataclass
-class TruthDiscoveryEM:
+class TruthDiscoveryEM(EMAggregator):
     """EM-based joint estimation of true labels and worker reliability.
 
     The worker model is single-parameter ("one-coin"): with probability
     ``reliability`` the worker reports the true label, otherwise an error
-    uniformly spread over the other classes.
-
-    Parameters
-    ----------
-    n_classes:
-        Number of label classes.
-    max_iter, tol:
-        EM stopping criteria (iteration cap / posterior change threshold).
-    smoothing:
-        Pseudo-count regularization on reliability estimates, which keeps
-        workers with one or two responses from collapsing to 0 or 1.
+    uniformly spread over the other classes.  :meth:`fit` returns each
+    worker's reliability; ``smoothing`` keeps workers with one or two
+    responses from collapsing to 0 or 1.
     """
 
-    n_classes: int = DamageLabel.count()
-    max_iter: int = 50
-    tol: float = 1e-6
-    smoothing: float = 1.0
-
-    def fit(
-        self, results: list[QueryResult]
-    ) -> tuple[np.ndarray, dict[int, float]]:
-        """Run EM; returns (posteriors ``(n_queries, n_classes)``, reliabilities)."""
-        if not results:
-            raise ValueError("no query results to aggregate")
-        worker_ids = sorted(
-            {r.worker_id for result in results for r in result.responses}
-        )
-        worker_index = {wid: i for i, wid in enumerate(worker_ids)}
-        n_workers = len(worker_ids)
-        n_queries = len(results)
-        k = self.n_classes
-
-        # responses[q] = list of (worker_idx, label)
-        responses: list[list[tuple[int, int]]] = []
-        for result in results:
-            if not result.responses:
-                raise ValueError("a query has no responses")
-            responses.append(
-                [(worker_index[r.worker_id], int(r.label)) for r in result.responses]
-            )
-
-        # Initialize posteriors from vote fractions.
-        posteriors = np.zeros((n_queries, k))
+    def _m_step(self, posteriors, responses, n_workers):
+        # Reliability = expected fraction of matches, smoothed.
+        match = np.full(n_workers, self.smoothing * 0.8)
+        count = np.full(n_workers, self.smoothing)
         for q, resp in enumerate(responses):
-            for _, label in resp:
-                posteriors[q, label] += 1.0
-        posteriors /= posteriors.sum(axis=1, keepdims=True)
+            for w, label in resp:
+                match[w] += posteriors[q, label]
+                count[w] += 1.0
+        reliability = np.clip(match / count, 0.05, 0.99)
+        priors = np.clip(posteriors.mean(axis=0), 1e-6, None)
+        priors /= priors.sum()
+        return priors, reliability
 
-        reliability = np.full(n_workers, 0.8)
-        priors = np.full(k, 1.0 / k)
-
-        for _ in range(self.max_iter):
-            # M-step: reliability = expected fraction of matches, smoothed.
-            match = np.full(n_workers, self.smoothing * 0.8)
-            count = np.full(n_workers, self.smoothing)
-            for q, resp in enumerate(responses):
-                for w, label in resp:
-                    match[w] += posteriors[q, label]
-                    count[w] += 1.0
-            reliability = np.clip(match / count, 0.05, 0.99)
-            priors = np.clip(posteriors.mean(axis=0), 1e-6, None)
-            priors /= priors.sum()
-
-            # E-step: posterior over true labels given worker reliabilities.
-            new_posteriors = np.tile(np.log(priors), (n_queries, 1))
-            for q, resp in enumerate(responses):
-                for w, label in resp:
-                    p_correct = reliability[w]
-                    p_error = (1.0 - p_correct) / (k - 1)
-                    log_like = np.full(k, np.log(p_error))
-                    log_like[label] = np.log(p_correct)
-                    new_posteriors[q] += log_like
-            new_posteriors -= new_posteriors.max(axis=1, keepdims=True)
-            new_posteriors = np.exp(new_posteriors)
-            new_posteriors /= new_posteriors.sum(axis=1, keepdims=True)
-
-            shift = float(np.abs(new_posteriors - posteriors).max())
-            posteriors = new_posteriors
-            if shift < self.tol:
-                break
-
-        return posteriors, {
-            wid: float(reliability[worker_index[wid]]) for wid in worker_ids
-        }
-
-    def aggregate(self, results: list[QueryResult]) -> np.ndarray:
-        """MAP labels for each query."""
-        posteriors, _ = self.fit(results)
-        return np.argmax(posteriors, axis=1).astype(np.int64)
-
-
-def aggregate_by_tdem(
-    results: list[QueryResult], n_classes: int = DamageLabel.count()
-) -> np.ndarray:
-    """Convenience wrapper: EM-aggregated labels with default settings."""
-    return TruthDiscoveryEM(n_classes=n_classes).aggregate(results)
+    def _log_likelihood(self, reliability):
+        k = self.n_classes
+        log_error = np.log((1.0 - reliability) / (k - 1))
+        return np.where(
+            np.eye(k, dtype=bool),
+            np.log(reliability)[:, None, None],
+            log_error[:, None, None],
+        )

@@ -6,36 +6,22 @@ known to be suboptimal when workers have unequal reliability.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.crowd.tasks import QueryResult
 from repro.data.metadata import DamageLabel
+from repro.truth.base import Aggregator, vote_fractions
 
-__all__ = ["majority_vote", "vote_distribution", "aggregate_by_voting"]
-
-
-def vote_distribution(result: QueryResult, n_classes: int | None = None) -> np.ndarray:
-    """Normalized label-vote histogram for one query."""
-    if n_classes is None:
-        n_classes = DamageLabel.count()
-    labels = result.labels()
-    if labels.size == 0:
-        raise ValueError("query has no responses to vote over")
-    counts = np.bincount(labels, minlength=n_classes).astype(np.float64)
-    return counts / counts.sum()
+__all__ = ["MajorityVote"]
 
 
-def majority_vote(result: QueryResult, n_classes: int | None = None) -> int:
-    """The plurality label for one query (ties break to the lower label)."""
-    return int(np.argmax(vote_distribution(result, n_classes)))
+@dataclass
+class MajorityVote(Aggregator):
+    """Vote fractions as the distribution; the plurality label wins."""
 
+    n_classes: int = DamageLabel.count()
 
-def aggregate_by_voting(
-    results: list[QueryResult], n_classes: int | None = None
-) -> np.ndarray:
-    """Plurality labels for a batch of queries."""
-    if not results:
-        raise ValueError("no query results to aggregate")
-    return np.array(
-        [majority_vote(r, n_classes) for r in results], dtype=np.int64
-    )
+    def label_distributions(self, results: list[QueryResult]) -> np.ndarray:
+        return vote_fractions([r.labels() for r in results], self.n_classes)

@@ -195,6 +195,29 @@ class TestCommands:
         assert "corrupt checkpoint" in err
         assert "format check failed" in err
 
+    @pytest.mark.parametrize(
+        "argv, ignored",
+        [
+            (["--cycles", "3"], "--cycles"),
+            (["--crash-at", "post:1"], "--crash-at"),
+            (["--crash", "--workers", "2"], "--workers"),
+            (["--crash", "--scheduler"], "--scheduler"),
+            (["--workers", "2", "--scheduler"], "--scheduler"),
+            (["--workers", "2", "--cycles", "3"], "--cycles"),
+            (["--workers", "0"], "--workers"),
+        ],
+        ids=[
+            "cycles-without-crash", "crash-at-without-crash",
+            "crash-with-workers", "crash-with-scheduler",
+            "workers-with-scheduler", "workers-with-cycles", "zero-workers",
+        ],
+    )
+    def test_chaos_rejects_ignored_flags(self, argv, ignored, capsys):
+        assert main(["chaos", "--seed", "61", *argv]) == 2
+        err = capsys.readouterr().err
+        assert ignored in err
+        assert "cannot be combined" in err
+
     def test_serve_resume_requires_dir(self, capsys):
         assert main(["serve", "--resume", "--seed", "61"]) == 2
         assert "--resume requires --serve-dir" in capsys.readouterr().err

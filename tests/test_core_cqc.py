@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.cqc import CrowdQualityControl
-from repro.truth.voting import aggregate_by_voting
+from repro.truth.voting import MajorityVote
 from repro.utils.clock import TemporalContext
 
 
@@ -57,7 +57,7 @@ class TestCrowdQualityControl:
         train_results, train_labels, test_results, test_labels = labeled_queries
         cqc = CrowdQualityControl().fit(train_results, train_labels, rng=rng)
         cqc_acc = np.mean(cqc.truthful_labels(test_results) == test_labels)
-        vote_acc = np.mean(aggregate_by_voting(test_results) == test_labels)
+        vote_acc = np.mean(MajorityVote().truthful_labels(test_results) == test_labels)
         assert cqc_acc > vote_acc
 
     def test_questionnaire_ablation_hurts(self, labeled_queries, rng):

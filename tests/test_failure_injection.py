@@ -16,7 +16,7 @@ from repro.crowd.population import WorkerPopulation
 from repro.crowd.quality import QualityModel
 from repro.crowd.worker import Worker
 from repro.truth.tdem import TruthDiscoveryEM
-from repro.truth.voting import aggregate_by_voting
+from repro.truth.voting import MajorityVote
 from repro.utils.clock import TemporalContext
 
 
@@ -57,8 +57,8 @@ class TestHostileCrowd:
             )
             truths.append(int(image.true_label))
         truths = np.array(truths)
-        voted = aggregate_by_voting(results)
-        em = TruthDiscoveryEM().aggregate(results)
+        voted = MajorityVote().truthful_labels(results)
+        em = TruthDiscoveryEM().truthful_labels(results)
         # No crash, valid labels; accuracy unconstrained (workers are noise).
         assert set(voted.tolist()) <= {0, 1, 2}
         assert set(em.tolist()) <= {0, 1, 2}
@@ -88,7 +88,7 @@ class TestSingleWorkerQueries:
             platform.post_query(img.metadata, 8.0, TemporalContext.EVENING)
             for img in dataset
         ]
-        labels = aggregate_by_voting(results)
+        labels = MajorityVote().truthful_labels(results)
         assert labels.shape == (10,)
         del image
 
@@ -101,7 +101,7 @@ class TestSingleWorkerQueries:
             platform.post_query(img.metadata, 8.0, TemporalContext.EVENING)
             for img in dataset
         ]
-        labels = TruthDiscoveryEM().aggregate(results)
+        labels = TruthDiscoveryEM().truthful_labels(results)
         assert labels.shape == (15,)
 
 

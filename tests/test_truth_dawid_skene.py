@@ -58,7 +58,7 @@ class TestDawidSkene:
     def test_recovers_labels(self, rng):
         confusions = [reliable(0.9) for _ in range(5)]
         results, truths = results_from_confusions(rng, 80, confusions)
-        labels = DawidSkene().aggregate(results)
+        labels = DawidSkene().truthful_labels(results)
         assert np.mean(labels == truths) > 0.9
 
     def test_learns_systematic_bias(self, rng):
@@ -78,8 +78,8 @@ class TestDawidSkene:
         moderates = truths == 1
         if not moderates.any():
             pytest.skip("no moderate samples drawn")
-        ds_labels = DawidSkene().aggregate(results)
-        em_labels = TruthDiscoveryEM().aggregate(results)
+        ds_labels = DawidSkene().truthful_labels(results)
+        em_labels = TruthDiscoveryEM().truthful_labels(results)
         ds_acc = np.mean(ds_labels[moderates] == 1)
         em_acc = np.mean(em_labels[moderates] == 1)
         assert ds_acc >= em_acc
@@ -95,19 +95,19 @@ class TestDawidSkene:
     def test_deterministic(self, rng):
         confusions = [reliable(0.85) for _ in range(3)]
         results, _ = results_from_confusions(rng, 40, confusions)
-        a = DawidSkene().aggregate(results)
-        b = DawidSkene().aggregate(results)
+        a = DawidSkene().truthful_labels(results)
+        b = DawidSkene().truthful_labels(results)
         np.testing.assert_array_equal(a, b)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            DawidSkene().aggregate([])
+            DawidSkene().truthful_labels([])
 
     def test_works_on_real_platform_output(self, platform, small_dataset):
         results = [
             platform.post_query(img.metadata, 8.0, TemporalContext.EVENING)
             for img in small_dataset.images[:25]
         ]
-        labels = DawidSkene().aggregate(results)
+        labels = DawidSkene().truthful_labels(results)
         assert labels.shape == (25,)
         assert set(labels.tolist()) <= {0, 1, 2}

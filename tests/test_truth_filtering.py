@@ -9,7 +9,7 @@ from repro.data.metadata import (
     ImageMetadata,
     SceneType,
 )
-from repro.truth.filtering import QualityFilter, aggregate_by_filtering
+from repro.truth.filtering import QualityFilter
 from repro.utils.clock import TemporalContext
 
 
@@ -69,35 +69,30 @@ class TestQualityFilter:
         for response in result.responses[1:]:
             grade_worker_history(platform, response.worker_id, n=10, n_correct=0)
         filter_ = QualityFilter(platform=platform)
-        assert filter_.aggregate_one(result) == int(keep.label)
+        assert filter_.truthful_labels([result])[0] == int(keep.label)
 
     def test_all_blacklisted_falls_back_to_plain_vote(self, platform):
         result = platform.post_query(meta(), 8.0, TemporalContext.EVENING)
         for response in result.responses:
             grade_worker_history(platform, response.worker_id, n=10, n_correct=0)
         filter_ = QualityFilter(platform=platform)
-        from repro.truth.voting import majority_vote
+        from repro.truth.voting import MajorityVote
 
-        assert filter_.aggregate_one(result) == majority_vote(result)
+        np.testing.assert_array_equal(
+            filter_.truthful_labels([result]),
+            MajorityVote().truthful_labels([result]),
+        )
 
     def test_aggregate_batch(self, platform):
         results = [
             platform.post_query(meta(i), 8.0, TemporalContext.EVENING)
             for i in range(10)
         ]
-        labels = QualityFilter(platform=platform).aggregate(results)
+        labels = QualityFilter(platform=platform).truthful_labels(results)
         assert labels.shape == (10,)
         # On honest severe images with a decent pool, most should be right.
         assert np.mean(labels == int(DamageLabel.SEVERE)) > 0.7
 
     def test_empty_batch_raises(self, platform):
         with pytest.raises(ValueError):
-            QualityFilter(platform=platform).aggregate([])
-
-    def test_convenience_wrapper(self, platform):
-        results = [
-            platform.post_query(meta(i), 8.0, TemporalContext.EVENING)
-            for i in range(5)
-        ]
-        labels = aggregate_by_filtering(results, platform)
-        assert labels.shape == (5,)
+            QualityFilter(platform=platform).truthful_labels([])

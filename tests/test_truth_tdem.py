@@ -10,7 +10,7 @@ from repro.crowd.tasks import (
     WorkerResponse,
 )
 from repro.data.metadata import DamageLabel, SceneType
-from repro.truth.tdem import TruthDiscoveryEM, aggregate_by_tdem
+from repro.truth.tdem import TruthDiscoveryEM
 from repro.utils.clock import TemporalContext
 
 
@@ -49,7 +49,7 @@ def synthetic_results(rng, n_queries, worker_reliability, n_classes=3):
 class TestTruthDiscoveryEM:
     def test_recovers_labels_with_reliable_panel(self, rng):
         results, truths = synthetic_results(rng, 60, [0.9, 0.85, 0.8, 0.75, 0.9])
-        labels = TruthDiscoveryEM().aggregate(results)
+        labels = TruthDiscoveryEM().truthful_labels(results)
         assert np.mean(labels == truths) >= 0.9
 
     def test_estimates_worker_reliability_ordering(self, rng):
@@ -66,10 +66,10 @@ class TestTruthDiscoveryEM:
         # ones sit at 0.5 — clearly above the 1/3 chance floor.)
         reliabilities = [0.95, 0.5, 0.5, 0.5, 0.5]
         results, truths = synthetic_results(rng, 150, reliabilities)
-        from repro.truth.voting import aggregate_by_voting
+        from repro.truth.voting import MajorityVote
 
-        em_acc = np.mean(TruthDiscoveryEM().aggregate(results) == truths)
-        vote_acc = np.mean(aggregate_by_voting(results) == truths)
+        em_acc = np.mean(TruthDiscoveryEM().truthful_labels(results) == truths)
+        vote_acc = np.mean(MajorityVote().truthful_labels(results) == truths)
         assert em_acc > vote_acc
 
     def test_posteriors_are_distributions(self, rng):
@@ -80,20 +80,15 @@ class TestTruthDiscoveryEM:
 
     def test_convergence_is_deterministic(self, rng):
         results, _ = synthetic_results(rng, 30, [0.8, 0.7, 0.9])
-        a = TruthDiscoveryEM().aggregate(results)
-        b = TruthDiscoveryEM().aggregate(results)
+        a = TruthDiscoveryEM().truthful_labels(results)
+        b = TruthDiscoveryEM().truthful_labels(results)
         np.testing.assert_array_equal(a, b)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            TruthDiscoveryEM().aggregate([])
+            TruthDiscoveryEM().truthful_labels([])
 
     def test_query_without_responses_raises(self):
         empty = QueryResult(query=CrowdQuery(0, 0, 1.0, TemporalContext.MORNING))
         with pytest.raises(ValueError):
-            TruthDiscoveryEM().aggregate([empty])
-
-    def test_convenience_wrapper(self, rng):
-        results, truths = synthetic_results(rng, 40, [0.9, 0.9, 0.9])
-        labels = aggregate_by_tdem(results)
-        assert np.mean(labels == truths) > 0.9
+            TruthDiscoveryEM().truthful_labels([empty])

@@ -10,7 +10,7 @@ from repro.crowd.tasks import (
     WorkerResponse,
 )
 from repro.data.metadata import DamageLabel, SceneType
-from repro.truth.voting import aggregate_by_voting, majority_vote, vote_distribution
+from repro.truth.voting import MajorityVote
 from repro.utils.clock import TemporalContext
 
 
@@ -37,12 +37,12 @@ class TestVoteDistribution:
         result = result_of(
             [DamageLabel.SEVERE, DamageLabel.SEVERE, DamageLabel.NO_DAMAGE]
         )
-        dist = vote_distribution(result)
+        (dist,) = MajorityVote().label_distributions([result])
         np.testing.assert_allclose(dist, [1 / 3, 0.0, 2 / 3])
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            vote_distribution(result_of([]))
+            MajorityVote().label_distributions([result_of([])])
 
 
 class TestMajorityVote:
@@ -54,11 +54,11 @@ class TestMajorityVote:
                 DamageLabel.SEVERE,
             ]
         )
-        assert majority_vote(result) == int(DamageLabel.MODERATE)
+        assert MajorityVote().truthful_labels([result])[0] == DamageLabel.MODERATE
 
     def test_tie_breaks_to_lower_label(self):
         result = result_of([DamageLabel.NO_DAMAGE, DamageLabel.SEVERE])
-        assert majority_vote(result) == int(DamageLabel.NO_DAMAGE)
+        assert MajorityVote().truthful_labels([result])[0] == DamageLabel.NO_DAMAGE
 
 
 class TestAggregateByVoting:
@@ -67,8 +67,9 @@ class TestAggregateByVoting:
             result_of([DamageLabel.SEVERE] * 3, query_id=0),
             result_of([DamageLabel.NO_DAMAGE] * 3, query_id=1),
         ]
-        np.testing.assert_array_equal(aggregate_by_voting(results), [2, 0])
+        labels = MajorityVote().truthful_labels(results)
+        np.testing.assert_array_equal(labels, [2, 0])
 
     def test_empty_batch_raises(self):
         with pytest.raises(ValueError):
-            aggregate_by_voting([])
+            MajorityVote().truthful_labels([])
