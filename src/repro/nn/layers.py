@@ -4,9 +4,16 @@ All layers operate on float64 numpy arrays.  Convolutions use NCHW layout
 (batch, channels, height, width) and are implemented with im2col so the heavy
 lifting is a single matrix multiply.  Each layer exposes:
 
-- ``forward(x, training)`` — compute outputs, caching what backward needs;
+- ``forward(x, training)`` — compute outputs; a training forward caches what
+  backward needs, an inference forward clears those caches;
 - ``backward(grad)`` — gradient w.r.t. inputs, accumulating parameter grads;
+- ``backward_params(grad)`` — the parameter gradients alone, for the first
+  layer of a network, whose input gradient nobody reads;
 - ``params()`` / ``grads()`` — parallel lists consumed by the optimizers.
+
+``MaxPool2D`` works on the ``s * s`` strided views ``x[:, :, dy::s, dx::s]``,
+one per window position: each step is one elementwise pass over a view,
+with no transposed 6-D copy of the input and no per-element window mask.
 """
 
 from __future__ import annotations
@@ -34,10 +41,10 @@ __all__ = [
 ]
 
 
-#: Attributes forward passes fill for backward to read.  They are derived
-#: state: a pickle (guard snapshot, checkpoint, deepcopy) carries them as
-#: ``None``, every backward reader raises on ``None``, and every backward
-#: follows a fresh training forward that refills them.
+#: Attributes training forwards fill for backward to read.  They are derived
+#: state: an inference forward and a pickle (guard snapshot, checkpoint,
+#: deepcopy) leave them ``None``, every backward reader raises on ``None``,
+#: and every backward follows a fresh training forward that refills them.
 _FORWARD_CACHES = (
     "_cols", "_x_shape", "_mask", "_input", "_cache", "_output", "_shape",
 )
@@ -62,6 +69,15 @@ class Layer:
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def backward_params(self, grad: np.ndarray) -> None:
+        """Accumulate parameter gradients without computing the input's.
+
+        The parameter gradients are bit-identical to :meth:`backward`'s.  A
+        parameter-free layer has nothing to accumulate.
+        """
+        if self.params():
+            self.backward(grad)
 
     def params(self) -> list[np.ndarray]:
         """Trainable parameter arrays (mutated in place by optimizers)."""
@@ -117,11 +133,14 @@ class Dense(Layer):
         return x @ self.weight + self.bias
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
+        self.backward_params(grad)
+        return grad @ self.weight.T
+
+    def backward_params(self, grad: np.ndarray) -> None:
         if self._input is None:
             raise RuntimeError("backward called before a training forward pass")
         self.grad_weight += self._input.T @ grad
         self.grad_bias += grad.sum(axis=0)
-        return grad @ self.weight.T
 
     def params(self) -> list[np.ndarray]:
         return [self.weight, self.bias]
@@ -145,7 +164,11 @@ def im2col(
             f"kernel {kernel} with stride {stride}, pad {pad} does not fit "
             f"input of spatial size {h}x{w}"
         )
-    padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    if pad:
+        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        padded[:, :, pad : pad + h, pad : pad + w] = x
+    else:
+        padded = x
     cols = np.empty((n, c, kernel, kernel, out_h, out_w), dtype=x.dtype)
     for ky in range(kernel):
         y_end = ky + stride * out_h
@@ -224,14 +247,22 @@ class Conv2D(Layer):
         return out.transpose(0, 3, 1, 2)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
+        grad_flat = self._accumulate(grad)
+        grad_cols = grad_flat @ self.weight.reshape(self.weight.shape[0], -1)
+        return col2im(grad_cols, self._x_shape, self.kernel, self.stride, self.pad)
+
+    def backward_params(self, grad: np.ndarray) -> None:
+        self._accumulate(grad)
+
+    def _accumulate(self, grad: np.ndarray) -> np.ndarray:
+        """Add this batch's parameter gradients; returns ``grad`` as patch rows."""
         if self._cols is None or self._x_shape is None:
             raise RuntimeError("backward called before a training forward pass")
         out_channels = self.weight.shape[0]
         grad_flat = grad.transpose(0, 2, 3, 1).reshape(-1, out_channels)
         self.grad_weight += (grad_flat.T @ self._cols).reshape(self.weight.shape)
         self.grad_bias += grad_flat.sum(axis=0)
-        grad_cols = grad_flat @ self.weight.reshape(out_channels, -1)
-        return col2im(grad_cols, self._x_shape, self.kernel, self.stride, self.pad)
+        return grad_flat
 
     def params(self) -> list[np.ndarray]:
         return [self.weight, self.bias]
@@ -241,7 +272,16 @@ class Conv2D(Layer):
 
 
 class MaxPool2D(Layer):
-    """Max pooling with square window and equal stride over NCHW inputs."""
+    """Max pooling with square window and equal stride over NCHW inputs.
+
+    The forward folds the window's ``s * s`` strided views together with
+    ``np.maximum``.  A training forward records, per output, the first
+    window position (row-major) holding the max as a small int array in
+    ``_mask``; a window where nothing compares equal to its max (NaN)
+    routes to position 0.  The backward sends ``grad`` to that position and
+    ``grad * 0`` (a signed zero, or NaN for an infinite or NaN ``grad``) to
+    the others.
+    """
 
     def __init__(self, size: int = 2) -> None:
         if size <= 0:
@@ -257,18 +297,17 @@ class MaxPool2D(Layer):
             raise ValueError(
                 f"MaxPool2D size {s} must evenly divide spatial dims {h}x{w}"
             )
-        # Reorder to (n, c, h//s, w//s, s, s) so each window is contiguous.
-        blocks = x.reshape(n, c, h // s, s, w // s, s).transpose(0, 1, 2, 4, 3, 5)
-        out = blocks.max(axis=(4, 5))
+        views = [x[:, :, dy::s, dx::s] for dy in range(s) for dx in range(s)]
+        out = views[0].copy()
+        for view in views[1:]:
+            np.maximum(out, view, out=out)
         if training:
-            flat = (blocks == out[..., None, None]).reshape(
-                n, c, h // s, w // s, s * s
-            )
-            # Break ties so exactly one element per window routes the gradient.
-            first = flat.argmax(axis=-1)
-            mask = np.zeros_like(flat, dtype=bool)
-            np.put_along_axis(mask, first[..., None], True, axis=-1)
-            self._mask = mask
+            # Walk the positions backwards so the first one holding the max
+            # is written last; NaN windows match nowhere and keep 0.
+            first = np.zeros(out.shape, dtype=np.min_scalar_type(len(views) - 1))
+            for k in range(len(views) - 1, -1, -1):
+                np.copyto(first, k, where=views[k] == out)
+            self._mask = first
             self._x_shape = x.shape
         else:
             self._mask = None
@@ -278,11 +317,12 @@ class MaxPool2D(Layer):
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._mask is None or self._x_shape is None:
             raise RuntimeError("backward called before a training forward pass")
-        n, c, h, w = self._x_shape
         s = self.size
-        spread = self._mask * grad[..., None]
-        spread = spread.reshape(n, c, h // s, w // s, s, s)
-        return spread.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+        out = np.empty(self._x_shape, dtype=np.result_type(bool, grad))
+        for k in range(s * s):
+            dy, dx = divmod(k, s)
+            np.multiply(self._mask == k, grad, out=out[:, :, dy::s, dx::s])
+        return out
 
 
 class ReLU(Layer):
@@ -293,8 +333,7 @@ class ReLU(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         mask = x > 0
-        if training:
-            self._mask = mask
+        self._mask = mask if training else None
         return x * mask
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -310,8 +349,7 @@ class Flatten(Layer):
         self._shape: tuple[int, ...] | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if training:
-            self._shape = x.shape
+        self._shape = x.shape if training else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -457,8 +495,7 @@ class Softmax(Layer):
         shifted = x - x.max(axis=-1, keepdims=True)
         exp = np.exp(shifted)
         out = exp / exp.sum(axis=-1, keepdims=True)
-        if training:
-            self._output = out
+        self._output = out if training else None
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -485,8 +522,7 @@ class AvgPool2D(Layer):
             raise ValueError(
                 f"AvgPool2D size {s} must evenly divide spatial dims {h}x{w}"
             )
-        if training:
-            self._x_shape = x.shape
+        self._x_shape = x.shape if training else None
         blocks = x.reshape(n, c, h // s, s, w // s, s)
         return blocks.mean(axis=(3, 5))
 
@@ -508,8 +544,7 @@ class GlobalAveragePool(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.ndim != 4:
             raise ValueError(f"expected NCHW input, got {x.ndim}-D")
-        if training:
-            self._x_shape = x.shape
+        self._x_shape = x.shape if training else None
         return x.mean(axis=(2, 3))
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -529,8 +564,7 @@ class Sigmoid(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         out = 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
-        if training:
-            self._output = out
+        self._output = out if training else None
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -547,8 +581,7 @@ class Tanh(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         out = np.tanh(x)
-        if training:
-            self._output = out
+        self._output = out if training else None
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:

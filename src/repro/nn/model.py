@@ -32,11 +32,25 @@ class Sequential:
             out = layer.forward(out, training=training)
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        """Backpropagate ``grad`` (dL/doutput) through every layer."""
-        for layer in reversed(self.layers):
+    def backward(
+        self, grad: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Backpropagate ``grad`` (dL/doutput) through every layer.
+
+        Accumulates every layer's parameter gradients and returns dL/dx.
+        ``input_grad=False`` skips dL/dx and returns ``None``, leaving the
+        parameter gradients bit-identical: the first layer only accumulates
+        its own (:meth:`~repro.nn.layers.Layer.backward_params`).  A training
+        step never reads dL/dx, and for a first ``Conv2D`` it costs a matrix
+        multiply and a ``col2im`` per batch.
+        """
+        first, *rest = self.layers
+        for layer in reversed(rest):
             grad = layer.backward(grad)
-        return grad
+        if input_grad:
+            return first.backward(grad)
+        first.backward_params(grad)
+        return None
 
     def params(self) -> list[np.ndarray]:
         """All trainable parameters, in layer order."""

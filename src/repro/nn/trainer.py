@@ -90,7 +90,7 @@ class Trainer:
             logits = self.model.forward(xb, training=True)
             batch_loss = self.loss.forward(logits, yb)
             self.model.zero_grad()
-            self.model.backward(self.loss.backward())
+            self.model.backward(self.loss.backward(), input_grad=False)
             self.optimizer.step()
             total_loss += batch_loss * len(idx)
             predicted = np.argmax(logits, axis=-1)

@@ -3,16 +3,17 @@
 The DDM baseline [5] combines a CNN with Grad-CAM: the class-discriminative
 heatmap localizes the damaged region, and the heatmap mass is used to grade
 severity.  This implementation works directly on
-:class:`repro.nn.model.Sequential` models by replaying the forward pass in
-training mode (so layer caches are populated) and backpropagating a one-hot
-class gradient down to the chosen convolutional layer.
+:class:`repro.nn.model.Sequential` models by replaying the forward pass,
+in training mode past the chosen convolutional layer (so the caches backward
+reads are populated) and in inference mode up to it, and backpropagating a
+one-hot class gradient down to that layer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import Conv2D, Dropout
+from repro.nn.layers import BatchNorm, Conv2D, Dropout
 from repro.nn.model import Sequential
 
 __all__ = ["GradCAM"]
@@ -28,7 +29,10 @@ class GradCAM:
     target_layer:
         Index into ``model.layers`` of the convolution whose output feature
         maps the heatmap is computed over.  Defaults to the last
-        :class:`~repro.nn.layers.Conv2D` in the model.
+        :class:`~repro.nn.layers.Conv2D` in the model.  No
+        :class:`~repro.nn.layers.BatchNorm` may follow it: the layers past
+        the target run in training mode, where BatchNorm would normalise
+        with batch statistics and overwrite its running ones.
     """
 
     def __init__(self, model: Sequential, target_layer: int | None = None) -> None:
@@ -44,22 +48,33 @@ class GradCAM:
                 f"target_layer {target_layer} out of range for "
                 f"{len(model.layers)} layers"
             )
+        for i, layer in enumerate(model.layers[target_layer + 1 :], target_layer + 1):
+            if isinstance(layer, BatchNorm):
+                raise ValueError(
+                    f"BatchNorm at layer {i} follows Grad-CAM target layer "
+                    f"{target_layer}; scoring would normalise with batch "
+                    "statistics and overwrite its running statistics"
+                )
         self.model = model
         self.target_layer = target_layer
 
     def _forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One instrumented forward pass; returns (target activations, logits).
 
-        Runs in training mode so every layer caches what backward needs —
-        except Dropout, which must stay in inference mode or the heatmaps
-        (and any prediction derived from them) become stochastic.  Dropout
-        is the only layer whose *values* depend on the training flag here,
-        so the logits are bit-identical to an inference-mode forward.
+        Layers past the target run in training mode, so they cache what
+        backward needs — except Dropout, which must stay in inference mode
+        or the heatmaps (and any prediction derived from them) become
+        stochastic.  Backward never reaches the target or the layers before
+        it, so they run in inference mode and build no caches.  Of the
+        layers in training mode, only Dropout and BatchNorm compute
+        different *values* with the flag; Dropout is excluded and the
+        constructor rejects BatchNorm, so the logits are bit-identical to
+        an inference-mode forward.
         """
         activations = x
         cached: np.ndarray | None = None
         for i, layer in enumerate(self.model.layers):
-            training = not isinstance(layer, Dropout)
+            training = i > self.target_layer and not isinstance(layer, Dropout)
             activations = layer.forward(activations, training=training)
             if i == self.target_layer:
                 cached = activations

@@ -357,6 +357,20 @@ class TestPickleDropsForwardCaches:
             restored.backward(np.ones_like(out)), layer.backward(np.ones_like(out))
         )
 
+    @pytest.mark.parametrize(
+        "factory,shape",
+        [c[1:] for c in LAYER_CASES if c[0] != "dropout"],
+        ids=[c[0] for c in LAYER_CASES if c[0] != "dropout"],
+    )
+    def test_inference_forward_clears_caches(self, factory, shape):
+        rng = np.random.default_rng(0)
+        layer = factory(np.random.default_rng(1))
+        x = rng.normal(size=shape)
+        out = layer.forward(x, training=True)
+        layer.forward(x, training=False)
+        with pytest.raises(RuntimeError, match="before a training forward"):
+            layer.backward(np.ones_like(out))
+
     def test_dropout_round_trip_draws_the_same_masks(self):
         layer, x = self._trained(lambda rng: Dropout(0.5, rng=rng), (5, 6))
         restored = pickle.loads(pickle.dumps(layer))

@@ -51,6 +51,23 @@ class TestSequential:
         assert grad_in.shape == x.shape
         assert any(np.abs(g).sum() > 0 for g in model.grads())
 
+    @pytest.mark.parametrize("first", ["dense", "conv"])
+    def test_backward_without_input_grad_keeps_param_grads(self, rng, first):
+        if first == "dense":
+            layers, x = [Dense(12, 8, rng)], rng.normal(size=(3, 12))
+        else:
+            conv = Conv2D(3, 2, kernel=3, rng=rng, pad=1)
+            layers, x = [conv, ReLU(), Flatten()], rng.normal(size=(3, 3, 2, 2))
+        model = Sequential(layers + [Dense(8, 8, rng), ReLU(), Dense(8, 3, rng)])
+        out = model.forward(x, training=True)
+        upstream = rng.normal(size=out.shape)
+        model.backward(upstream)
+        full = [g.copy() for g in model.grads()]
+        model.zero_grad()
+        assert model.backward(upstream, input_grad=False) is None
+        for a, b in zip(full, model.grads()):
+            assert a.tobytes() == b.tobytes()
+
     def test_zero_grad(self, rng):
         model = make_mlp(rng)
         out = model.forward(rng.normal(size=(3, 4)), training=True)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import Dense, ReLU
+from repro.nn import layers
+from repro.nn.layers import Conv2D, Dense, Flatten, ReLU
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential
 from repro.nn.optim import Adam
@@ -126,3 +127,24 @@ class TestEarlyStopRestore:
         without.fit(x, y, epochs=5, x_val=x, y_val=y)
         for a, b in zip(with_patience.model.params(), without.model.params()):
             np.testing.assert_array_equal(a, b)
+
+
+def test_fit_computes_no_input_gradient(rng, monkeypatch):
+    """The first layer's input gradient is never read, so never computed."""
+    calls = []
+    col2im = layers.col2im
+
+    def counting_col2im(*args, **kwargs):
+        calls.append(1)
+        return col2im(*args, **kwargs)
+
+    monkeypatch.setattr(layers, "col2im", counting_col2im)
+    model = Sequential(
+        [Conv2D(3, 2, kernel=3, rng=rng, pad=1), ReLU(), Flatten(), Dense(2 * 4 * 4, 2, rng)]
+    )
+    optimizer = Adam(model.params(), model.grads(), lr=0.01)
+    trainer = Trainer(model, SoftmaxCrossEntropy(), optimizer, rng=rng, batch_size=4)
+    before = [p.copy() for p in model.params()]
+    trainer.fit(rng.normal(size=(8, 3, 4, 4)), rng.integers(0, 2, size=8), epochs=2)
+    assert calls == []
+    assert not np.array_equal(before[0], model.params()[0])  # the conv trained

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
+from repro.nn.layers import BatchNorm, Conv2D, Dense, Flatten, MaxPool2D, ReLU
 from repro.nn.model import Sequential
 from repro.vision.gradcam import GradCAM
 
@@ -70,6 +70,31 @@ class TestGradCAM:
         with pytest.raises(ValueError):
             cam.heatmaps(rng.random((1, 3, 16, 16)), np.array([7]))
 
+    def test_batchnorm_past_target_raises(self, rng):
+        model = Sequential(
+            [
+                Conv2D(3, 4, kernel=3, rng=rng, pad=1),
+                ReLU(),
+                BatchNorm(4),
+                Conv2D(4, 2, kernel=3, rng=rng, pad=1),
+                Flatten(),
+                BatchNorm(2 * 4 * 4),
+                Dense(2 * 4 * 4, 3, rng),
+            ]
+        )
+        with pytest.raises(ValueError, match="BatchNorm at layer 5"):
+            GradCAM(model)
+        # Up to the target BatchNorm runs in inference mode: allowed, and
+        # scoring leaves its running statistics alone.
+        del model.layers[5]
+        norm = model.layers[2]
+        norm.running_mean += 0.5
+        mean = norm.running_mean.copy()
+        x = rng.random((2, 3, 4, 4))
+        _, logits = GradCAM(model).heatmap_masses(x, [np.array([0, 1])])
+        np.testing.assert_array_equal(logits, model.forward(x, training=False))
+        np.testing.assert_array_equal(norm.running_mean, mean)
+
     def test_different_classes_give_different_maps(self, cnn, rng):
         cam = GradCAM(cnn)
         x = rng.random((1, 3, 16, 16))
@@ -95,6 +120,25 @@ class TestHeatmapMasses:
         x = rng.random((2, 3, 16, 16))
         _, logits = cam.heatmap_masses(x, [np.array([0, 1])])
         np.testing.assert_array_equal(logits, cnn.forward(x, training=False))
+
+    def test_no_caches_up_to_the_target(self, rng):
+        model = Sequential(
+            [
+                Conv2D(3, 4, kernel=3, rng=rng, pad=1),
+                ReLU(),
+                MaxPool2D(2),
+                Conv2D(4, 6, kernel=3, rng=rng, pad=1),
+                ReLU(),
+                MaxPool2D(2),
+                Flatten(),
+                Dense(6 * 4 * 4, 3, rng),
+            ]
+        )
+        x = rng.random((2, 3, 16, 16))
+        model.forward(x, training=True)  # fill every cache first
+        GradCAM(model).heatmap_masses(x, [np.array([0, 1])])
+        assert model.layers[2]._mask is None
+        assert model.layers[5]._mask is not None  # past the target: backward reads it
 
     def test_row_length_mismatch_raises(self, cnn, rng):
         cam = GradCAM(cnn)
