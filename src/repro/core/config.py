@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from repro.crowd.delay import INCENTIVE_LEVELS
 from repro.utils.clock import SECONDS_PER_CYCLE
+from repro.utils.validation import check_non_negative, check_positive
 
 __all__ = ["CrowdLearnConfig"]
 
@@ -109,6 +110,7 @@ class CrowdLearnConfig:
             raise ValueError("incentive levels must be positive and non-empty")
         if self.budget_usd <= 0:
             raise ValueError(f"budget must be positive, got {self.budget_usd}")
+        check_non_negative(self.mic_eta, "mic_eta")
         if self.mic_replay_buffer <= 0:
             raise ValueError(
                 f"mic_replay_buffer must be positive, got {self.mic_replay_buffer}"
@@ -131,20 +133,15 @@ class CrowdLearnConfig:
             raise ValueError(
                 f"guard_holdout_size must be positive, got {self.guard_holdout_size}"
             )
-        if self.guard_regression_tolerance < 0:
-            raise ValueError(
-                "guard_regression_tolerance must be >= 0, "
-                f"got {self.guard_regression_tolerance}"
-            )
+        check_non_negative(
+            self.guard_regression_tolerance, "guard_regression_tolerance"
+        )
         if self.cache_max_pools <= 0 or self.cache_max_features <= 0:
             raise ValueError(
                 "cache capacities must be positive, got "
                 f"{self.cache_max_pools} pools / {self.cache_max_features} features"
             )
-        if self.cycle_seconds <= 0:
-            raise ValueError(
-                f"cycle_seconds must be positive, got {self.cycle_seconds}"
-            )
+        check_positive(self.cycle_seconds, "cycle_seconds")
         if self.straggler_policy not in ("harvest", "drop"):
             raise ValueError(
                 "straggler_policy must be 'harvest' or 'drop', "

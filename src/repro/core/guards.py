@@ -8,13 +8,13 @@ committee weights, so one poisoned cycle (the paper's adversarial-worker
 scenario, §VI) can permanently corrupt the machine half of the system.
 
 Four mechanisms, configured by :class:`GuardPolicy` and orchestrated by
-:class:`ModelGuard`:
+:class:`ModelGuard`; the policy switches them on or off together:
 
-- **regression-gated retraining** — before each MIC retrain, every expert
-  is snapshotted into a checksummed :class:`SnapshotRing` (pickled once
-  per model version) and scored on a small golden holdout slice; a
-  candidate whose holdout accuracy regresses beyond a tolerance is rolled
-  back to its incumbent, bit-for-bit;
+- **regression-gated retraining** — before each MIC retrain, every expert's
+  incumbent is snapshotted into a checksummed :class:`SnapshotRing`
+  (pickled once per model version) and scored on a small golden holdout
+  slice; a candidate whose holdout accuracy regresses beyond a tolerance
+  is rolled back to its incumbent, bit-for-bit;
 - **divergence sentinel** — :class:`DivergenceSentinel`, installed as the
   process default around guarded retrains, lets
   :meth:`~repro.nn.trainer.Trainer.fit` abort an epoch whose loss goes
@@ -29,7 +29,7 @@ Four mechanisms, configured by :class:`GuardPolicy` and orchestrated by
 - **label-drift detector** — a cycle whose CQC output disagrees
   anomalously with the committee consensus (relative to the run's own
   history) while the responding workers' historical reliability is poor is
-  flagged, and retraining (and by default reweighting) is *skipped* on the
+  flagged, and retraining, reweighting and offloading are *skipped* on the
   flagged batch rather than merely down-weighted.
 
 Every intervention is tallied in :class:`GuardCounters` (surfaced per
@@ -55,6 +55,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 import numpy as np
 
 from repro.telemetry.runtime import Telemetry, get_telemetry
+from repro.utils.validation import check_non_negative, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cache import PredictionCache
@@ -88,8 +89,10 @@ class GuardPolicy:
 
     Parameters
     ----------
-    regression_gate:
-        Gate MIC retraining on holdout accuracy (snapshot + rollback).
+    enabled:
+        Run all four mechanisms (regression gate, divergence sentinel,
+        quarantine, drift detector); off, the guard never intervenes or
+        snapshots.
     holdout_size:
         Number of golden training images reserved as the validation slice
         every candidate expert is scored on.
@@ -99,18 +102,12 @@ class GuardPolicy:
         over the sampling noise of a small holdout (ordinary healthy
         retrains move a 24-image slice by up to ~4 images); the hardened
         profile tolerates no regression at all.
-    snapshot_ring_size:
-        Snapshots kept per expert (ring buffer, newest wins).
-    sentinel:
-        Install a :class:`DivergenceSentinel` around guarded retrains.
     max_update_ratio:
         Sentinel threshold: an epoch whose parameter update norm exceeds
         this multiple of the pre-epoch parameter norm is treated as
         divergent (NaN/inf loss or parameters always are).
     lr_backoff_factor:
         Learning-rate multiplier for the sentinel's single retry.
-    quarantine:
-        Exclude collapsed committee members from votes/QSS/weight updates.
     quarantine_threshold:
         EWMA golden-holdout accuracy below which a member is quarantined.
     readmit_threshold, readmit_patience:
@@ -119,8 +116,6 @@ class GuardPolicy:
         consecutive cycles.
     accuracy_ewma_alpha:
         Smoothing factor of the per-member accuracy EWMA.
-    drift_detector:
-        Flag anomalous CQC-vs-committee disagreement and skip learning.
     drift_warmup:
         Cycles of history required before the detector may flag.
     drift_sigma:
@@ -132,57 +127,30 @@ class GuardPolicy:
     drift_reliability_floor:
         Cycles whose responding workers have a graded historical accuracy
         at or above this floor are trusted and never flagged.
-    drift_skips_reweight:
-        Whether a flagged cycle also skips the exponential-weights update
-        (poisoned labels corrupt weights as surely as parameters).
-    drift_skips_offload:
-        Whether a flagged cycle also keeps the committee's labels for the
-        query set instead of offloading the crowd's: labels too anomalous
-        to train on are too anomalous to publish as final output.
     """
 
+    enabled: bool = True
     # Regression-gated retraining.
-    regression_gate: bool = True
     holdout_size: int = 24
     regression_tolerance: float = 0.25
-    snapshot_ring_size: int = 3
     # Divergence sentinel.
-    sentinel: bool = True
     max_update_ratio: float = 2.0
     lr_backoff_factor: float = 0.5
     # Committee-member quarantine.
-    quarantine: bool = True
     quarantine_threshold: float = 0.1
     readmit_threshold: float = 0.4
     readmit_patience: int = 2
     accuracy_ewma_alpha: float = 0.4
     # Label-drift detector.
-    drift_detector: bool = True
     drift_warmup: int = 3
     drift_sigma: float = 3.0
     drift_min_disagreement: float = 0.85
     drift_reliability_floor: float = 0.8
-    drift_skips_reweight: bool = True
-    drift_skips_offload: bool = True
 
     def __post_init__(self) -> None:
-        if self.holdout_size <= 0:
-            raise ValueError(
-                f"holdout_size must be positive, got {self.holdout_size}"
-            )
-        if self.regression_tolerance < 0:
-            raise ValueError(
-                "regression_tolerance must be >= 0, "
-                f"got {self.regression_tolerance}"
-            )
-        if self.snapshot_ring_size <= 0:
-            raise ValueError(
-                f"snapshot_ring_size must be positive, got {self.snapshot_ring_size}"
-            )
-        if self.max_update_ratio <= 0:
-            raise ValueError(
-                f"max_update_ratio must be positive, got {self.max_update_ratio}"
-            )
+        check_positive(self.holdout_size, "holdout_size")
+        check_non_negative(self.regression_tolerance, "regression_tolerance")
+        check_positive(self.max_update_ratio, "max_update_ratio")
         if not 0.0 < self.lr_backoff_factor < 1.0:
             raise ValueError(
                 f"lr_backoff_factor must be in (0, 1), got {self.lr_backoff_factor}"
@@ -204,8 +172,7 @@ class GuardPolicy:
             raise ValueError(
                 f"drift_warmup must be >= 1, got {self.drift_warmup}"
             )
-        if self.drift_sigma < 0:
-            raise ValueError(f"drift_sigma must be >= 0, got {self.drift_sigma}")
+        check_non_negative(self.drift_sigma, "drift_sigma")
         if not 0.0 <= self.drift_min_disagreement <= 1.0:
             raise ValueError(
                 "drift_min_disagreement must be in [0, 1], "
@@ -220,12 +187,7 @@ class GuardPolicy:
     @staticmethod
     def disabled() -> "GuardPolicy":
         """Every mechanism off: the guard never intervenes or snapshots."""
-        return GuardPolicy(
-            regression_gate=False,
-            sentinel=False,
-            quarantine=False,
-            drift_detector=False,
-        )
+        return GuardPolicy(enabled=False)
 
     @staticmethod
     def hardened() -> "GuardPolicy":
@@ -323,33 +285,29 @@ class Snapshot:
 
 
 class SnapshotRing:
-    """A bounded ring of checksummed object snapshots (newest last).
+    """The checksummed snapshot of one object's incumbent state.
 
     Used per expert by :class:`ModelGuard`: pushing pickles the object and
-    records its SHA-256, restoring verifies the digest before unpickling,
-    so a rollback can never silently resurrect corrupted parameters.
+    records its SHA-256, replacing the previous snapshot (a rollback only
+    ever restores the incumbent); restoring verifies the digest before
+    unpickling, so a rollback can never silently resurrect corrupted
+    parameters.
 
     A snapshot is taken once per parameter state.  Objects that expose a
     ``model_version`` (every :class:`~repro.models.base.DDAModel`) bump it
     on every parameter change, so pushing the *same object* at the *same
-    version* as the newest snapshot appends that frozen snapshot again
-    instead of re-pickling and re-hashing identical state.  Objects without
-    a version are pickled on every push.
+    version* as the held snapshot returns that frozen snapshot instead of
+    re-pickling and re-hashing identical state.  Objects without a version
+    are pickled on every push.
     """
 
-    #: ``(weak reference, model_version)`` of the object the newest
-    #: snapshot was taken of.  Never pickled: a resumed ring's first push
-    #: pickles afresh.
+    #: ``(weak reference, model_version)`` of the object the snapshot was
+    #: taken of.  Never pickled: a resumed ring's first push pickles afresh.
     _source: "tuple[weakref.ref, int] | None" = None
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._ring: list[Snapshot] = []
+    _latest: Snapshot | None = None
 
     def __len__(self) -> int:
-        return len(self._ring)
+        return int(self._latest is not None)
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -357,9 +315,9 @@ class SnapshotRing:
         return state
 
     def push(self, obj: Any, tag: str = "") -> Snapshot:
-        """Snapshot ``obj`` (pickle + SHA-256), evicting the oldest entry.
+        """Snapshot ``obj`` (pickle + SHA-256), replacing the held one.
 
-        Returns the newest snapshot unchanged when it already holds this
+        Returns the held snapshot unchanged when it already holds this
         object at its current ``model_version``.
         """
         version = getattr(obj, "model_version", None)
@@ -370,33 +328,27 @@ class SnapshotRing:
             and source[0]() is obj
             and source[1] == version
         ):
-            snapshot = self._ring[-1]
-        else:
-            payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-            snapshot = Snapshot(
-                payload=payload,
-                sha256=hashlib.sha256(payload).hexdigest(),
-                tag=tag,
-            )
-            self._source = None
-            if version is not None:
-                try:
-                    self._source = (weakref.ref(obj), version)
-                except TypeError:  # not weak-referenceable: always pickle
-                    pass
-        self._ring.append(snapshot)
-        if len(self._ring) > self.capacity:
-            self._ring.pop(0)
-        return snapshot
+            return self._latest
+        payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        self._latest = Snapshot(
+            payload=payload, sha256=hashlib.sha256(payload).hexdigest(), tag=tag
+        )
+        self._source = None
+        if version is not None:
+            try:
+                self._source = (weakref.ref(obj), version)
+            except TypeError:  # not weak-referenceable: always pickle
+                pass
+        return self._latest
 
     def latest(self) -> Snapshot:
-        """The most recent snapshot (raises :class:`LookupError` if empty)."""
-        if not self._ring:
+        """The held snapshot (raises :class:`LookupError` if empty)."""
+        if self._latest is None:
             raise LookupError("snapshot ring is empty")
-        return self._ring[-1]
+        return self._latest
 
     def restore_latest(self) -> Any:
-        """Verify and unpickle the most recent snapshot."""
+        """Verify and unpickle the held snapshot."""
         return self.latest().restore()
 
 
@@ -420,7 +372,6 @@ class DivergenceSentinel:
     :class:`ModelGuard` drains into the cycle's :class:`GuardCounters`.
     """
 
-    enabled: bool = True
     max_update_ratio: float = 2.0
     lr_backoff_factor: float = 0.5
     aborts: int = 0
@@ -501,7 +452,7 @@ def use_divergence_sentinel(
 class ModelGuard:
     """Orchestrates all four guard mechanisms for one deployment.
 
-    Holds the per-expert snapshot rings, the golden holdout slice, the
+    Holds each expert's incumbent snapshot, the golden holdout slice, the
     quarantine state machine and the drift detector's history.  The whole
     object is plain picklable state, so it rides inside deployment
     checkpoints and a resumed run keeps its guard memory.
@@ -521,22 +472,12 @@ class ModelGuard:
         holdout: "DisasterDataset",
         n_experts: int,
     ) -> None:
-        if n_experts <= 0:
-            raise ValueError(f"n_experts must be positive, got {n_experts}")
-        if policy.regression_gate and len(holdout) == 0:
-            raise ValueError("regression gate requires a non-empty holdout")
-        if policy.quarantine and len(holdout) == 0:
-            raise ValueError("quarantine requires a non-empty holdout")
+        if policy.enabled and len(holdout) == 0:
+            raise ValueError("enabled guards require a non-empty holdout")
         self.policy = policy
         self.holdout = holdout
-        self.n_experts = n_experts
-        self._rings = [
-            SnapshotRing(policy.snapshot_ring_size) for _ in range(n_experts)
-        ]
-        self._quarantined = np.zeros(n_experts, dtype=bool)
-        self._accuracy_ewma = np.full(n_experts, np.nan)
-        self._recovery_streak = np.zeros(n_experts, dtype=np.int64)
         self._disagreement_history: list[float] = []
+        self.rebind(n_experts)
         self._sentinel = DivergenceSentinel(
             max_update_ratio=policy.max_update_ratio,
             lr_backoff_factor=policy.lr_backoff_factor,
@@ -576,10 +517,7 @@ class ModelGuard:
         if n_experts <= 0:
             raise ValueError(f"n_experts must be positive, got {n_experts}")
         self.n_experts = n_experts
-        self._rings = [
-            SnapshotRing(self.policy.snapshot_ring_size)
-            for _ in range(n_experts)
-        ]
+        self._rings = [SnapshotRing() for _ in range(n_experts)]
         self._quarantined = np.zeros(n_experts, dtype=bool)
         self._accuracy_ewma = np.full(n_experts, np.nan)
         self._recovery_streak = np.zeros(n_experts, dtype=np.int64)
@@ -610,7 +548,7 @@ class ModelGuard:
         it, so query-set accuracy cannot separate a collapsed expert from a
         healthy one having a hard cycle; the golden holdout can.
         """
-        if not self.policy.quarantine:
+        if not self.policy.enabled:
             return
         accuracies = np.array(
             [self.holdout_accuracy(expert) for expert in committee.experts]
@@ -628,7 +566,7 @@ class ModelGuard:
         cycles.  At least one member always stays active — an uncertainty
         estimate from zero experts is no estimate at all.
         """
-        if not self.policy.quarantine:
+        if not self.policy.enabled:
             return
         accuracies = np.asarray(accuracies, dtype=np.float64).ravel()
         if accuracies.shape[0] != self.n_experts:
@@ -678,7 +616,7 @@ class ModelGuard:
         history — poisoned cycles must not teach the detector that poison
         is normal.
         """
-        if not self.policy.drift_detector:
+        if not self.policy.enabled:
             return False
         consensus_labels = np.asarray(consensus_labels).ravel()
         truthful_labels = np.asarray(truthful_labels).ravel()
@@ -726,7 +664,7 @@ class ModelGuard:
         return float(np.mean(predicted == self.holdout.labels()))
 
     def snapshot_ring(self, index: int) -> SnapshotRing:
-        """The snapshot ring of expert ``index`` (for inspection/tests)."""
+        """The incumbent snapshot of expert ``index`` (for inspection/tests)."""
         return self._rings[index]
 
     def guarded_retrain(
@@ -742,7 +680,7 @@ class ModelGuard:
     ) -> None:
         """MIC retraining wrapped in snapshot, sentinel and rollback.
 
-        Each expert is snapshotted into its ring (pickled with a SHA-256
+        Each expert's incumbent is snapshotted (pickled with a SHA-256
         digest once per model version; see :class:`SnapshotRing`) and
         scored on the holdout before the retrain; afterwards any candidate
         whose holdout accuracy regressed beyond the policy tolerance is
@@ -761,14 +699,14 @@ class ModelGuard:
                 f"guard was built for {self.n_experts} experts, committee has "
                 f"{len(committee.experts)}"
             )
-        gate = self.policy.regression_gate
+        enabled = self.policy.enabled
         incumbent_accuracy: list[float] = []
-        if gate:
+        if enabled:
             for m, expert in enumerate(committee.experts):
                 tag = f"{expert.name}[{m}]"
                 with tel.span("guard.snapshot", expert=tag) as span:
                     ring = self._rings[m]
-                    newest = ring.latest() if len(ring) else None
+                    newest = ring._latest
                     snapshot = ring.push(expert, tag=tag)
                     if tel.enabled:
                         span.set(
@@ -777,21 +715,18 @@ class ModelGuard:
                         )
                 incumbent_accuracy.append(self.holdout_accuracy(expert))
                 counters.snapshots += 1
-        sentinel = self._sentinel if self.policy.sentinel else None
-        before = (
-            sentinel.counter_state() if sentinel is not None else (0, 0, 0)
-        )
-        with use_divergence_sentinel(sentinel):
+        sentinel = self._sentinel
+        before = sentinel.counter_state()
+        with use_divergence_sentinel(sentinel if enabled else None):
             mic.retrain_experts(
                 committee, query_images, truthful_labels, replay_pool, rng
             )
-        if sentinel is not None:
-            aborts, retries, failures = sentinel.counter_state()
-            counters.sentinel_aborts += aborts - before[0]
-            counters.sentinel_retries += retries - before[1]
-            counters.sentinel_failures += failures - before[2]
-        if not gate:
+        if not enabled:
             return
+        aborts, retries, failures = sentinel.counter_state()
+        counters.sentinel_aborts += aborts - before[0]
+        counters.sentinel_retries += retries - before[1]
+        counters.sentinel_failures += failures - before[2]
         cache = self.cache
         tolerance = self.policy.regression_tolerance
         with tel.span("guard.score", experts=self.n_experts):

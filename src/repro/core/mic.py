@@ -18,6 +18,7 @@ import numpy as np
 from repro.core.committee import Committee
 from repro.data.dataset import DisasterDataset, DisasterImage
 from repro.metrics.information import bounded_divergence
+from repro.utils.validation import check_non_negative
 
 __all__ = ["MachineIntelligenceCalibrator", "ReplayBuffer"]
 
@@ -119,8 +120,7 @@ class MachineIntelligenceCalibrator:
         full_refit_every: int = 20,
         warm_epochs: int = 1,
     ) -> None:
-        if eta < 0:
-            raise ValueError(f"eta must be >= 0, got {eta}")
+        check_non_negative(eta, "eta")
         if replay_size < 0:
             raise ValueError(f"replay_size must be >= 0, got {replay_size}")
         if warm_replay_sample < 0:

@@ -7,8 +7,8 @@ or silently corrupting state.  :class:`ResiliencePolicy` configures how
 platform misbehaves:
 
 - **retry with backoff** — a post that hits a platform outage is retried a
-  bounded number of times (optionally at an escalated incentive) before the
-  image is left with the AI;
+  bounded number of times at the same incentive before the image is left
+  with the AI;
 - **refunds** — a charged query that yields zero usable responses because
   the crowd *abandoned* it returns its incentive to the
   :class:`~repro.bandit.budget.BudgetLedger`, keeping the bandit's pacing
@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from repro.utils.validation import check_non_negative
+
 __all__ = ["ResiliencePolicy", "ResilienceCounters"]
 
 
@@ -42,6 +44,12 @@ class ResiliencePolicy:
     (crash on outage, NaN-prone empty-response handling) for chaos-benchmark
     comparisons.
 
+    Enabled, a charged query that yields zero usable responses always
+    falls back to the reweighted committee's label, and is refunded when
+    the crowd *abandoned* it; a query whose workers all answered late is
+    never refunded (the money was spent on submitted, if useless-in-time,
+    work).
+
     Parameters
     ----------
     enabled:
@@ -53,53 +61,20 @@ class ResiliencePolicy:
     backoff_base_seconds:
         Simulated wait before the first retry; doubles per further retry.
         Recorded in the counters (the simulator has no wall clock to spend).
-    escalate_incentive, escalation_factor, max_incentive_cents:
-        When escalating, each retry multiplies the offered incentive by the
-        factor (capped) — paying the crowd more to come back after a fault.
-    refund_failed:
-        Refund the ledger for charged queries with zero usable responses
-        that the crowd genuinely *abandoned*.  Queries whose workers all
-        answered late are never refunded regardless of this flag — the
-        money was spent on submitted (if useless-in-time) work.
-    fallback_to_committee:
-        Keep the reweighted committee's label for images whose query
-        produced no usable responses (instead of crashing on them).
     """
 
     enabled: bool = True
     max_retries: int = 2
     backoff_base_seconds: float = 30.0
-    escalate_incentive: bool = False
-    escalation_factor: float = 1.5
-    max_incentive_cents: float = 20.0
-    refund_failed: bool = True
-    fallback_to_committee: bool = True
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base_seconds < 0:
-            raise ValueError(
-                f"backoff_base_seconds must be >= 0, got {self.backoff_base_seconds}"
-            )
-        if self.escalation_factor < 1.0:
-            raise ValueError(
-                f"escalation_factor must be >= 1, got {self.escalation_factor}"
-            )
-        if self.max_incentive_cents <= 0:
-            raise ValueError(
-                f"max_incentive_cents must be positive, got {self.max_incentive_cents}"
-            )
+        check_non_negative(self.max_retries, "max_retries")
+        check_non_negative(self.backoff_base_seconds, "backoff_base_seconds")
 
     @staticmethod
     def naive() -> "ResiliencePolicy":
         """The pre-resilience behaviour: no retries, no refunds, no fallback."""
-        return ResiliencePolicy(
-            enabled=False,
-            max_retries=0,
-            refund_failed=False,
-            fallback_to_committee=False,
-        )
+        return ResiliencePolicy(enabled=False, max_retries=0)
 
 
 @dataclass

@@ -441,10 +441,10 @@ class CrowdLearnSystem:
         context: TemporalContext,
         counters: ResilienceCounters,
         deadline_seconds: float | None = None,
-    ) -> tuple[QueryResult, float]:
+    ) -> QueryResult:
         """Post one query, retrying outages per the resilience policy.
 
-        Returns ``(result, paid_incentive)``.  Re-raises
+        Every attempt offers the same ``incentive``.  Re-raises
         :class:`PlatformUnavailable` once the retry budget is exhausted
         (immediately when resilience is disabled) and lets
         :class:`BudgetExhausted` propagate untouched.
@@ -458,7 +458,6 @@ class CrowdLearnSystem:
         policy = self.resilience
         scheduler = self.scheduler
         attempts = policy.max_retries + 1 if policy.enabled else 1
-        paid = incentive
         for attempt in range(attempts):
             if attempt:
                 counters.retries += 1
@@ -472,17 +471,11 @@ class CrowdLearnSystem:
                         raise PlatformUnavailable(
                             "sensing-cycle deadline exhausted during retry backoff"
                         )
-                if policy.escalate_incentive:
-                    paid = min(
-                        paid * policy.escalation_factor,
-                        policy.max_incentive_cents,
-                    )
             try:
-                result = self.platform.post_query(
-                    metadata, paid, context, ledger=self.ledger,
+                return self.platform.post_query(
+                    metadata, incentive, context, ledger=self.ledger,
                     deadline_seconds=deadline_seconds,
                 )
-                return result, paid
             except PlatformUnavailable:
                 counters.outages_hit += 1
                 if attempt == attempts - 1:
@@ -577,9 +570,9 @@ class CrowdLearnSystem:
         the platform-side effects via
         :meth:`CrowdsourcingPlatform.restore_posted_query` — charging the
         restored (pre-post) ledger exactly once and never assigning a new
-        query id.  Returns ``(result, paid)`` shaped exactly like
-        :meth:`_post_with_retries`, so the rest of the loop cannot tell a
-        replayed post from a live one.
+        query id.  Returns ``(result, paid)`` shaped exactly like a live
+        :meth:`_post`, so the rest of the loop cannot tell a replayed post
+        from a live one.
         """
         from repro.crowd.tasks import CrowdQuery
         from repro.eval.journal import decode_response
@@ -885,7 +878,7 @@ class CrowdLearnSystem:
             jrn.requeries_avoided_cents += paid
             return result, paid
         try:
-            result, paid = self._post_with_retries(
+            result = self._post_with_retries(
                 st.dataset[int(index)].metadata, incentive, cycle.context,
                 counters, deadline_seconds=deadline,
             )
@@ -899,22 +892,24 @@ class CrowdLearnSystem:
             self._log_failed_post(st, "dropped", intent, before)
             return None
         if jrn is not None:
-            payload = self._post_success_payload(result, paid, intent, counters, before)
+            payload = self._post_success_payload(
+                result, incentive, intent, counters, before
+            )
             jrn.append(cycle.index, "post", payload)
-        return result, paid
+        return result, incentive
 
     def _settle(
         self, st: _CycleState, index, arm: int, result: QueryResult,
         paid: float,
     ) -> None:
         """Account for one charged post: keep it, or fall back to the AI."""
-        policy, counters = self.resilience, st.counters
+        counters = st.counters
         if result.n_late and self.platform.scheduler is not None:
             # Late responses are still in flight; harvest folds them in.
             self._straggler_queries[result.query.query_id] = StragglerRecord(
                 image=st.dataset[int(index)], result=result
             )
-        if not result.responses and policy.enabled:
+        if not result.responses and self.resilience.enabled:
             if result.n_late:
                 # Every worker answered — after the deadline.  The money
                 # is spent on submitted work (no refund), IPD observes the
@@ -928,16 +923,13 @@ class CrowdLearnSystem:
                 self.ipd.observe(
                     st.cycle.context, arm, self._observed_delay(result)
                 )
-            elif policy.refund_failed:
+            else:
                 # Charged, but nobody submitted anything (abandonment):
                 # refund and keep the committee's label.
                 self.ledger.refund(paid)
                 counters.refunds += 1
                 counters.refunded_cents += paid
-            else:
-                st.cost += paid
-            if policy.fallback_to_committee:
-                counters.fallbacks += 1
+            counters.fallbacks += 1
             return
         # On time, or partially late: the on-time responses proceed
         # through CQC now.
@@ -993,7 +985,7 @@ class CrowdLearnSystem:
         return {"flagged": bool(st.flagged)}
 
     def _reweight(self, st: _CycleState) -> None:
-        if st.flagged and self.guards.policy.drift_skips_reweight and self.mic.reweight:
+        if st.flagged and self.mic.reweight:
             st.gcounters.reweights_skipped += 1
             return
         self.mic.update_weights(
@@ -1057,7 +1049,7 @@ class CrowdLearnSystem:
         """
         vote = self.committee.committee_vote(st.dataset, st.votes, mask=st.mask)
         labels = np.argmax(vote, axis=1)
-        if st.flagged and self.guards.policy.drift_skips_offload and self.mic.offload:
+        if st.flagged and self.mic.offload:
             st.gcounters.offloads_skipped += 1
             return labels, vote
         return (

@@ -57,7 +57,9 @@ _FORMAT_VERSION = 1
 # guard, cache namespace, telemetry base labels, platform post observer);
 # older files fail the version check rather than loading without them.
 # Version 5 drops the fused conv blocks, which a version-4 file may pickle.
-_CHECKPOINT_VERSION = 5
+# Version 6 collapses the guard policy to one switch and keeps one snapshot
+# per expert; a version-5 file pickles the old policy and ring layout.
+_CHECKPOINT_VERSION = 6
 
 
 class CheckpointIntegrityError(ValueError):

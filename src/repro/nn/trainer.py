@@ -148,8 +148,6 @@ class Trainer:
             from repro.core.guards import get_divergence_sentinel
 
             sentinel = get_divergence_sentinel()
-        if sentinel is not None and not sentinel.enabled:
-            sentinel = None
         history = TrainingHistory()
         best_val = np.inf
         best_state: list[dict[str, np.ndarray]] | None = None

@@ -7,6 +7,7 @@ boundary instead of deep inside numpy broadcasting.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -31,18 +32,18 @@ def check_probability(value: float, name: str = "value") -> float:
 
 
 def check_positive(value: float, name: str = "value") -> float:
-    """Validate that ``value`` is strictly positive and return it."""
+    """Validate that ``value`` is finite and strictly positive; return it."""
     value = float(value)
-    if not value > 0:
-        raise ValueError(f"{name} must be > 0, got {value}")
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
     return value
 
 
 def check_non_negative(value: float, name: str = "value") -> float:
-    """Validate that ``value`` is >= 0 and return it."""
+    """Validate that ``value`` is finite and >= 0; return it."""
     value = float(value)
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
     return value
 
 

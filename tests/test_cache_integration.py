@@ -183,12 +183,7 @@ class TestRollbackInvalidation:
         the rollback must drop them and re-serve the snapshot's behavior
         even though the snapshot was pickled (entry-free) and restored.
         """
-        policy = GuardPolicy(
-            regression_tolerance=0.25,
-            quarantine=False,
-            drift_detector=False,
-            sentinel=False,
-        )
+        policy = GuardPolicy(regression_tolerance=0.25)
         guard = ModelGuard(policy, holdout, 2)
         cache = PredictionCache()
         guard.cache = cache

@@ -209,6 +209,12 @@ class TestIntegrityCheckNames:
         )
         assert self._check_of(checkpoint) == "version"
 
+    def test_version_5_refused(self, checkpoint):
+        """A version-5 file pickles the old guard policy and snapshot ring
+        layout; it is refused up front instead of failing mid-run."""
+        self._tamper(checkpoint, lambda env: env.update(checkpoint_version=5))
+        assert self._check_of(checkpoint) == "version"
+
     def test_length(self, checkpoint):
         self._tamper(
             checkpoint, lambda env: env.update(length=env["length"] + 1)

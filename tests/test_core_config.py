@@ -92,4 +92,4 @@ class TestGuardPolicyKnobs:
 
     def test_disabled_flag_gives_disabled_policy(self):
         policy = CrowdLearnConfig(guards_enabled=False).guard_policy()
-        assert not policy.regression_gate
+        assert not policy.enabled

@@ -89,27 +89,13 @@ def make_holdout(n: int = 10):
     return build_dataset(n_images=n, rng=np.random.default_rng(3))
 
 
-def retrain_policy(**overrides) -> GuardPolicy:
-    """A policy exercising only the regression gate."""
-    defaults = dict(quarantine=False, drift_detector=False, sentinel=False)
-    defaults.update(overrides)
-    return GuardPolicy(**defaults)
-
-
 class TestGuardPolicy:
     def test_defaults_enable_everything(self):
-        policy = GuardPolicy()
-        assert policy.regression_gate
-        assert policy.sentinel
-        assert policy.quarantine
-        assert policy.drift_detector
+        assert GuardPolicy().enabled
+        assert GuardPolicy.hardened().enabled
 
     def test_disabled_turns_everything_off(self):
-        policy = GuardPolicy.disabled()
-        assert not policy.regression_gate
-        assert not policy.sentinel
-        assert not policy.quarantine
-        assert not policy.drift_detector
+        assert not GuardPolicy.disabled().enabled
 
     def test_hardened_is_stricter_than_default(self):
         default, hardened = GuardPolicy(), GuardPolicy.hardened()
@@ -122,7 +108,7 @@ class TestGuardPolicy:
         [
             {"holdout_size": 0},
             {"regression_tolerance": -0.1},
-            {"snapshot_ring_size": 0},
+            {"regression_tolerance": float("inf")},
             {"max_update_ratio": 0.0},
             {"lr_backoff_factor": 1.0},
             {"lr_backoff_factor": 0.0},
@@ -165,7 +151,7 @@ class TestGuardCounters:
 
 class TestSnapshotRing:
     def test_restore_is_bit_identical(self):
-        ring = SnapshotRing(capacity=2)
+        ring = SnapshotRing()
         payload = {"w": np.linspace(-1, 1, 11), "tag": "x"}
         ring.push(payload, tag="expert[0]")
         restored = ring.restore_latest()
@@ -174,22 +160,20 @@ class TestSnapshotRing:
         assert restored["tag"] == "x"
 
     def test_ring_evicts_oldest(self):
-        ring = SnapshotRing(capacity=2)
+        """Each push replaces the held snapshot: only the incumbent stays."""
+        ring = SnapshotRing()
         for value in (1, 2, 3):
             ring.push(value)
-        assert len(ring) == 2
+        assert len(ring) == 1
         assert ring.restore_latest() == 3
 
     def test_empty_ring_raises(self):
+        assert len(SnapshotRing()) == 0
         with pytest.raises(LookupError):
-            SnapshotRing(capacity=1).latest()
-
-    def test_invalid_capacity_raises(self):
-        with pytest.raises(ValueError):
-            SnapshotRing(capacity=0)
+            SnapshotRing().latest()
 
     def test_corrupted_payload_detected(self):
-        good = SnapshotRing(capacity=1).push([1, 2, 3], tag="t")
+        good = SnapshotRing().push([1, 2, 3], tag="t")
         bad = Snapshot(
             payload=good.payload[:-1] + b"\x00", sha256=good.sha256, tag="t"
         )
@@ -216,17 +200,17 @@ class TestSnapshotReuse:
     """One pickle per (object, model_version); every push still lands."""
 
     def test_same_object_same_version_is_not_repickled(self, dumps_calls):
-        ring = SnapshotRing(capacity=3)
+        ring = SnapshotRing()
         expert = _WarmStubExpert("e", 3)
         first = ring.push(expert, tag="e[0]")
         assert len(dumps_calls) == 1
         second = ring.push(expert, tag="e[0]")
         assert second is first
         assert len(dumps_calls) == 1
-        assert len(ring) == 2
+        assert ring.latest() is first
 
     def test_version_bump_or_other_object_pickles_again(self, dumps_calls):
-        ring = SnapshotRing(capacity=3)
+        ring = SnapshotRing()
         expert = _WarmStubExpert("e", 3)
         first = ring.push(expert)
         expert.model_version += 1
@@ -244,32 +228,32 @@ class TestSnapshotReuse:
         assert len(dumps_calls) == 4
 
     def test_unversioned_objects_pickle_on_every_push(self, dumps_calls):
-        ring = SnapshotRing(capacity=3)
+        ring = SnapshotRing()
         expert = _StubExpert("a", n_correct=3)
         assert ring.push(expert) is not ring.push(expert)
         assert len(dumps_calls) == 2
 
     def test_eviction_with_repeated_entries(self):
-        ring = SnapshotRing(capacity=2)
+        """A reused snapshot is replaced once the version moves on."""
+        ring = SnapshotRing()
         expert = _WarmStubExpert("e", 3)
         first = ring.push(expert)
         for _ in range(3):
             assert ring.push(expert) is first
-        assert len(ring) == 2
         expert.model_version += 1
         expert.weights = expert.weights * 2.0
         second = ring.push(expert)
-        assert len(ring) == 2
-        assert ring._ring == [first, second]
+        assert second is not first
+        assert ring.latest() is second
         expert.model_version += 1
         third = ring.push(expert)
-        assert ring._ring == [second, third]
+        assert ring.latest() is third
         np.testing.assert_array_equal(
             ring.restore_latest().weights, expert.weights
         )
 
     def test_reused_entry_corruption_is_detected(self):
-        ring = SnapshotRing(capacity=3)
+        ring = SnapshotRing()
         expert = _WarmStubExpert("e", 3)
         snapshot = ring.push(expert, tag="e[0]")
         assert ring.push(expert, tag="e[0]") is snapshot
@@ -283,14 +267,14 @@ class TestSnapshotReuse:
     def test_unpickled_guard_restores_same_bytes_then_repickles(
         self, dumps_calls
     ):
-        guard = ModelGuard(retrain_policy(), make_holdout(), 1)
+        guard = ModelGuard(GuardPolicy(), make_holdout(), 1)
         ring = guard.snapshot_ring(0)
         expert = _WarmStubExpert("e", 3)
         ring.push(expert, tag="e[0]")
         ring.push(expert, tag="e[0]")
         restored = pickle.loads(pickle.dumps(guard))
         restored_ring = restored.snapshot_ring(0)
-        assert len(restored_ring) == 2
+        assert len(restored_ring) == 1
         assert restored_ring.latest().payload == ring.latest().payload
         np.testing.assert_array_equal(
             restored_ring.restore_latest().weights, expert.weights
@@ -385,9 +369,11 @@ class TestTrainerSentinel:
         assert sentinel.failures == 1
 
     def test_disabled_sentinel_is_ignored(self):
-        sentinel = DivergenceSentinel(enabled=False, max_update_ratio=1.0)
-        trainer, x, y = self.make_trainer(lr=10.0, sentinel=sentinel)
-        history = trainer.fit(x, y, epochs=1)
+        """A disabled guard installs ``None``, masking any outer sentinel."""
+        sentinel = DivergenceSentinel(max_update_ratio=1.0)
+        trainer, x, y = self.make_trainer(lr=10.0)
+        with use_divergence_sentinel(sentinel), use_divergence_sentinel(None):
+            history = trainer.fit(x, y, epochs=1)
         assert history.epochs == 1  # unguarded: the divergent epoch stands
         assert sentinel.aborts == 0
         for p in trainer.model.params():
@@ -409,10 +395,6 @@ class TestTrainerSentinel:
 class TestQuarantine:
     def make_guard(self, n_experts=3, **overrides) -> ModelGuard:
         defaults = dict(
-            regression_gate=False,
-            sentinel=False,
-            drift_detector=False,
-            quarantine=True,
             quarantine_threshold=0.3,
             readmit_threshold=0.6,
             readmit_patience=2,
@@ -498,11 +480,11 @@ class TestQuarantine:
             guard.observe_member_accuracy(np.array([1.0, 1.0]), GuardCounters())
 
     def test_disabled_quarantine_is_inert(self):
-        guard = ModelGuard(
-            retrain_policy(regression_gate=True), make_holdout(), 2
-        )
+        guard = ModelGuard(GuardPolicy.disabled(), make_holdout(), 2)
         counters = GuardCounters()
         guard.observe_member_accuracy(np.array([0.0, 0.0]), counters)
+        dead = _StubExpert("dead", n_correct=0)
+        guard.observe_committee(_StubCommittee([dead, dead]), counters)
         assert counters.quarantines == 0
         assert guard.active_mask() is None
 
@@ -510,10 +492,6 @@ class TestQuarantine:
 class TestDriftDetector:
     def make_guard(self, **overrides) -> ModelGuard:
         defaults = dict(
-            regression_gate=False,
-            sentinel=False,
-            quarantine=False,
-            drift_detector=True,
             drift_warmup=2,
             drift_sigma=3.0,
             drift_min_disagreement=0.5,
@@ -584,7 +562,7 @@ class TestDriftDetector:
             )
 
     def test_disabled_detector_never_flags(self):
-        guard = ModelGuard(retrain_policy(), make_holdout(), 3)
+        guard = ModelGuard(GuardPolicy.disabled(), make_holdout(), 3)
         counters = GuardCounters()
         for _ in range(5):
             assert not guard.observe_labels(
@@ -595,7 +573,7 @@ class TestDriftDetector:
 
 class TestGuardedRetrain:
     def make_guard(self, holdout, **overrides) -> ModelGuard:
-        return ModelGuard(retrain_policy(**overrides), holdout, 2)
+        return ModelGuard(GuardPolicy(**overrides), holdout, 2)
 
     def test_regression_rolls_back_bit_identically(self):
         holdout = make_holdout(10)
@@ -641,7 +619,7 @@ class TestGuardedRetrain:
 
     def test_sentinel_counters_are_drained_per_call(self):
         holdout = make_holdout(10)
-        guard = self.make_guard(holdout, sentinel=True, regression_gate=False)
+        guard = self.make_guard(holdout)
         committee = _StubCommittee(
             [_StubExpert("a", n_correct=8), _StubExpert("b", n_correct=9)]
         )
@@ -774,7 +752,7 @@ class TestGuardSpans:
         from repro.telemetry import Telemetry
 
         holdout = make_holdout(10)
-        guard = ModelGuard(retrain_policy(), holdout, 2)
+        guard = ModelGuard(GuardPolicy(), holdout, 2)
         committee = _StubCommittee(
             [_WarmStubExpert("a", 8), _WarmStubExpert("b", 9)]
         )
@@ -809,7 +787,7 @@ class TestWarmRetrainRollback:
 
         holdout = make_holdout(10)
         guard = ModelGuard(
-            retrain_policy(regression_tolerance=0.25), holdout, 2
+            GuardPolicy(regression_tolerance=0.25), holdout, 2
         )
         bad = _WarmStubExpert("a", 8, corrupt_on_call=2)
         good = _WarmStubExpert("b", 9)

@@ -25,16 +25,15 @@ class TestPolicy:
     def test_naive_disables_everything(self):
         policy = ResiliencePolicy.naive()
         assert not policy.enabled
-        assert not policy.refund_failed
-        assert not policy.fallback_to_committee
+        assert policy.max_retries == 0
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"max_retries": -1},
             {"backoff_base_seconds": -1.0},
-            {"escalation_factor": 0.5},
-            {"max_incentive_cents": 0.0},
+            {"max_retries": float("nan")},
+            {"max_retries": float("inf")},
         ],
     )
     def test_validation(self, kwargs):
@@ -168,32 +167,23 @@ class TestOutages:
         with pytest.raises(PlatformUnavailable):
             system.run(stream)
 
+    def test_retry_reposts_at_the_offered_incentive(self, setup):
+        from repro.utils.clock import TemporalContext
 
-class TestIncentiveEscalation:
-    def test_retry_pays_more_up_to_cap(self, setup):
-        policy = ResiliencePolicy(
-            max_retries=3,
-            escalate_incentive=True,
-            escalation_factor=2.0,
-            max_incentive_cents=12.0,
-        )
         injector = make_injector(
-            setup, "escalate-faults", outage_windows=((0, 2),)
+            setup, "retry-incentive-faults", outage_windows=((0, 2),)
         )
         system = build_crowdlearn(
             setup,
-            resilience=policy,
+            resilience=ResiliencePolicy(max_retries=3),
             faults=injector,
-            platform_name="escalate",
+            platform_name="retry-incentive",
         )
         counters = ResilienceCounters()
-        dataset = setup.test_set
-        from repro.utils.clock import TemporalContext
-
-        result, paid = system._post_with_retries(
-            dataset[0].metadata, 5.0, TemporalContext.EVENING, counters
+        result = system._post_with_retries(
+            setup.test_set[0].metadata, 5.0, TemporalContext.EVENING, counters
         )
-        # Two outage attempts, each doubling the offer: 5 -> 10 -> 12 (cap).
-        assert paid == pytest.approx(12.0)
+        # Two outage attempts, then the third post lands at the same offer.
         assert counters.retries == 2
-        assert result.query.incentive_cents == pytest.approx(12.0)
+        assert counters.outages_hit == 2
+        assert result.query.incentive_cents == pytest.approx(5.0)

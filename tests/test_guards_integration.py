@@ -160,9 +160,7 @@ class TestSnapshotReuseParity:
                 sha256=hashlib.sha256(payload).hexdigest(),
                 tag=tag,
             )
-            ring._ring.append(snapshot)
-            if len(ring._ring) > ring.capacity:
-                ring._ring.pop(0)
+            ring._latest = snapshot
             return snapshot
 
         monkeypatch.setattr(SnapshotRing, "push", always_pickle_push)
@@ -193,6 +191,35 @@ class TestSnapshotReuseParity:
         assert {id(e) for e in pickled} == {
             id(e) for e in system.committee.experts
         }
+
+
+class TestIncumbentSnapshotOnly:
+    def test_guard_pickles_one_snapshot_per_expert(self, setup):
+        """A retraining run leaves exactly the incumbents in the guard.
+
+        The regression gate only ever restores the newest snapshot, so
+        the pickled guard is its holdout slice plus one payload per
+        expert and a little bookkeeping.
+        """
+        system = build_crowdlearn(setup, platform_name="guard-incumbent")
+        outcome = system.run(setup.make_stream("guard-incumbent"))
+        assert len(outcome.cycles) == setup.config.n_cycles
+        assert outcome.guard_totals().snapshots > 0
+        guard = system.guards
+        restored = pickle.loads(pickle.dumps(guard))
+        payload_bytes = 0
+        for ring in restored._rings:
+            held = []
+            for value in vars(ring).values():
+                held.extend(value if isinstance(value, list) else [value])
+            snapshots = [value for value in held if isinstance(value, Snapshot)]
+            assert len(snapshots) == 1
+            payload_bytes += len(snapshots[0].payload)
+        holdout_bytes = len(
+            pickle.dumps(guard.holdout, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+        guard_bytes = len(pickle.dumps(guard, protocol=pickle.HIGHEST_PROTOCOL))
+        assert guard_bytes < holdout_bytes + payload_bytes + 64 * 1024
 
 
 class TestGuardChaos:
