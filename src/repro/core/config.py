@@ -62,21 +62,6 @@ class CrowdLearnConfig:
     mic_full_refit_every: int = 20
     mic_warm_epochs: int = 1
 
-    # Learning-loop guardrails (see repro.core.guards).  The default policy
-    # is conservative enough that a healthy run never triggers; disabling
-    # selects GuardPolicy.disabled(), a guard whose every mechanism is
-    # inert (no snapshots, no rollbacks, no quarantine, no drift flags).
-    guards_enabled: bool = True
-    guard_holdout_size: int = 24
-    guard_regression_tolerance: float = 0.25
-
-    # Shared prediction/feature cache (see repro.core.cache), always
-    # attached: each expert's votes are computed once per (model version,
-    # image pool) and reused by every call site in the cycle.  These bound
-    # its two LRU stores.
-    cache_max_pools: int = 256
-    cache_max_features: int = 8192
-
     # Virtual-time scheduler (see repro.crowd.scheduler).  Off by default:
     # the loop stays synchronous and byte-identical to the idealized
     # instant-response reproduction.  Enabled, each sensing cycle becomes a
@@ -106,8 +91,10 @@ class CrowdLearnConfig:
             )
         if self.workers_per_query <= 0 or self.n_workers <= 0:
             raise ValueError("worker counts must be positive")
-        if not self.incentive_levels or any(x <= 0 for x in self.incentive_levels):
-            raise ValueError("incentive levels must be positive and non-empty")
+        if not self.incentive_levels:
+            raise ValueError("incentive_levels must be non-empty")
+        for level in self.incentive_levels:
+            check_positive(level, "incentive_levels")
         if self.budget_usd <= 0:
             raise ValueError(f"budget must be positive, got {self.budget_usd}")
         check_non_negative(self.mic_eta, "mic_eta")
@@ -128,18 +115,6 @@ class CrowdLearnConfig:
         if self.mic_warm_epochs <= 0:
             raise ValueError(
                 f"mic_warm_epochs must be positive, got {self.mic_warm_epochs}"
-            )
-        if self.guard_holdout_size <= 0:
-            raise ValueError(
-                f"guard_holdout_size must be positive, got {self.guard_holdout_size}"
-            )
-        check_non_negative(
-            self.guard_regression_tolerance, "guard_regression_tolerance"
-        )
-        if self.cache_max_pools <= 0 or self.cache_max_features <= 0:
-            raise ValueError(
-                "cache capacities must be positive, got "
-                f"{self.cache_max_pools} pools / {self.cache_max_features} features"
             )
         check_positive(self.cycle_seconds, "cycle_seconds")
         if self.straggler_policy not in ("harvest", "drop"):
@@ -166,17 +141,6 @@ class CrowdLearnConfig:
     def budget_cents(self) -> float:
         """Total crowd budget in cents."""
         return self.budget_usd * 100.0
-
-    def guard_policy(self):
-        """The :class:`~repro.core.guards.GuardPolicy` these knobs describe."""
-        from repro.core.guards import GuardPolicy
-
-        if not self.guards_enabled:
-            return GuardPolicy.disabled()
-        return GuardPolicy(
-            holdout_size=self.guard_holdout_size,
-            regression_tolerance=self.guard_regression_tolerance,
-        )
 
     def queries_per_context(self) -> dict:
         """Expected crowd queries per temporal context over the deployment.

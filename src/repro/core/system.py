@@ -332,9 +332,10 @@ class CrowdLearnSystem:
         (e.g. to share one trained committee across budget-sweep runs).
 
         ``guards`` accepts a pre-built :class:`ModelGuard`, a
-        :class:`GuardPolicy` to build one from, or ``None`` to follow the
-        config (``config.guards_enabled``); the guard's golden holdout is
-        reserved from ``training_set`` with its own named seed.
+        :class:`GuardPolicy` to build one from, or ``None`` for the default
+        ``GuardPolicy()`` (pass ``GuardPolicy.disabled()`` to switch guards
+        off); the guard's golden holdout is reserved from ``training_set``
+        with its own named seed.
         """
         config = config or CrowdLearnConfig()
         seeds = SeedSequencer(seed)
@@ -398,15 +399,12 @@ class CrowdLearnSystem:
         else:
             qss = QuerySetSelector(config.qss_epsilon)
         if not isinstance(guards, ModelGuard):
-            policy = guards if isinstance(guards, GuardPolicy) else config.guard_policy()
+            policy = guards if isinstance(guards, GuardPolicy) else GuardPolicy()
             guards = ModelGuard.build(
                 policy, training_set, committee.n_experts, seeds.get("guards")
             )
         if cache is None:
-            cache = PredictionCache(
-                max_pools=config.cache_max_pools,
-                max_features=config.cache_max_features,
-            )
+            cache = PredictionCache()
         scheduler = None
         if config.scheduler_enabled:
             scheduler = VirtualTimeScheduler(

@@ -31,6 +31,7 @@ malformed           a response arrives unattributable (``worker_id = -1``)
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import signal
 import time
@@ -215,9 +216,13 @@ class FaultPlan:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.delay_spike_factor < 1.0:
+        if not (
+            math.isfinite(self.delay_spike_factor)
+            and self.delay_spike_factor >= 1.0
+        ):
             raise ValueError(
-                f"delay_spike_factor must be >= 1, got {self.delay_spike_factor}"
+                "delay_spike_factor must be finite and >= 1, got "
+                f"{self.delay_spike_factor}"
             )
         for window in self.outage_windows:
             if len(window) != 2:

@@ -118,16 +118,6 @@ class VirtualTimeScheduler:
             raise ValueError(f"cycle_index must be >= 0, got {cycle_index}")
         return cycle_index * self.cycle_seconds
 
-    def cycle_index_of(self, elapsed_seconds: float) -> int:
-        """The sensing cycle a virtual timestamp falls in (inverse of
-        :meth:`cycle_start`); used by the serving layer to bucket shared
-        crowd capacity into per-cycle allocation windows."""
-        if elapsed_seconds < 0:
-            raise ValueError(
-                f"elapsed_seconds must be >= 0, got {elapsed_seconds}"
-            )
-        return int(elapsed_seconds // self.cycle_seconds)
-
     def advance(self, seconds: float) -> float:
         """Consume ``seconds`` of cycle time (e.g. retry backoff)."""
         return self.clock.advance(seconds)

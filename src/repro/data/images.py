@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.data.metadata import DamageLabel, SceneType
 
-__all__ = ["IMAGE_SIZE", "render_scene", "render_image"]
+__all__ = ["IMAGE_SIZE", "render_scene"]
 
 #: Side length of every synthetic image.
 IMAGE_SIZE = 32
@@ -142,13 +142,3 @@ def render_scene(
     canvas += rng.normal(0.0, 0.02, canvas.shape)
     np.clip(canvas, 0.0, 1.0, out=canvas)
     return canvas
-
-
-def render_image(
-    apparent_label: DamageLabel,
-    scene: SceneType,
-    rng: np.random.Generator,
-    size: int = IMAGE_SIZE,
-) -> np.ndarray:
-    """Alias for :func:`render_scene` kept for API symmetry."""
-    return render_scene(apparent_label, scene, rng, size=size)

@@ -35,14 +35,9 @@ from repro.serve.admission import (
     PriorityPolicy,
     create_admission_policy,
 )
-from repro.serve.breaker import BREAKER_STATES, BreakerPolicy, CircuitBreaker
+from repro.serve.breaker import BREAKER_STATES, CircuitBreaker
 from repro.serve.deployment import Deployment
-from repro.serve.health import (
-    HEALTH_STATES,
-    EventHealth,
-    HealthPolicy,
-    tick_failed,
-)
+from repro.serve.health import HEALTH_STATES, EventHealth, tick_failed
 from repro.serve.pool import AdmissionDecision, EventLedger, SharedCrowdPool
 from repro.serve.registry import EventRegistry
 from repro.serve.service import CrowdLearnService, EventStatus
@@ -52,7 +47,6 @@ __all__ = [
     "AdmissionPolicy",
     "AdmissionRequest",
     "BREAKER_STATES",
-    "BreakerPolicy",
     "CircuitBreaker",
     "CrowdLearnService",
     "DeadlineAwarePolicy",
@@ -63,7 +57,6 @@ __all__ = [
     "EventStatus",
     "FairSharePolicy",
     "HEALTH_STATES",
-    "HealthPolicy",
     "PriorityPolicy",
     "SharedCrowdPool",
     "create_admission_policy",

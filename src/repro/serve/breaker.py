@@ -13,7 +13,7 @@ States and legal transitions::
 
     closed ──(failure rate over the sliding window ≥ threshold,
               or a bulkhead trip)──▶ open
-    open ──(cooldown_windows sensing windows elapse; probe budget
+    open ──(COOLDOWN_WINDOWS sensing windows elapse; probe budget
             left)──▶ half_open
     half_open ──(probe tick clean)──▶ closed
     half_open ──(probe tick fails)──▶ open
@@ -25,16 +25,14 @@ failure/success sequences through the machine and asserts exactly this.
 A *failure* is a completed tick that saw platform errors, timeouts or
 guard rollbacks (see :func:`repro.serve.health.tick_failed`), or a tick
 whose exception the service's bulkhead caught (:meth:`force_open`).
-``max_probe_rounds`` bounds the open→half_open cycle so a permanently
+``MAX_PROBE_ROUNDS`` bounds the open→half_open cycle so a permanently
 faulted event converges to "open, probes exhausted" and ``drain()``
 terminates instead of probing forever.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-__all__ = ["BreakerPolicy", "CircuitBreaker", "BREAKER_STATES"]
+__all__ = ["CircuitBreaker", "BREAKER_STATES"]
 
 #: The three breaker states, in ladder order.
 BREAKER_STATES: tuple[str, ...] = ("closed", "open", "half_open")
@@ -49,79 +47,33 @@ LEGAL_TRANSITIONS: frozenset[tuple[str, str]] = frozenset(
     }
 )
 
+#: Sliding window of completed ticks the failure rate is computed over.
+WINDOW = 6
+#: Open when ``failures / samples`` in the window reaches this.
+FAILURE_THRESHOLD = 0.5
+#: Never open on fewer samples (one unlucky first tick must not
+#: quarantine a fresh event).
+MIN_SAMPLES = 3
+#: Sensing windows (virtual time, not ticks) the breaker stays open
+#: before a half-open probe may run.
+COOLDOWN_WINDOWS = 2
+#: Consecutive clean probe ticks required to close again.
+PROBE_SUCCESSES = 1
+#: Open→half_open rounds allowed before the event is parked for good
+#: (bounds ``drain()`` under a permanent fault).
+MAX_PROBE_ROUNDS = 2
 
-@dataclass(frozen=True)
-class BreakerPolicy:
-    """Tuning knobs for one event's breaker.
-
-    Parameters
-    ----------
-    window:
-        Sliding window of completed ticks the failure rate is computed
-        over.
-    failure_threshold:
-        Open when ``failures / samples`` in the window reaches this.
-    min_samples:
-        Never open on fewer than this many samples (a single unlucky
-        first tick must not quarantine a fresh event).
-    cooldown_windows:
-        Sensing windows (virtual time, not ticks) the breaker stays open
-        before a half-open probe may run.
-    probe_successes:
-        Consecutive clean probe ticks required to close again.
-    max_probe_rounds:
-        Open→half_open rounds allowed before the event is parked for
-        good (bounds ``drain()`` under a permanent fault).
-    """
-
-    window: int = 6
-    failure_threshold: float = 0.5
-    min_samples: int = 3
-    cooldown_windows: int = 2
-    probe_successes: int = 1
-    max_probe_rounds: int = 2
-
-    def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if not 0.0 < self.failure_threshold <= 1.0:
-            raise ValueError(
-                f"failure_threshold must be in (0, 1], got "
-                f"{self.failure_threshold}"
-            )
-        if self.min_samples < 1:
-            raise ValueError(
-                f"min_samples must be >= 1, got {self.min_samples}"
-            )
-        if self.cooldown_windows < 1:
-            raise ValueError(
-                f"cooldown_windows must be >= 1, got {self.cooldown_windows}"
-            )
-        if self.probe_successes < 1:
-            raise ValueError(
-                f"probe_successes must be >= 1, got {self.probe_successes}"
-            )
-        if self.max_probe_rounds < 0:
-            raise ValueError(
-                f"max_probe_rounds must be >= 0, got {self.max_probe_rounds}"
-            )
-
-    def as_dict(self) -> dict:
-        """JSON-safe form (manifest round-trip)."""
-        return {
-            "window": self.window,
-            "failure_threshold": self.failure_threshold,
-            "min_samples": self.min_samples,
-            "cooldown_windows": self.cooldown_windows,
-            "probe_successes": self.probe_successes,
-            "max_probe_rounds": self.max_probe_rounds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BreakerPolicy":
-        """Inverse of :meth:`as_dict` (ignores unknown keys)."""
-        names = cls.__dataclass_fields__.keys()
-        return cls(**{k: v for k, v in data.items() if k in names})
+#: The thresholds as every breaker snapshot journals them.  Serve-journal
+#: record hashes cover this dict, so its keys, values and types are part
+#: of the durable format; :meth:`CircuitBreaker.restore` refuses any other.
+POLICY: dict = {
+    "window": WINDOW,
+    "failure_threshold": FAILURE_THRESHOLD,
+    "min_samples": MIN_SAMPLES,
+    "cooldown_windows": COOLDOWN_WINDOWS,
+    "probe_successes": PROBE_SUCCESSES,
+    "max_probe_rounds": MAX_PROBE_ROUNDS,
+}
 
 
 class CircuitBreaker:
@@ -135,8 +87,7 @@ class CircuitBreaker:
     completed at all.
     """
 
-    def __init__(self, policy: BreakerPolicy | None = None) -> None:
-        self.policy = policy if policy is not None else BreakerPolicy()
+    def __init__(self) -> None:
         self.state: str = "closed"
         #: Sliding window of 0/1 failure outcomes (most recent last).
         self.outcomes: list[int] = []
@@ -163,16 +114,15 @@ class CircuitBreaker:
                 self._open(window)
                 return "open"
             self.probe_streak += 1
-            if self.probe_streak >= self.policy.probe_successes:
+            if self.probe_streak >= PROBE_SUCCESSES:
                 self._close()
                 return "closed"
             return None
         self.outcomes.append(1 if failure else 0)
-        del self.outcomes[: -self.policy.window]
+        del self.outcomes[:-WINDOW]
         if (
-            len(self.outcomes) >= self.policy.min_samples
-            and sum(self.outcomes) / len(self.outcomes)
-            >= self.policy.failure_threshold
+            len(self.outcomes) >= MIN_SAMPLES
+            and sum(self.outcomes) / len(self.outcomes) >= FAILURE_THRESHOLD
         ):
             self._open(window)
             return "open"
@@ -203,9 +153,9 @@ class CircuitBreaker:
         breaker is not open or its probe budget is spent."""
         if self.state != "open" or self.opened_at is None:
             return None
-        if self.probe_rounds >= self.policy.max_probe_rounds:
+        if self.probe_rounds >= MAX_PROBE_ROUNDS:
             return None
-        return self.opened_at + self.policy.cooldown_windows
+        return self.opened_at + COOLDOWN_WINDOWS
 
     def failure_rate(self) -> float:
         """Current sliding-window failure rate (0 with no samples)."""
@@ -235,7 +185,7 @@ class CircuitBreaker:
     def snapshot(self) -> dict:
         """JSON-safe full state for the serve journal."""
         return {
-            "policy": self.policy.as_dict(),
+            "policy": dict(POLICY),
             "state": self.state,
             "outcomes": list(self.outcomes),
             "opened_at": self.opened_at,
@@ -248,8 +198,17 @@ class CircuitBreaker:
 
     @classmethod
     def restore(cls, state: dict) -> "CircuitBreaker":
-        """Rebuild a breaker bit-for-bit from :meth:`snapshot` output."""
-        breaker = cls(BreakerPolicy.from_dict(state["policy"]))
+        """Rebuild a breaker bit-for-bit from :meth:`snapshot` output.
+
+        A snapshot journaled under other thresholds than :data:`POLICY`
+        raises ``ValueError``: replaying it under these would diverge.
+        """
+        if state["policy"] != POLICY:
+            raise ValueError(
+                f"breaker policy {state['policy']!r} differs from the "
+                f"built-in thresholds {POLICY!r}"
+            )
+        breaker = cls()
         if state["state"] not in BREAKER_STATES:
             raise ValueError(f"unknown breaker state {state['state']!r}")
         breaker.state = state["state"]

@@ -8,14 +8,14 @@ than slam straight to full batches.  :class:`EventHealth` layers that
 ladder on top of the breaker::
 
     HEALTHY   ── full query batch (the grant, untouched)
-    DEGRADED  ── reduced batch: ceil(grant · degraded_fraction)
+    DEGRADED  ── reduced batch: ceil(grant · DEGRADED_FRACTION)
     BROWNOUT  ── committee-only: grant forced to 0 (PR 7's zero-grant
                  fallback, now an explicit health state)
     QUARANTINED ─ parked: no ticks at all (breaker open)
 
 Demotion is driven by an EWMA of the per-tick failure signal and is
 immediate; promotion requires the EWMA back under a strictly lower
-threshold *and* ``readmit_streak`` consecutive clean ticks — the same
+threshold *and* ``READMIT_STREAK`` consecutive clean ticks — the same
 hysteresis shape as PR 3's committee quarantine, so one good tick never
 re-admits a still-sick event.  A closing breaker re-enters the ladder at
 BROWNOUT and must climb rung by rung.
@@ -28,14 +28,14 @@ journals exactly and resumes bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from repro.core.system import CycleOutcome
-from repro.serve.breaker import BreakerPolicy, CircuitBreaker
+from repro.serve.breaker import MAX_PROBE_ROUNDS, CircuitBreaker
+from repro.serve.breaker import POLICY as BREAKER_POLICY
+from repro.serve.breaker import WINDOW as BREAKER_WINDOW
 
 __all__ = [
     "HEALTH_STATES",
-    "HealthPolicy",
     "EventHealth",
     "tick_failed",
 ]
@@ -47,6 +47,34 @@ HEALTH_STATES: tuple[str, ...] = (
 
 #: Ladder rungs the EWMA moves between while the breaker is closed.
 _RUNGS: tuple[str, ...] = ("healthy", "degraded", "brownout")
+
+#: Weight of the newest tick in the failure EWMA.
+EWMA_ALPHA = 0.5
+#: Demote to DEGRADED / BROWNOUT when the failure EWMA reaches these.
+DEGRADED_ENTER = 0.35
+BROWNOUT_ENTER = 0.7
+#: Promote out of a rung only at or below these (strictly lower than the
+#: matching ``*_ENTER``: hysteresis).
+DEGRADED_EXIT = 0.15
+BROWNOUT_EXIT = 0.4
+#: Consecutive clean ticks a promotion also waits for.
+READMIT_STREAK = 2
+#: Share of the grant a DEGRADED event keeps (rounded up, at least 1).
+DEGRADED_FRACTION = 0.5
+
+#: The ladder and breaker thresholds in the form older serve manifests
+#: recorded them under ``health_policy``; resume refuses a manifest whose
+#: recorded thresholds differ.
+POLICY: dict = {
+    "breaker": BREAKER_POLICY,
+    "ewma_alpha": EWMA_ALPHA,
+    "degraded_enter": DEGRADED_ENTER,
+    "degraded_exit": DEGRADED_EXIT,
+    "brownout_enter": BROWNOUT_ENTER,
+    "brownout_exit": BROWNOUT_EXIT,
+    "readmit_streak": READMIT_STREAK,
+    "degraded_fraction": DEGRADED_FRACTION,
+}
 
 
 def tick_failed(outcome: CycleOutcome) -> bool:
@@ -64,86 +92,11 @@ def tick_failed(outcome: CycleOutcome) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class HealthPolicy:
-    """Thresholds for the ladder plus the embedded breaker policy.
-
-    ``*_enter`` demotes when the failure EWMA reaches it; the matching
-    ``*_exit`` must be strictly lower (hysteresis), and promotion also
-    waits for ``readmit_streak`` consecutive clean ticks.
-    """
-
-    breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
-    ewma_alpha: float = 0.5
-    degraded_enter: float = 0.35
-    degraded_exit: float = 0.15
-    brownout_enter: float = 0.7
-    brownout_exit: float = 0.4
-    readmit_streak: int = 2
-    degraded_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError(
-                f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}"
-            )
-        for enter, exit_, name in (
-            (self.degraded_enter, self.degraded_exit, "degraded"),
-            (self.brownout_enter, self.brownout_exit, "brownout"),
-        ):
-            if not 0.0 < enter <= 1.0:
-                raise ValueError(
-                    f"{name}_enter must be in (0, 1], got {enter}"
-                )
-            if not 0.0 <= exit_ < enter:
-                raise ValueError(
-                    f"{name}_exit must sit below {name}_enter for "
-                    f"hysteresis, got {exit_} >= {enter}"
-                )
-        if self.degraded_enter >= self.brownout_enter:
-            raise ValueError(
-                "degraded_enter must be below brownout_enter, got "
-                f"{self.degraded_enter} >= {self.brownout_enter}"
-            )
-        if self.readmit_streak < 1:
-            raise ValueError(
-                f"readmit_streak must be >= 1, got {self.readmit_streak}"
-            )
-        if not 0.0 < self.degraded_fraction <= 1.0:
-            raise ValueError(
-                f"degraded_fraction must be in (0, 1], got "
-                f"{self.degraded_fraction}"
-            )
-
-    def as_dict(self) -> dict:
-        """JSON-safe form (manifest round-trip)."""
-        return {
-            "breaker": self.breaker.as_dict(),
-            "ewma_alpha": self.ewma_alpha,
-            "degraded_enter": self.degraded_enter,
-            "degraded_exit": self.degraded_exit,
-            "brownout_enter": self.brownout_enter,
-            "brownout_exit": self.brownout_exit,
-            "readmit_streak": self.readmit_streak,
-            "degraded_fraction": self.degraded_fraction,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HealthPolicy":
-        """Inverse of :meth:`as_dict` (ignores unknown keys)."""
-        names = set(cls.__dataclass_fields__) - {"breaker"}
-        kwargs = {k: v for k, v in data.items() if k in names}
-        if "breaker" in data:
-            kwargs["breaker"] = BreakerPolicy.from_dict(data["breaker"])
-        return cls(**kwargs)
-
-
 class EventHealth:
     """One event's position on the ladder, owning its breaker."""
 
-    def __init__(self, policy: HealthPolicy | None = None) -> None:
-        self.policy = policy if policy is not None else HealthPolicy()
-        self.breaker = CircuitBreaker(self.policy.breaker)
+    def __init__(self) -> None:
+        self.breaker = CircuitBreaker()
         self.ewma: float = 0.0
         #: Consecutive clean ticks (promotion currency).
         self.streak: int = 0
@@ -179,8 +132,7 @@ class EventHealth:
     def _degraded(self, grant: int) -> int:
         if grant <= 0:
             return 0
-        frac = self.policy.degraded_fraction
-        return max(1, min(int(grant), math.ceil(grant * frac)))
+        return max(1, min(int(grant), math.ceil(grant * DEGRADED_FRACTION)))
 
     def demand_cap(self, want: int) -> int:
         """Cap a *window request* the same way :meth:`cap_grant` caps a
@@ -204,13 +156,13 @@ class EventHealth:
         # The rate that can trip the breaker includes this tick; compute
         # it up front because opening clears the sliding window.
         tripping = (breaker.outcomes + [1 if failure else 0])[
-            -breaker.policy.window:
+            -BREAKER_WINDOW:
         ]
         rate = sum(tripping) / len(tripping)
         transition = breaker.record(failure, window)
         self.ewma = (
-            self.policy.ewma_alpha * (1.0 if failure else 0.0)
-            + (1.0 - self.policy.ewma_alpha) * self.ewma
+            EWMA_ALPHA * (1.0 if failure else 0.0)
+            + (1.0 - EWMA_ALPHA) * self.ewma
         )
         self.streak = 0 if failure else self.streak + 1
         if transition == "open":
@@ -244,7 +196,7 @@ class EventHealth:
         """
         before = self.state
         self.breaker.force_open(window)
-        self.breaker.probe_rounds = self.policy.breaker.max_probe_rounds
+        self.breaker.probe_rounds = MAX_PROBE_ROUNDS
         self.ewma = 1.0
         self.streak = 0
         self.quarantine_reason = reason
@@ -257,10 +209,9 @@ class EventHealth:
         return self.breaker.try_half_open(window)
 
     def _move_rung(self) -> None:
-        policy = self.policy
-        if self.ewma >= policy.brownout_enter:
+        if self.ewma >= BROWNOUT_ENTER:
             worse = _RUNGS.index("brownout")
-        elif self.ewma >= policy.degraded_enter:
+        elif self.ewma >= DEGRADED_ENTER:
             worse = _RUNGS.index("degraded")
         else:
             worse = 0
@@ -268,15 +219,15 @@ class EventHealth:
             self.rung = worse
             self.streak = 0
             return
-        if self.rung == 0 or self.streak < policy.readmit_streak:
+        if self.rung == 0 or self.streak < READMIT_STREAK:
             return
         # Promotion: one rung at a time, only past the exit threshold.
         if self.rung == _RUNGS.index("brownout"):
-            if self.ewma <= policy.brownout_exit:
+            if self.ewma <= BROWNOUT_EXIT:
                 self.rung -= 1
                 self.streak = 0
         elif self.rung == _RUNGS.index("degraded"):
-            if self.ewma <= policy.degraded_exit:
+            if self.ewma <= DEGRADED_EXIT:
                 self.rung -= 1
                 self.streak = 0
 
@@ -295,11 +246,9 @@ class EventHealth:
         }
 
     @classmethod
-    def restore(
-        cls, state: dict, policy: HealthPolicy | None = None
-    ) -> "EventHealth":
+    def restore(cls, state: dict) -> "EventHealth":
         """Rebuild bit-for-bit from :meth:`snapshot` output."""
-        health = cls(policy)
+        health = cls()
         health.breaker = CircuitBreaker.restore(state["breaker"])
         health.ewma = float(state["ewma"])
         health.streak = int(state["streak"])

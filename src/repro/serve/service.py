@@ -58,7 +58,8 @@ from repro.data.dataset import build_dataset
 from repro.data.stream import SensingCycleStream
 from repro.eval.persistence import run_outcome_digest
 from repro.serve.deployment import Deployment
-from repro.serve.health import EventHealth, HealthPolicy, tick_failed
+from repro.serve.health import POLICY as HEALTH_POLICY
+from repro.serve.health import EventHealth, tick_failed
 from repro.serve.pool import (
     AdmissionDecision,
     AdmissionRequest,
@@ -166,11 +167,11 @@ class CrowdLearnService:
         ``{"event": <id>}`` (disjoint per event).  Off by default — the
         no-op pipeline keeps served runs byte-identical to standalone
         ones.
-    health_policy:
-        Thresholds for the per-event breaker and degradation ladder
-        (:class:`~repro.serve.health.HealthPolicy`).  Always on: a
-        healthy event's ladder never moves and never caps a grant, so
-        fault-free runs stay byte-identical.
+
+    Every event gets a circuit breaker and a degradation ladder
+    (:mod:`repro.serve.health`), always on: a healthy event's ladder
+    never moves and never caps a grant, so fault-free runs stay
+    byte-identical.
     """
 
     def __init__(
@@ -180,7 +181,6 @@ class CrowdLearnService:
         serve_dir: str | Path | None = None,
         fsync: str = "always",
         instrument: bool = False,
-        health_policy: HealthPolicy | None = None,
     ) -> None:
         self.setup = setup
         self.pool = pool if pool is not None else SharedCrowdPool()
@@ -188,9 +188,6 @@ class CrowdLearnService:
         self.fsync = fsync
         self.instrument = instrument
         self.cycle_seconds = float(setup.config.cycle_seconds)
-        self.health_policy = (
-            health_policy if health_policy is not None else HealthPolicy()
-        )
         #: Per-event breaker + ladder state, keyed by event id.
         self.health: dict[str, EventHealth] = {}
         self.telemetries: dict[str, Telemetry] = {}
@@ -198,10 +195,7 @@ class CrowdLearnService:
         self._seq = 0
         self.ticks = 0
         #: Shared physical cache; each event gets a namespaced view.
-        self.cache = PredictionCache(
-            max_pools=setup.config.cache_max_pools,
-            max_features=setup.config.cache_max_features,
-        )
+        self.cache = PredictionCache()
         self.serve_dir = Path(serve_dir) if serve_dir is not None else None
         self._journal_fh = None
         self._manifest: dict[str, Any] = {
@@ -212,7 +206,6 @@ class CrowdLearnService:
             "capacity_per_cycle": self.pool.capacity_per_cycle,
             "policy": self.pool.policy.name,
             "max_backlog": self.pool.max_backlog,
-            "health_policy": self.health_policy.as_dict(),
             "events": [],
         }
         if self.serve_dir is not None:
@@ -265,7 +258,7 @@ class CrowdLearnService:
     def _health(self, event_id: str) -> EventHealth:
         """The event's health record (created on first touch)."""
         if event_id not in self.health:
-            self.health[event_id] = EventHealth(self.health_policy)
+            self.health[event_id] = EventHealth()
         return self.health[event_id]
 
     def _health_map(self) -> dict[str, dict]:
@@ -894,6 +887,13 @@ class CrowdLearnService:
         if not manifest_path.exists():
             raise FileNotFoundError(f"no serve manifest at {manifest_path}")
         manifest = json.loads(manifest_path.read_text())
+        # Manifests written while the thresholds were settable record them.
+        recorded = manifest.get("health_policy", HEALTH_POLICY)
+        if recorded != HEALTH_POLICY:
+            raise ServeJournalError(
+                f"serve manifest health_policy {recorded!r} differs from "
+                f"the built-in thresholds {HEALTH_POLICY!r}"
+            )
         if setup is None:
             setup = prepare(seed=manifest["seed"], fast=manifest["fast"])
         records = _read_serve_journal(serve_dir / _JOURNAL_NAME, repair=True)
@@ -904,18 +904,12 @@ class CrowdLearnService:
         )
         if records:
             pool = SharedCrowdPool.restore(records[-1]["pool"])
-        health_policy = (
-            HealthPolicy.from_dict(manifest["health_policy"])
-            if manifest.get("health_policy")
-            else None
-        )
         service = cls(
             setup,
             pool=pool,
             serve_dir=serve_dir,
             fsync=manifest["fsync"],
             instrument=instrument,
-            health_policy=health_policy,
         )
         service._manifest = manifest
         return service, records
@@ -925,9 +919,12 @@ class CrowdLearnService:
         for record in reversed(records):
             if "health" in record:
                 for event_id, state in record["health"].items():
-                    self.health[event_id] = EventHealth.restore(
-                        state, policy=self.health_policy
-                    )
+                    try:
+                        self.health[event_id] = EventHealth.restore(state)
+                    except ValueError as exc:
+                        raise ServeJournalError(
+                            f"event {event_id!r} health snapshot: {exc}"
+                        ) from exc
                 return
 
     def _restore_event(

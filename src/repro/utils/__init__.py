@@ -1,7 +1,7 @@
 """Shared utilities: seeded RNG, simulated clock, logging, validation."""
 
 from repro.utils.clock import SECONDS_PER_CYCLE, SimulatedClock, TemporalContext
-from repro.utils.logging import RunLog, get_logger
+from repro.utils.logging import get_logger
 from repro.utils.rng import SeedSequencer, default_rng, spawn
 from repro.utils.validation import (
     as_float_array,
@@ -17,7 +17,6 @@ __all__ = [
     "SECONDS_PER_CYCLE",
     "SimulatedClock",
     "TemporalContext",
-    "RunLog",
     "get_logger",
     "SeedSequencer",
     "default_rng",

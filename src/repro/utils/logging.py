@@ -1,30 +1,18 @@
 """Lightweight structured logging for experiment runs.
 
 The standard :mod:`logging` module is used underneath; this wrapper adds a
-uniform ``repro.*`` namespace and an in-memory :class:`RunLog` that experiment
-drivers use to accumulate per-cycle records (cycle index, context, query set,
-incentives, delays, accuracy) which the reporting layer then renders into the
-paper's tables and figure series.
-
-:class:`RunLog` is part of the telemetry event model: attach a
-:class:`~repro.telemetry.runtime.Telemetry` and every record is mirrored as
-a structured telemetry event, so there is exactly one structured-record
-path out of a run (the telemetry JSONL exporter).  The root log level is
-controlled by the ``REPRO_LOG_LEVEL`` environment variable (a name like
-``DEBUG`` or a numeric level); explicit ``level`` arguments win.
+uniform ``repro.*`` namespace.  Structured per-run records go out as
+telemetry events (:meth:`~repro.telemetry.runtime.Telemetry.event`) through
+the telemetry JSONL exporter.  The root log level is controlled by the
+``REPRO_LOG_LEVEL`` environment variable (a name like ``DEBUG`` or a
+numeric level); explicit ``level`` arguments win.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.telemetry.runtime import Telemetry
-
-__all__ = ["get_logger", "RunLog", "env_log_level"]
+__all__ = ["get_logger", "env_log_level"]
 
 _FORMAT = "%(asctime)s %(name)s %(levelname)s %(message)s"
 
@@ -61,53 +49,3 @@ def get_logger(name: str, level: int | None = None) -> logging.Logger:
         root.addHandler(handler)
         root.setLevel(env_log_level() if level is None else level)
     return logger
-
-
-@dataclass
-class RunLog:
-    """Accumulates structured per-event records during an experiment run.
-
-    With ``telemetry`` attached, every record is also emitted as a
-    telemetry event (timestamped by the telemetry clock), so run logs ride
-    the same JSONL export as spans and metrics.
-    """
-
-    records: list[dict[str, Any]] = field(default_factory=list)
-    telemetry: "Telemetry | None" = None
-
-    def record(self, event: str, **fields: Any) -> dict[str, Any]:
-        """Append a record tagged with ``event`` and return it."""
-        entry = {"event": event, **fields}
-        self.records.append(entry)
-        if self.telemetry is not None:
-            self.telemetry.event(event, **fields)
-        return entry
-
-    def by_event(self, event: str) -> list[dict[str, Any]]:
-        """All records whose event tag equals ``event``."""
-        return [r for r in self.records if r["event"] == event]
-
-    def values(self, event: str, key: str) -> list[Any]:
-        """Extract ``key`` from every record of type ``event`` (if present)."""
-        return [r[key] for r in self.by_event(event) if key in r]
-
-    def group_by(self, event: str, key: str) -> dict[Any, list[dict[str, Any]]]:
-        """Group records of type ``event`` by the value of ``key``."""
-        groups: dict[Any, list[dict[str, Any]]] = {}
-        for record in self.by_event(event):
-            groups.setdefault(record.get(key), []).append(record)
-        return groups
-
-    def extend(self, other: "RunLog") -> None:
-        """Append all records from ``other`` (records only, not telemetry)."""
-        self.records.extend(other.records)
-
-    def clear(self) -> None:
-        """Drop all records."""
-        self.records.clear()
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterable[dict[str, Any]]:
-        return iter(self.records)

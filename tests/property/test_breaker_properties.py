@@ -5,6 +5,7 @@ The breaker's module docstring promises exactly four transitions
 tick outcomes, bulkhead trips and probe attempts through the machine and
 assert that promise, plus the invariants resume correctness leans on
 (bounded sliding window, exact snapshot/restore, monotone counters).
+The thresholds are module constants, so every breaker runs the same ones.
 """
 
 from hypothesis import given, settings
@@ -14,7 +15,8 @@ import pytest
 from repro.serve.breaker import (
     BREAKER_STATES,
     LEGAL_TRANSITIONS,
-    BreakerPolicy,
+    MAX_PROBE_ROUNDS,
+    WINDOW,
     CircuitBreaker,
 )
 
@@ -29,17 +31,6 @@ _OPS = st.lists(
     ),
     max_size=60,
 )
-
-_POLICIES = st.builds(
-    BreakerPolicy,
-    window=st.integers(1, 8),
-    failure_threshold=st.floats(0.1, 1.0),
-    min_samples=st.integers(1, 4),
-    cooldown_windows=st.integers(1, 3),
-    probe_successes=st.integers(1, 3),
-    max_probe_rounds=st.integers(0, 3),
-)
-
 
 def drive(breaker, ops):
     """Apply ops the way the service does; return every observed state.
@@ -68,9 +59,9 @@ def drive(breaker, ops):
 
 class TestTransitions:
     @settings(max_examples=200)
-    @given(_POLICIES, _OPS)
-    def test_only_legal_edges_are_taken(self, policy, ops):
-        breaker = CircuitBreaker(policy)
+    @given(_OPS)
+    def test_only_legal_edges_are_taken(self, ops):
+        breaker = CircuitBreaker()
         states = drive(breaker, ops)
         assert all(state in BREAKER_STATES for state in states)
         for before, after in zip(states, states[1:]):
@@ -78,13 +69,13 @@ class TestTransitions:
                 assert (before, after) in LEGAL_TRANSITIONS
 
     @settings(max_examples=200)
-    @given(_POLICIES, _OPS)
-    def test_invariants_hold_under_any_sequence(self, policy, ops):
-        breaker = CircuitBreaker(policy)
+    @given(_OPS)
+    def test_invariants_hold_under_any_sequence(self, ops):
+        breaker = CircuitBreaker()
         drive(breaker, ops)
-        assert len(breaker.outcomes) <= policy.window
+        assert len(breaker.outcomes) <= WINDOW
         assert 0.0 <= breaker.failure_rate() <= 1.0
-        assert breaker.probe_rounds <= policy.max_probe_rounds
+        assert breaker.probe_rounds <= MAX_PROBE_ROUNDS
         if breaker.state == "open":
             assert breaker.opened_at is not None
         # Each half-open follows its own open, each close its own probe.
@@ -92,9 +83,9 @@ class TestTransitions:
         assert breaker.closed_total <= breaker.half_open_total
 
     @settings(max_examples=100)
-    @given(_POLICIES, st.integers(0, 20))
-    def test_open_breaker_admits_no_ticks(self, policy, window):
-        breaker = CircuitBreaker(policy)
+    @given(st.integers(0, 20))
+    def test_open_breaker_admits_no_ticks(self, window):
+        breaker = CircuitBreaker()
         breaker.force_open(window)
         with pytest.raises(RuntimeError, match="open breaker"):
             breaker.record(False, window + 1)
@@ -102,12 +93,10 @@ class TestTransitions:
 
 class TestSnapshotRestore:
     @settings(max_examples=150)
-    @given(_POLICIES, _OPS, _OPS)
-    def test_restore_is_exact_and_behaviour_preserving(
-        self, policy, prefix, suffix
-    ):
+    @given(_OPS, _OPS)
+    def test_restore_is_exact_and_behaviour_preserving(self, prefix, suffix):
         """A restored breaker is bit-identical and diverges never."""
-        original = CircuitBreaker(policy)
+        original = CircuitBreaker()
         drive(original, prefix)
         snapshot = original.snapshot()
         restored = CircuitBreaker.restore(snapshot)
@@ -120,4 +109,10 @@ class TestSnapshotRestore:
         snapshot = CircuitBreaker().snapshot()
         snapshot["state"] = "molten"
         with pytest.raises(ValueError, match="unknown breaker state"):
+            CircuitBreaker.restore(snapshot)
+
+    def test_restore_rejects_other_thresholds(self):
+        snapshot = CircuitBreaker().snapshot()
+        snapshot["policy"]["window"] = WINDOW + 1
+        with pytest.raises(ValueError, match="breaker policy"):
             CircuitBreaker.restore(snapshot)

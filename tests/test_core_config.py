@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.core.config import CrowdLearnConfig
+from repro.core.guards import GuardPolicy
 from repro.utils.clock import TemporalContext
 
 
@@ -64,8 +65,8 @@ class TestValidation:
             dict(incentive_levels=()),
             dict(incentive_levels=(1.0, -2.0)),
             dict(budget_usd=0.0),
-            dict(guard_holdout_size=0),
-            dict(guard_regression_tolerance=-0.1),
+            dict(cycle_seconds=0.0),
+            dict(straggler_policy="late"),
         ],
     )
     def test_invalid_values_raise(self, kwargs):
@@ -78,18 +79,24 @@ class TestValidation:
 
 
 class TestGuardPolicyKnobs:
+    """Guard settings live on GuardPolicy alone; the config carries none.
+
+    ``CrowdLearnSystem.build(guards=None)`` uses ``GuardPolicy()``, which
+    keeps the defaults the config's guard fields had.
+    """
+
     def test_default_policy_is_enabled(self):
-        policy = CrowdLearnConfig().guard_policy()
+        policy = GuardPolicy()
+        assert policy.enabled
         assert policy.holdout_size == 24
+        assert policy.regression_tolerance == 0.25
 
     def test_knobs_flow_into_the_policy(self):
-        config = CrowdLearnConfig(
-            guard_holdout_size=12, guard_regression_tolerance=0.5
-        )
-        policy = config.guard_policy()
+        field_names = {f.name for f in dataclasses.fields(CrowdLearnConfig)}
+        assert not any(name.startswith("guard") for name in field_names)
+        policy = GuardPolicy(holdout_size=12, regression_tolerance=0.5)
         assert policy.holdout_size == 12
         assert policy.regression_tolerance == 0.5
 
     def test_disabled_flag_gives_disabled_policy(self):
-        policy = CrowdLearnConfig(guards_enabled=False).guard_policy()
-        assert not policy.enabled
+        assert not GuardPolicy.disabled().enabled

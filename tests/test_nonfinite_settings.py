@@ -2,8 +2,10 @@
 
 A NaN threshold makes every comparison against it false, so a mechanism
 configured with one silently never fires (``x < y - nan`` never rolls
-back); an infinite backoff or cycle length stalls the loop.  Each of these
-settings must raise ``ValueError`` at construction instead.
+back); an infinite backoff or cycle length stalls the loop, and a NaN
+incentive level or delay-spike factor poisons every price or delay it
+touches.  Each of these settings must raise ``ValueError`` at
+construction instead.
 """
 
 import pytest
@@ -12,6 +14,7 @@ from repro.core.config import CrowdLearnConfig
 from repro.core.guards import GuardPolicy
 from repro.core.mic import MachineIntelligenceCalibrator
 from repro.core.resilience import ResiliencePolicy
+from repro.crowd.faults import FaultPlan
 
 NAN, INF = float("nan"), float("inf")
 
@@ -22,10 +25,14 @@ CASES = [
     (GuardPolicy, "drift_sigma", INF),
     (ResiliencePolicy, "backoff_base_seconds", NAN),
     (ResiliencePolicy, "backoff_base_seconds", INF),
-    (CrowdLearnConfig, "guard_regression_tolerance", NAN),
     (CrowdLearnConfig, "cycle_seconds", NAN),
     (CrowdLearnConfig, "cycle_seconds", INF),
     (CrowdLearnConfig, "mic_eta", NAN),
+    (CrowdLearnConfig, "incentive_levels", (1.0, NAN, 5.0)),
+    (CrowdLearnConfig, "incentive_levels", (1.0, INF)),
+    (CrowdLearnConfig, "incentive_levels", (-INF, 5.0)),
+    (FaultPlan, "delay_spike_factor", NAN),
+    (FaultPlan, "delay_spike_factor", INF),
     (MachineIntelligenceCalibrator, "eta", NAN),
 ]
 
@@ -37,3 +44,10 @@ CASES = [
 def test_non_finite_value_is_refused(cls, field, value):
     with pytest.raises(ValueError, match=field):
         cls(**{field: value})
+
+
+@pytest.mark.parametrize("value", [NAN, INF])
+def test_fault_plan_from_dict_refuses_non_finite_spike_factor(value):
+    """Serve manifests rebuild fault plans through ``from_dict``."""
+    with pytest.raises(ValueError, match="delay_spike_factor"):
+        FaultPlan.from_dict({"delay_spike_factor": value})

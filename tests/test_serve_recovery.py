@@ -22,7 +22,11 @@ from repro.crowd.faults import CrashPoint, FaultPlan, InjectedCrash
 from repro.eval.journal import read_journal
 from repro.eval.runner import prepare
 from repro.serve import CrowdLearnService, SharedCrowdPool
-from repro.serve.service import ServeJournalError, _read_serve_journal
+from repro.serve.service import (
+    ServeJournalError,
+    _read_serve_journal,
+    _record_line,
+)
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +143,81 @@ class TestResume:
         resumed = CrowdLearnService.resume(serve_dir, setup=setup)
         assert resumed.ticks == 6
         resumed.close()
+
+
+#: The ladder and breaker thresholds exactly as serve manifests recorded
+#: them under ``health_policy`` while they were settable.
+RECORDED_HEALTH_POLICY = {
+    "breaker": {
+        "cooldown_windows": 2,
+        "failure_threshold": 0.5,
+        "max_probe_rounds": 2,
+        "min_samples": 3,
+        "probe_successes": 1,
+        "window": 6,
+    },
+    "brownout_enter": 0.7,
+    "brownout_exit": 0.4,
+    "degraded_enter": 0.35,
+    "degraded_exit": 0.15,
+    "degraded_fraction": 0.5,
+    "ewma_alpha": 0.5,
+    "readmit_streak": 2,
+}
+
+
+def _set_manifest_health_policy(serve_dir, policy):
+    path = serve_dir / "serve.json"
+    manifest = json.loads(path.read_text())
+    manifest["health_policy"] = policy
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+
+
+class TestFixedThresholds:
+    """Resume runs the built-in thresholds and refuses a serve dir that
+    recorded others, instead of honouring or ignoring them."""
+
+    def test_matching_recorded_thresholds_resume(
+        self, setup, reference, tmp_path
+    ):
+        serve_dir = tmp_path / "fleet"
+        service = make_service(setup, serve_dir=serve_dir)
+        surge_timeline(service, interrupt_after=6)
+        records = _read_serve_journal(serve_dir / "serve.journal")
+        breaker = records[-1]["health"]["alpha"]["breaker"]
+        assert breaker["policy"] == RECORDED_HEALTH_POLICY["breaker"]
+        _set_manifest_health_policy(serve_dir, RECORDED_HEALTH_POLICY)
+
+        resumed = CrowdLearnService.resume(serve_dir, setup=setup)
+        resumed.drain()
+        digest, totals = reference
+        assert resumed.combined_digest() == digest
+        assert resumed.pool.totals() == totals
+        resumed.close()
+
+    def test_other_manifest_thresholds_are_refused(self, setup, tmp_path):
+        serve_dir = tmp_path / "fleet"
+        service = make_service(setup, serve_dir=serve_dir)
+        surge_timeline(service, interrupt_after=3)
+        policy = dict(RECORDED_HEALTH_POLICY, degraded_fraction=0.25)
+        _set_manifest_health_policy(serve_dir, policy)
+        with pytest.raises(ServeJournalError, match="health_policy"):
+            CrowdLearnService.resume(serve_dir, setup=setup)
+
+    def test_other_journaled_breaker_thresholds_are_refused(
+        self, setup, tmp_path
+    ):
+        serve_dir = tmp_path / "fleet"
+        service = make_service(setup, serve_dir=serve_dir)
+        surge_timeline(service, interrupt_after=3)
+        journal_path = serve_dir / "serve.journal"
+        lines = journal_path.read_text().splitlines()
+        record = json.loads(lines[-1])["record"]
+        record["health"]["alpha"]["breaker"]["policy"]["window"] = 8
+        lines[-1] = _record_line(record)
+        journal_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ServeJournalError, match="breaker policy"):
+            CrowdLearnService.resume(serve_dir, setup=setup)
 
 
 class TestReopenedEvent:

@@ -2,8 +2,7 @@
 
 import logging
 
-from repro.telemetry import ManualClock, Telemetry
-from repro.utils.logging import LOG_LEVEL_ENV, RunLog, env_log_level, get_logger
+from repro.utils.logging import LOG_LEVEL_ENV, env_log_level, get_logger
 
 
 class TestGetLogger:
@@ -43,66 +42,3 @@ class TestEnvLogLevel:
         finally:
             root.handlers = saved_handlers
             root.setLevel(saved_level)
-
-
-class TestRunLogTelemetryBridge:
-    def test_records_mirrored_as_events(self):
-        tel = Telemetry(clock=ManualClock())
-        log = RunLog(telemetry=tel)
-        log.record("cycle", index=0, delay=1.5)
-        assert len(log) == 1
-        assert len(tel.events) == 1
-        assert tel.events[0]["event"] == "cycle"
-        assert tel.events[0]["index"] == 0
-        assert tel.events[0]["delay"] == 1.5
-        assert "time" in tel.events[0]
-
-    def test_no_telemetry_no_events(self):
-        log = RunLog()
-        log.record("cycle", index=0)
-        assert log.telemetry is None
-
-
-class TestRunLog:
-    def test_record_and_len(self):
-        log = RunLog()
-        log.record("cycle", index=0, delay=1.5)
-        log.record("cycle", index=1, delay=2.5)
-        log.record("query", index=0)
-        assert len(log) == 3
-
-    def test_by_event_filters(self):
-        log = RunLog()
-        log.record("a", v=1)
-        log.record("b", v=2)
-        assert [r["v"] for r in log.by_event("a")] == [1]
-
-    def test_values_extracts_key(self):
-        log = RunLog()
-        log.record("cycle", delay=1.0)
-        log.record("cycle", delay=3.0)
-        log.record("cycle", other=5)  # missing key skipped
-        assert log.values("cycle", "delay") == [1.0, 3.0]
-
-    def test_group_by(self):
-        log = RunLog()
-        log.record("cycle", context="morning", delay=1)
-        log.record("cycle", context="morning", delay=2)
-        log.record("cycle", context="evening", delay=3)
-        groups = log.group_by("cycle", "context")
-        assert len(groups["morning"]) == 2
-        assert len(groups["evening"]) == 1
-
-    def test_extend_and_clear(self):
-        a, b = RunLog(), RunLog()
-        a.record("x")
-        b.record("y")
-        a.extend(b)
-        assert len(a) == 2
-        a.clear()
-        assert len(a) == 0
-
-    def test_iteration(self):
-        log = RunLog()
-        log.record("x", v=1)
-        assert [r["event"] for r in log] == ["x"]
