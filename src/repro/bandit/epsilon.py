@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bandit.base import ContextualPolicy
+from repro.utils.validation import check_probability
 
 __all__ = ["EpsilonGreedyBandit"]
 
@@ -32,8 +33,7 @@ class EpsilonGreedyBandit(ContextualPolicy):
         contextual: bool = True,
     ) -> None:
         super().__init__(n_contexts, arms)
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+        check_probability(epsilon, "epsilon")
         self.epsilon = epsilon
         self.rng = rng
         self.contextual = contextual

@@ -3,9 +3,9 @@
 This is the reproduction's stand-in for XGBoost [49], which the paper's CQC
 module uses to fuse crowd labels and questionnaire answers into a truthful
 label.  It implements the second-order (Newton) boosting update with
-shrinkage, row subsampling, L2 leaf regularization and optional
-early stopping — the core of the XGBoost algorithm, minus the systems-level
-optimizations irrelevant at this scale.
+shrinkage, row subsampling and L2 leaf regularization — the core of the
+XGBoost algorithm, minus the systems-level optimizations irrelevant at this
+scale.
 
 Prediction walks all ``rounds x classes`` trees at once over their
 concatenated :class:`~repro.boosting.tree.FlatTrees`, then adds the leaf
@@ -34,16 +34,13 @@ class GradientBoostedClassifier:
     Parameters
     ----------
     n_estimators:
-        Maximum boosting rounds.
+        Boosting rounds.
     learning_rate:
         Shrinkage applied to each tree's contribution.
     max_depth, min_samples_leaf, reg_lambda:
         Passed through to :class:`~repro.boosting.tree.RegressionTree`.
     subsample:
         Fraction of rows sampled (without replacement) per round.
-    early_stopping_rounds:
-        Stop when validation log-loss has not improved for this many rounds
-        (requires validation data in :meth:`fit`).
     """
 
     def __init__(
@@ -54,7 +51,6 @@ class GradientBoostedClassifier:
         min_samples_leaf: int = 1,
         reg_lambda: float = 1.0,
         subsample: float = 1.0,
-        early_stopping_rounds: int | None = None,
     ) -> None:
         if n_estimators <= 0:
             raise ValueError(f"n_estimators must be positive, got {n_estimators}")
@@ -68,7 +64,6 @@ class GradientBoostedClassifier:
         self.min_samples_leaf = min_samples_leaf
         self.reg_lambda = reg_lambda
         self.subsample = subsample
-        self.early_stopping_rounds = early_stopping_rounds
         self.n_classes: int | None = None
         self._base_score: np.ndarray | None = None
         self._rounds: list[list[RegressionTree]] = []
@@ -87,7 +82,7 @@ class GradientBoostedClassifier:
 
     @property
     def n_rounds(self) -> int:
-        """Number of boosting rounds actually fitted."""
+        """Number of boosting rounds fitted."""
         return len(self._rounds)
 
     def fit(
@@ -95,8 +90,6 @@ class GradientBoostedClassifier:
         x: np.ndarray,
         y: np.ndarray,
         rng: np.random.Generator | None = None,
-        x_val: np.ndarray | None = None,
-        y_val: np.ndarray | None = None,
         n_classes: int | None = None,
     ) -> "GradientBoostedClassifier":
         """Fit to features ``x`` (n, d) and integer labels ``y`` (n,).
@@ -125,9 +118,6 @@ class GradientBoostedClassifier:
         self.n_classes = n_classes
         n, k = x.shape[0], self.n_classes
 
-        has_val = x_val is not None and y_val is not None
-        if self.early_stopping_rounds is not None and not has_val:
-            raise ValueError("early stopping requires validation data")
         if rng is None:
             rng = np.random.default_rng(0)
 
@@ -141,11 +131,6 @@ class GradientBoostedClassifier:
         onehot = np.zeros((n, k), dtype=np.float64)
         onehot[np.arange(n), y] = 1.0
         logits = np.tile(self._base_score, (n, 1))
-        val_logits = (
-            np.tile(self._base_score, (len(x_val), 1)) if has_val else None
-        )
-        best_val = np.inf
-        best_round = 0
 
         for _ in range(self.n_estimators):
             probs = _softmax(logits)
@@ -165,24 +150,8 @@ class GradientBoostedClassifier:
                 )
                 tree.fit(x[rows], grad[rows, cls], hess[rows, cls])
                 logits[:, cls] += self.learning_rate * tree.predict(x)
-                if has_val:
-                    val_logits[:, cls] += self.learning_rate * tree.predict(x_val)
                 round_trees.append(tree)
             self._rounds.append(round_trees)
-
-            if has_val and self.early_stopping_rounds is not None:
-                val_probs = _softmax(val_logits)
-                y_val_arr = np.asarray(y_val, dtype=np.int64).ravel()
-                picked = np.clip(
-                    val_probs[np.arange(len(y_val_arr)), y_val_arr], 1e-12, None
-                )
-                val_loss = float(-np.log(picked).mean())
-                if val_loss < best_val - 1e-9:
-                    best_val = val_loss
-                    best_round = len(self._rounds)
-                elif len(self._rounds) - best_round >= self.early_stopping_rounds:
-                    self._rounds = self._rounds[:best_round]
-                    break
         return self
 
     def decision_function(self, x: np.ndarray) -> np.ndarray:

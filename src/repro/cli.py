@@ -14,6 +14,8 @@ Exposes the library's main entry points without writing any Python:
     python -m repro diagnose   # per-archetype failure report of each expert
     python -m repro trace      # telemetry: per-stage wall-time/cost breakdown
     python -m repro bench      # time cycle stages, write BENCH_cycle.json
+    python -m repro serve      # concurrent deployments over one shared crowd
+    python -m repro loadgen    # surge-replay bench, write BENCH_serve.json
 
 All commands run the miniature (fast) deployment by default; pass ``--full``
 for the paper-scale configuration, ``--seed`` for a different world.
@@ -248,11 +250,15 @@ def cmd_supervise(args) -> int:
     if args.digest_file:
         argv += ["--digest-file", args.digest_file]
     heartbeat = args.heartbeat or f"{args.journal}.heartbeat"
-    config = SupervisorConfig(
-        watchdog_seconds=args.watchdog,
-        max_restarts=args.max_restarts,
-        backoff_base_seconds=args.backoff,
-    )
+    try:
+        config = SupervisorConfig(
+            watchdog_seconds=args.watchdog,
+            max_restarts=args.max_restarts,
+            backoff_base_seconds=args.backoff,
+        )
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     first_env = None
     if args.crash_at:
         first_env = {"REPRO_CRASH_AT": ",".join(args.crash_at)}

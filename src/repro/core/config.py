@@ -13,7 +13,11 @@ from dataclasses import dataclass
 
 from repro.crowd.delay import INCENTIVE_LEVELS
 from repro.utils.clock import SECONDS_PER_CYCLE
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import (
+    check_non_negative,
+    check_positive,
+    check_probability,
+)
 
 __all__ = ["CrowdLearnConfig"]
 
@@ -81,22 +85,15 @@ class CrowdLearnConfig:
             raise ValueError("cycle structure sizes must be positive")
         if self.cycles_per_context <= 0:
             raise ValueError("cycles_per_context must be positive")
-        if not 0.0 <= self.query_fraction <= 1.0:
-            raise ValueError(
-                f"query_fraction must be in [0, 1], got {self.query_fraction}"
-            )
-        if not 0.0 <= self.qss_epsilon <= 1.0:
-            raise ValueError(
-                f"qss_epsilon must be in [0, 1], got {self.qss_epsilon}"
-            )
+        check_probability(self.query_fraction, "query_fraction")
+        check_probability(self.qss_epsilon, "qss_epsilon")
         if self.workers_per_query <= 0 or self.n_workers <= 0:
             raise ValueError("worker counts must be positive")
         if not self.incentive_levels:
             raise ValueError("incentive_levels must be non-empty")
         for level in self.incentive_levels:
             check_positive(level, "incentive_levels")
-        if self.budget_usd <= 0:
-            raise ValueError(f"budget must be positive, got {self.budget_usd}")
+        check_positive(self.budget_usd, "budget_usd")
         check_non_negative(self.mic_eta, "mic_eta")
         if self.mic_replay_buffer <= 0:
             raise ValueError(

@@ -49,13 +49,17 @@ import pickle
 import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 
 from repro.telemetry.runtime import Telemetry, get_telemetry
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import (
+    check_non_negative,
+    check_positive,
+    check_probability,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cache import PredictionCache
@@ -173,16 +177,10 @@ class GuardPolicy:
                 f"drift_warmup must be >= 1, got {self.drift_warmup}"
             )
         check_non_negative(self.drift_sigma, "drift_sigma")
-        if not 0.0 <= self.drift_min_disagreement <= 1.0:
-            raise ValueError(
-                "drift_min_disagreement must be in [0, 1], "
-                f"got {self.drift_min_disagreement}"
-            )
-        if not 0.0 <= self.drift_reliability_floor <= 1.0:
-            raise ValueError(
-                "drift_reliability_floor must be in [0, 1], "
-                f"got {self.drift_reliability_floor}"
-            )
+        check_probability(self.drift_min_disagreement, "drift_min_disagreement")
+        check_probability(
+            self.drift_reliability_floor, "drift_reliability_floor"
+        )
 
     @staticmethod
     def disabled() -> "GuardPolicy":

@@ -142,18 +142,3 @@ class IncentivePolicyDesigner:
                 self.policy.update(
                     context.index, arm, self.delay_to_payoff(result.mean_delay)
                 )
-
-    def incentive_schedule(self) -> dict[TemporalContext, float]:
-        """The currently-greedy incentive per context (for inspection)."""
-        schedule = {}
-        for context in TemporalContext.ordered():
-            means = self.policy.mean_payoffs(context.index)
-            pulls = self.policy.pull_counts(context.index)
-            if pulls.sum() == 0:
-                schedule[context] = float("nan")
-            else:
-                played = np.flatnonzero(pulls > 0)
-                schedule[context] = self.policy.arms[
-                    int(played[np.argmax(means[played])])
-                ]
-        return schedule

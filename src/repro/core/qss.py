@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.validation import check_probability
+
 __all__ = ["QuerySetSelector", "AdaptiveQuerySetSelector"]
 
 
@@ -34,8 +36,7 @@ class QuerySetSelector:
     """
 
     def __init__(self, epsilon: float = 0.2) -> None:
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+        check_probability(epsilon, "epsilon")
         self.epsilon = epsilon
 
     def select(

@@ -27,13 +27,12 @@ from repro.core.mic import MachineIntelligenceCalibrator
 from repro.core.qss import AdaptiveQuerySetSelector, QuerySetSelector
 from repro.core.resilience import ResilienceCounters, ResiliencePolicy
 from repro.crowd.faults import PlatformUnavailable
-from repro.crowd.pilot import PilotResult, run_pilot_study
+from repro.crowd.pilot import PilotResult
 from repro.crowd.platform import CrowdsourcingPlatform
 from repro.crowd.scheduler import PendingResponse, VirtualTimeScheduler
 from repro.crowd.tasks import QueryResult
 from repro.data.dataset import DisasterDataset, DisasterImage
 from repro.data.stream import SensingCycle, SensingCycleStream
-from repro.models.registry import create_model, default_committee_names
 from repro.telemetry.runtime import Telemetry, get_telemetry, use_telemetry
 from repro.utils.clock import TemporalContext
 from repro.utils.rng import SeedSequencer
@@ -204,9 +203,9 @@ class _CycleState:
 class CrowdLearnSystem:
     """The assembled CrowdLearn pipeline.
 
-    Use :meth:`build` for the full paper setup (train committee, run pilot,
-    train CQC, warm-start IPD), or construct directly from pre-built parts
-    for custom experiments.
+    Use :meth:`build` for the full paper setup (train CQC on the pilot,
+    warm-start IPD, reserve the guard holdout) from a trained committee,
+    a platform and its pilot study.
     """
 
     def __init__(
@@ -221,8 +220,8 @@ class CrowdLearnSystem:
         replay_pool: DisasterDataset,
         config: CrowdLearnConfig,
         rng: np.random.Generator,
+        guards: ModelGuard,
         resilience: ResiliencePolicy | None = None,
-        guards: ModelGuard | None = None,
         telemetry: Telemetry | None = None,
         cache: PredictionCache | None = None,
         scheduler: VirtualTimeScheduler | None = None,
@@ -239,12 +238,9 @@ class CrowdLearnSystem:
         self.config = config
         self.rng = rng
         self.resilience = resilience or ResiliencePolicy()
-        #: Learning-loop guardrails.  ``None`` builds a
-        #: ``GuardPolicy.disabled()`` guard, whose every mechanism is
-        #: inert; :meth:`build` constructs one from the config/policy.
-        self.guards = guards or ModelGuard(
-            GuardPolicy.disabled(), DisasterDataset([]), committee.n_experts
-        )
+        #: Learning-loop guardrails; :meth:`build` constructs them from a
+        #: :class:`GuardPolicy` unless handed a pre-built guard.
+        self.guards = guards
         #: Telemetry pipeline; ``None`` resolves the process default (the
         #: no-op singleton unless a trace run swapped one in), so the
         #: uninstrumented path is unchanged.  Attached telemetry travels
@@ -312,24 +308,24 @@ class CrowdLearnSystem:
     def build(
         cls,
         training_set: DisasterDataset,
+        committee: Committee,
+        platform: CrowdsourcingPlatform,
+        pilot: PilotResult,
         config: CrowdLearnConfig | None = None,
         seed: int = 0,
-        committee: Committee | None = None,
-        platform: CrowdsourcingPlatform | None = None,
-        pilot: PilotResult | None = None,
         resilience: ResiliencePolicy | None = None,
         guards: ModelGuard | GuardPolicy | None = None,
         telemetry: Telemetry | None = None,
         cache: PredictionCache | None = None,
         event_id: str | None = None,
     ) -> "CrowdLearnSystem":
-        """Assemble and pre-train the full system as the paper deploys it.
+        """Assemble the full system as the paper deploys it.
 
-        Steps: train the {VGG16, BoVW, DDM} committee on the training set,
-        run the pilot study on the platform, fit CQC on the pilot's labeled
-        queries, and warm-start the IPD bandit with the pilot's delays.
-        Pass ``committee``/``platform``/``pilot`` to reuse pre-built parts
-        (e.g. to share one trained committee across budget-sweep runs).
+        ``committee`` is the trained {VGG16, BoVW, DDM} committee and
+        ``pilot`` the pilot study run on ``platform`` (both built by
+        :func:`repro.eval.runner.prepare`).  Steps: fit CQC on the pilot's
+        labeled queries and warm-start the IPD bandit with the pilot's
+        delays.
 
         ``guards`` accepts a pre-built :class:`ModelGuard`, a
         :class:`GuardPolicy` to build one from, or ``None`` for the default
@@ -339,33 +335,6 @@ class CrowdLearnSystem:
         """
         config = config or CrowdLearnConfig()
         seeds = SeedSequencer(seed)
-        if committee is None:
-            experts = [create_model(name) for name in default_committee_names()]
-            committee = Committee(experts)
-            committee.fit(training_set, seeds.get("committee"))
-        if platform is None:
-            from repro.crowd.delay import DelayModel
-            from repro.crowd.population import WorkerPopulation
-            from repro.crowd.quality import QualityModel
-
-            platform = CrowdsourcingPlatform(
-                population=WorkerPopulation(
-                    config.n_workers, seeds.get("population")
-                ),
-                delay_model=DelayModel(),
-                quality_model=QualityModel(),
-                rng=seeds.get("platform"),
-                workers_per_query=config.workers_per_query,
-                telemetry=telemetry,
-            )
-        if pilot is None:
-            pilot = run_pilot_study(
-                platform,
-                training_set,
-                seeds.get("pilot"),
-                incentive_levels=config.incentive_levels,
-                queries_per_cell=config.pilot_queries_per_cell,
-            )
         pilot_results, pilot_labels = pilot.all_labeled_results()
         cqc = CrowdQualityControl().fit(
             pilot_results, np.array(pilot_labels), rng=seeds.get("cqc")
@@ -1112,8 +1081,8 @@ class CrowdLearnSystem:
         ``checkpoint_every`` completed cycles via
         :func:`repro.eval.persistence.save_checkpoint`, so a crashed run
         can continue from the last completed cycle with
-        :meth:`resume_from_checkpoint` and produce the same final outcome
-        as an uninterrupted run.
+        :func:`repro.eval.journal.resume_run` and produce the same final
+        outcome as an uninterrupted run.
 
         With ``journal`` set (a :class:`repro.eval.journal.CycleJournal`),
         every intra-cycle stage boundary is additionally written ahead to
@@ -1161,23 +1130,3 @@ class CrowdLearnSystem:
             if journal is not None:
                 self.journal = None
         return outcome
-
-    @classmethod
-    def resume_from_checkpoint(
-        cls,
-        checkpoint_path: str | Path,
-        checkpoint_every: int = 1,
-    ) -> RunOutcome:
-        """Continue a checkpointed deployment from its last completed cycle.
-
-        Because every stochastic component's state (platform and system
-        RNGs, bandit posteriors, committee weights and parameters, ledger)
-        is part of the snapshot, the resumed run reproduces exactly the
-        outcome the uninterrupted run would have produced.
-        """
-        from repro.eval.persistence import load_checkpoint
-
-        system, stream, outcome, next_cycle = load_checkpoint(checkpoint_path)
-        return system._run_from(
-            stream, outcome, next_cycle, checkpoint_path, checkpoint_every
-        )

@@ -14,8 +14,6 @@ scaled by the worker's personal speed factor.
 
 from __future__ import annotations
 
-from math import erf
-
 import numpy as np
 
 from repro.utils.clock import TemporalContext
@@ -74,34 +72,6 @@ class DelayModel:
         # log-space interpolation: incentive effects are multiplicative.
         log_level = np.log(np.clip(incentive_cents, levels[0], levels[-1]))
         return float(np.interp(log_level, np.log(levels), means))
-
-    def late_probability(
-        self,
-        context: TemporalContext,
-        incentive_cents: float,
-        deadline_seconds: float,
-        worker_speed: float = 1.0,
-    ) -> float:
-        """P(response delay > deadline) under the lognormal model.
-
-        The analytic counterpart of :meth:`sample`: the scheduler and the
-        docs use it to predict which (context, incentive) pairs will
-        straggle past the sensing-cycle boundary.  ``noise_sigma == 0``
-        degenerates to a step function at the mean.
-        """
-        if deadline_seconds <= 0:
-            raise ValueError(
-                f"deadline must be positive, got {deadline_seconds}"
-            )
-        if worker_speed <= 0:
-            raise ValueError(f"worker_speed must be positive, got {worker_speed}")
-        mean = self.mean_delay(context, incentive_cents) / worker_speed
-        if self.noise_sigma == 0:
-            return 1.0 if mean > deadline_seconds else 0.0
-        mu = np.log(mean) - 0.5 * self.noise_sigma**2
-        # P(X > d) for X ~ LogNormal(mu, sigma), via the normal CDF.
-        z = (np.log(deadline_seconds) - mu) / self.noise_sigma
-        return float(0.5 * (1.0 - erf(z / np.sqrt(2.0))))
 
     def sample(
         self,

@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.crowd.tasks import QuestionnaireAnswers, WorkerResponse
 from repro.data.metadata import DamageLabel, ImageMetadata, SceneType
+from repro.utils.validation import check_probability
 
 __all__ = ["PlatformUnavailable", "InjectedCrash", "CrashPoint",
            "FaultPlan", "FaultInjector"]
@@ -213,9 +214,7 @@ class FaultPlan:
             "duplicate_rate",
             "malformed_rate",
         ):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+            check_probability(getattr(self, name), name)
         if not (
             math.isfinite(self.delay_spike_factor)
             and self.delay_spike_factor >= 1.0

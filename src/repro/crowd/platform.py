@@ -19,9 +19,9 @@ from typing import Callable
 
 import numpy as np
 
-from repro.bandit.budget import BudgetExhausted, BudgetLedger
+from repro.bandit.budget import BudgetLedger
 from repro.crowd.delay import DelayModel
-from repro.crowd.faults import FaultInjector, PlatformUnavailable
+from repro.crowd.faults import FaultInjector
 from repro.crowd.population import WorkerPopulation
 from repro.crowd.quality import QualityModel
 from repro.crowd.scheduler import PendingResponse, VirtualTimeScheduler
@@ -30,7 +30,7 @@ from repro.data.metadata import ImageMetadata
 from repro.telemetry.runtime import Telemetry, get_telemetry
 from repro.utils.clock import TemporalContext
 
-__all__ = ["WorkerHistoryEntry", "BatchPostResult", "CrowdsourcingPlatform"]
+__all__ = ["WorkerHistoryEntry", "CrowdsourcingPlatform"]
 
 
 @dataclass(frozen=True)
@@ -41,34 +41,6 @@ class WorkerHistoryEntry:
     query_id: int
     label: int
     correct: bool | None  # None when ground truth was never revealed
-
-
-@dataclass
-class BatchPostResult:
-    """Outcome of :meth:`CrowdsourcingPlatform.post_queries`.
-
-    Holds every query that completed before the batch stopped, plus the
-    error (if any) that stopped it — a mid-batch outage no longer discards
-    the work (and money) already committed.  Iterates and lengths like the
-    plain result list, so existing call sites keep working.
-    """
-
-    results: list[QueryResult] = field(default_factory=list)
-    error: Exception | None = None
-
-    @property
-    def ok(self) -> bool:
-        """Whether the whole batch completed."""
-        return self.error is None
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def __iter__(self):
-        return iter(self.results)
-
-    def __getitem__(self, index):
-        return self.results[index]
 
 
 @dataclass
@@ -378,41 +350,6 @@ class CrowdsourcingPlatform:
             len(self._history)
         )
         self._history.append(entry)
-
-    def post_queries(
-        self,
-        metadatas: list[ImageMetadata],
-        incentive_cents: float,
-        context: TemporalContext,
-        ledger: BudgetLedger | None = None,
-        deadline_seconds: float | None = None,
-    ) -> BatchPostResult:
-        """Post a batch of queries at a shared incentive level.
-
-        Queries post sequentially; if one raises
-        :class:`~repro.crowd.faults.PlatformUnavailable` or
-        :class:`~repro.bandit.budget.BudgetExhausted` mid-batch, the work
-        (and money) already committed is *kept*: the partial results come
-        back on :class:`BatchPostResult` together with the error instead of
-        the whole batch being discarded.  ``deadline_seconds`` is forwarded
-        to every query.
-        """
-        batch = BatchPostResult()
-        for meta in metadatas:
-            try:
-                batch.results.append(
-                    self.post_query(
-                        meta,
-                        incentive_cents,
-                        context,
-                        ledger,
-                        deadline_seconds=deadline_seconds,
-                    )
-                )
-            except (PlatformUnavailable, BudgetExhausted) as exc:
-                batch.error = exc
-                break
-        return batch
 
     def collect_stragglers(
         self, now: float | None = None

@@ -16,6 +16,7 @@ import numpy as np
 from repro.data.archetypes import ARCHETYPE_MAKERS
 from repro.data.images import IMAGE_SIZE
 from repro.data.metadata import DamageLabel, FailureArchetype, ImageMetadata
+from repro.utils.validation import check_in_range
 
 __all__ = ["DisasterImage", "DisasterDataset", "build_dataset", "train_test_split"]
 
@@ -117,10 +118,7 @@ def build_dataset(
     """
     if n_images < DamageLabel.count():
         raise ValueError(f"need at least {DamageLabel.count()} images")
-    if not 0.0 <= archetype_fraction <= 0.5:
-        raise ValueError(
-            f"archetype_fraction must be in [0, 0.5], got {archetype_fraction}"
-        )
+    check_in_range(archetype_fraction, 0, 0.5, "archetype_fraction")
     if rng is None:
         rng = np.random.default_rng()
 

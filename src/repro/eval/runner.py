@@ -214,7 +214,7 @@ def build_crowdlearn(
     policy — both used by the chaos experiments; the defaults reproduce the
     original fault-free, fully-resilient (but never-triggered) deployment.
     ``guards`` selects the learning-loop guardrail policy (see
-    :mod:`repro.core.guards`); ``None`` follows the config.
+    :mod:`repro.core.guards`); ``None`` uses the default ``GuardPolicy()``.
     ``telemetry`` instruments the system and its platform (see
     :mod:`repro.telemetry`); ``None`` keeps the no-op default.
     ``seed`` overrides the setup's root seed for the system's own named

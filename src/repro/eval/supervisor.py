@@ -34,6 +34,7 @@ from pathlib import Path
 
 from repro.eval.journal import load_recovery_info, update_recovery_info
 from repro.utils.logging import get_logger
+from repro.utils.validation import check_non_negative, check_positive
 
 __all__ = [
     "SupervisorConfig",
@@ -66,23 +67,14 @@ class SupervisorConfig:
     poll_seconds: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.watchdog_seconds <= 0:
-            raise ValueError(
-                f"watchdog_seconds must be positive, got {self.watchdog_seconds}"
-            )
+        check_positive(self.watchdog_seconds, "watchdog_seconds")
         if self.max_restarts < 0:
             raise ValueError(
                 f"max_restarts must be >= 0, got {self.max_restarts}"
             )
-        if self.backoff_base_seconds < 0:
-            raise ValueError(
-                "backoff_base_seconds must be >= 0, got "
-                f"{self.backoff_base_seconds}"
-            )
-        if self.poll_seconds <= 0:
-            raise ValueError(
-                f"poll_seconds must be positive, got {self.poll_seconds}"
-            )
+        check_non_negative(self.backoff_base_seconds, "backoff_base_seconds")
+        check_non_negative(self.backoff_max_seconds, "backoff_max_seconds")
+        check_positive(self.poll_seconds, "poll_seconds")
 
     def backoff(self, restart_index: int) -> float:
         """Backoff before restart number ``restart_index`` (1-based)."""

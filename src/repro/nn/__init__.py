@@ -8,52 +8,38 @@ the test suite.
 
 from repro.nn.init import glorot_uniform, he_normal, zeros
 from repro.nn.layers import (
-    AvgPool2D,
-    BatchNorm,
     Conv2D,
     Dense,
     Dropout,
     Flatten,
-    GlobalAveragePool,
     Layer,
     MaxPool2D,
     ReLU,
-    Sigmoid,
-    Softmax,
-    Tanh,
     col2im,
     im2col,
 )
-from repro.nn.losses import Loss, MeanSquaredError, SoftmaxCrossEntropy, softmax
+from repro.nn.losses import Loss, SoftmaxCrossEntropy, softmax
 from repro.nn.model import Sequential
-from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.optim import Adam, Optimizer
 from repro.nn.trainer import Trainer, TrainingHistory
 
 __all__ = [
     "glorot_uniform",
     "he_normal",
     "zeros",
-    "AvgPool2D",
-    "BatchNorm",
     "Conv2D",
     "Dense",
     "Dropout",
     "Flatten",
-    "GlobalAveragePool",
     "Layer",
     "MaxPool2D",
     "ReLU",
-    "Sigmoid",
-    "Softmax",
-    "Tanh",
     "col2im",
     "im2col",
     "Loss",
-    "MeanSquaredError",
     "SoftmaxCrossEntropy",
     "softmax",
     "Sequential",
-    "SGD",
     "Adam",
     "Optimizer",
     "Trainer",

@@ -27,15 +27,9 @@ __all__ = [
     "Dense",
     "Conv2D",
     "MaxPool2D",
-    "AvgPool2D",
-    "GlobalAveragePool",
-    "Sigmoid",
-    "Tanh",
     "ReLU",
     "Flatten",
     "Dropout",
-    "BatchNorm",
-    "Softmax",
     "im2col",
     "col2im",
 ]
@@ -46,15 +40,15 @@ __all__ = [
 #: deepcopy) leave them ``None``, every backward reader raises on ``None``,
 #: and every backward follows a fresh training forward that refills them.
 _FORWARD_CACHES = (
-    "_cols", "_x_shape", "_mask", "_input", "_cache", "_output", "_shape",
+    "_cols", "_x_shape", "_mask", "_input", "_shape",
 )
 
 
 class Layer:
     """Base class for all layers; parameter-free layers inherit the no-ops.
 
-    Pickling keeps parameters, gradients, running statistics and generators
-    but drops forward caches.
+    Pickling keeps parameters, gradients and generators but drops forward
+    caches.
     """
 
     def __getstate__(self) -> dict:
@@ -93,7 +87,7 @@ class Layer:
             g[...] = 0.0
 
     def state(self) -> dict[str, np.ndarray]:
-        """Serializable layer state (parameters + running statistics)."""
+        """Layer parameters by name, restorable with :meth:`load_state`."""
         return {f"param{i}": p for i, p in enumerate(self.params())}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
@@ -383,208 +377,3 @@ class Dropout(Layer):
 
     def reseed(self, rng: np.random.Generator) -> None:
         self._rng = rng
-
-
-class BatchNorm(Layer):
-    """Batch normalization over the feature axis of 2-D inputs.
-
-    For 4-D (NCHW) inputs, statistics are computed per channel over the
-    batch and spatial axes.
-    """
-
-    def __init__(self, num_features: int, momentum: float = 0.9, eps: float = 1e-5):
-        if num_features <= 0:
-            raise ValueError("num_features must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.gamma = np.ones(num_features, dtype=np.float64)
-        self.beta = np.zeros(num_features, dtype=np.float64)
-        self.grad_gamma = np.zeros_like(self.gamma)
-        self.grad_beta = np.zeros_like(self.beta)
-        self.running_mean = np.zeros(num_features, dtype=np.float64)
-        self.running_var = np.ones(num_features, dtype=np.float64)
-        self.momentum = momentum
-        self.eps = eps
-        self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._was_4d = False
-
-    def _to_2d(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim == 2:
-            self._was_4d = False
-            return x
-        if x.ndim == 4:
-            self._was_4d = True
-            self._shape4 = x.shape
-            return x.transpose(0, 2, 3, 1).reshape(-1, x.shape[1])
-        raise ValueError(f"BatchNorm supports 2-D or 4-D inputs, got {x.ndim}-D")
-
-    def _from_2d(self, x: np.ndarray) -> np.ndarray:
-        if not self._was_4d:
-            return x
-        n, c, h, w = self._shape4
-        return x.reshape(n, h, w, c).transpose(0, 3, 1, 2)
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        flat = self._to_2d(x)
-        if training:
-            mean = flat.mean(axis=0)
-            var = flat.var(axis=0)
-            self.running_mean = (
-                self.momentum * self.running_mean + (1 - self.momentum) * mean
-            )
-            self.running_var = (
-                self.momentum * self.running_var + (1 - self.momentum) * var
-            )
-            std = np.sqrt(var + self.eps)
-            normed = (flat - mean) / std
-            self._cache = (normed, std, flat - mean)
-        else:
-            std = np.sqrt(self.running_var + self.eps)
-            normed = (flat - self.running_mean) / std
-            self._cache = None
-        return self._from_2d(normed * self.gamma + self.beta)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before a training forward pass")
-        grad_flat = self._to_2d(grad)
-        normed, std, centered = self._cache
-        n = grad_flat.shape[0]
-        self.grad_gamma += (grad_flat * normed).sum(axis=0)
-        self.grad_beta += grad_flat.sum(axis=0)
-        gxn = grad_flat * self.gamma
-        grad_in = (
-            gxn - gxn.mean(axis=0) - normed * (gxn * normed).mean(axis=0)
-        ) / std
-        del n, centered
-        return self._from_2d(grad_in)
-
-    def params(self) -> list[np.ndarray]:
-        return [self.gamma, self.beta]
-
-    def grads(self) -> list[np.ndarray]:
-        return [self.grad_gamma, self.grad_beta]
-
-    def state(self) -> dict[str, np.ndarray]:
-        return {
-            "gamma": self.gamma,
-            "beta": self.beta,
-            "running_mean": self.running_mean,
-            "running_var": self.running_var,
-        }
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        self.gamma[...] = state["gamma"]
-        self.beta[...] = state["beta"]
-        self.running_mean[...] = state["running_mean"]
-        self.running_var[...] = state["running_var"]
-
-
-class Softmax(Layer):
-    """Numerically stable softmax over the last axis.
-
-    Typically combined with cross-entropy via the fused loss in
-    :mod:`repro.nn.losses`; keep this layer out of the model when using
-    :class:`~repro.nn.losses.SoftmaxCrossEntropy`.
-    """
-
-    def __init__(self) -> None:
-        self._output: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        shifted = x - x.max(axis=-1, keepdims=True)
-        exp = np.exp(shifted)
-        out = exp / exp.sum(axis=-1, keepdims=True)
-        self._output = out if training else None
-        return out
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before a training forward pass")
-        s = self._output
-        dot = (grad * s).sum(axis=-1, keepdims=True)
-        return s * (grad - dot)
-
-
-class AvgPool2D(Layer):
-    """Average pooling with square window and equal stride over NCHW inputs."""
-
-    def __init__(self, size: int = 2) -> None:
-        if size <= 0:
-            raise ValueError(f"pool size must be positive, got {size}")
-        self.size = size
-        self._x_shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        n, c, h, w = x.shape
-        s = self.size
-        if h % s or w % s:
-            raise ValueError(
-                f"AvgPool2D size {s} must evenly divide spatial dims {h}x{w}"
-            )
-        self._x_shape = x.shape if training else None
-        blocks = x.reshape(n, c, h // s, s, w // s, s)
-        return blocks.mean(axis=(3, 5))
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._x_shape is None:
-            raise RuntimeError("backward called before a training forward pass")
-        n, c, h, w = self._x_shape
-        s = self.size
-        spread = np.repeat(np.repeat(grad, s, axis=2), s, axis=3)
-        return spread / (s * s)
-
-
-class GlobalAveragePool(Layer):
-    """Collapse NCHW feature maps to (N, C) by spatial averaging."""
-
-    def __init__(self) -> None:
-        self._x_shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if x.ndim != 4:
-            raise ValueError(f"expected NCHW input, got {x.ndim}-D")
-        self._x_shape = x.shape if training else None
-        return x.mean(axis=(2, 3))
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._x_shape is None:
-            raise RuntimeError("backward called before a training forward pass")
-        n, c, h, w = self._x_shape
-        return np.broadcast_to(
-            grad[:, :, None, None] / (h * w), (n, c, h, w)
-        ).copy()
-
-
-class Sigmoid(Layer):
-    """Logistic activation."""
-
-    def __init__(self) -> None:
-        self._output: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out = 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
-        self._output = out if training else None
-        return out
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before a training forward pass")
-        return grad * self._output * (1.0 - self._output)
-
-
-class Tanh(Layer):
-    """Hyperbolic-tangent activation."""
-
-    def __init__(self) -> None:
-        self._output: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out = np.tanh(x)
-        self._output = out if training else None
-        return out
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before a training forward pass")
-        return grad * (1.0 - self._output**2)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Loss", "SoftmaxCrossEntropy", "MeanSquaredError", "softmax"]
+__all__ = ["Loss", "SoftmaxCrossEntropy", "softmax"]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -31,12 +31,7 @@ class SoftmaxCrossEntropy(Loss):
     also supports the soft crowd labels produced by CQC during retraining.
     """
 
-    def __init__(self, label_smoothing: float = 0.0) -> None:
-        if not 0.0 <= label_smoothing < 1.0:
-            raise ValueError(
-                f"label_smoothing must be in [0, 1), got {label_smoothing}"
-            )
-        self.label_smoothing = label_smoothing
+    def __init__(self) -> None:
         self._probs: np.ndarray | None = None
         self._targets: np.ndarray | None = None
 
@@ -58,9 +53,6 @@ class SoftmaxCrossEntropy(Loss):
                 f"targets must be (n,) ints or (n, {n_classes}) distributions, "
                 f"got shape {targets.shape}"
             )
-        if self.label_smoothing > 0.0:
-            smooth = self.label_smoothing
-            dense = dense * (1.0 - smooth) + smooth / n_classes
         return dense
 
     def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
@@ -78,25 +70,3 @@ class SoftmaxCrossEntropy(Loss):
             raise RuntimeError("backward called before forward")
         batch = self._probs.shape[0]
         return (self._probs - self._targets) / batch
-
-
-class MeanSquaredError(Loss):
-    """Mean squared error over all elements."""
-
-    def __init__(self) -> None:
-        self._diff: np.ndarray | None = None
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        targets = np.asarray(targets, dtype=np.float64)
-        if predictions.shape != targets.shape:
-            raise ValueError(
-                f"shape mismatch: predictions {predictions.shape} "
-                f"vs targets {targets.shape}"
-            )
-        self._diff = predictions - targets
-        return float(np.mean(self._diff**2))
-
-    def backward(self) -> np.ndarray:
-        if self._diff is None:
-            raise RuntimeError("backward called before forward")
-        return 2.0 * self._diff / self._diff.size

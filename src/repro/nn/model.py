@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
-from pathlib import Path
-
 import numpy as np
 
 from repro.nn.layers import Layer
@@ -65,10 +62,6 @@ class Sequential:
         for layer in self.layers:
             layer.zero_grad()
 
-    def n_parameters(self) -> int:
-        """Total number of scalar trainable parameters."""
-        return sum(p.size for p in self.params())
-
     def reseed(self, rng: np.random.Generator) -> None:
         """Point every stochastic layer (Dropout) at ``rng``."""
         for layer in self.layers:
@@ -82,10 +75,8 @@ class Sequential:
         """Argmax class labels for a batch of inputs."""
         return np.argmax(self.forward(x, training=False), axis=-1)
 
-    # -- serialization -----------------------------------------------------
-
     def state(self) -> list[dict[str, np.ndarray]]:
-        """Per-layer state dicts (parameters and running statistics)."""
+        """Per-layer parameter dicts, restorable with :meth:`load_state`."""
         return [layer.state() for layer in self.layers]
 
     def load_state(self, state: list[dict[str, np.ndarray]]) -> None:
@@ -97,13 +88,3 @@ class Sequential:
             )
         for layer, layer_state in zip(self.layers, state):
             layer.load_state(layer_state)
-
-    def save(self, path: str | Path) -> None:
-        """Persist the model state to ``path`` (architecture not included)."""
-        with open(path, "wb") as fh:
-            pickle.dump(self.state(), fh)
-
-    def load(self, path: str | Path) -> None:
-        """Load state previously written by :meth:`save`."""
-        with open(path, "rb") as fh:
-            self.load_state(pickle.load(fh))

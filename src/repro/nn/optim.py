@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Optimizer", "Adam"]
 
 
 class Optimizer:
@@ -29,39 +29,6 @@ class Optimizer:
         """Reset all gradients to zero."""
         for g in self.grads:
             g[...] = 0.0
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        params: list[np.ndarray],
-        grads: list[np.ndarray],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(params, grads)
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p) for p in params]
-
-    def step(self) -> None:
-        for p, g, v in zip(self.params, self.grads, self._velocity):
-            update = g + self.weight_decay * p
-            if self.momentum > 0:
-                v *= self.momentum
-                v += update
-                update = v
-            p -= self.lr * update
 
 
 class Adam(Optimizer):

@@ -19,7 +19,6 @@ convention.
 
 from repro.telemetry.exporters import (
     export_jsonl,
-    read_jsonl,
     summary_report,
     to_prometheus,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "log_buckets",
     "DEFAULT_TIME_BUCKETS",
     "export_jsonl",
-    "read_jsonl",
     "to_prometheus",
     "summary_report",
 ]

@@ -2,9 +2,8 @@
 
 Three consumers, three formats:
 
-- :func:`export_jsonl` / :func:`read_jsonl` — an append-friendly archival
-  log (one JSON object per line: spans, events, metric samples) that
-  round-trips losslessly;
+- :func:`export_jsonl` — an append-friendly archival log (one JSON object
+  per line: spans, events, metric samples);
 - :func:`to_prometheus` — the Prometheus text exposition format, so a
   deployment can be scraped (or diffed) with standard tooling;
 - :func:`summary_report` — the human-readable per-run breakdown the
@@ -17,15 +16,15 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.telemetry.metrics import Histogram, MetricsRegistry
-from repro.telemetry.tracing import SpanRecord, aggregate_spans
+from repro.telemetry.tracing import aggregate_spans
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.runtime import Telemetry
 
-__all__ = ["export_jsonl", "read_jsonl", "to_prometheus", "summary_report"]
+__all__ = ["export_jsonl", "to_prometheus", "summary_report"]
 
 #: Counters rendered in the cost section of the summary, in order.
 _COST_COUNTERS = (
@@ -58,51 +57,6 @@ def export_jsonl(telemetry: "Telemetry", path: str | Path) -> Path:
         lines.append(json.dumps({"type": "metric", **entry}))
     path.write_text("\n".join(lines) + "\n")
     return path
-
-
-def read_jsonl(path: str | Path) -> dict[str, Any]:
-    """Parse an :func:`export_jsonl` file back into structured records.
-
-    Returns ``{"spans": [SpanRecord], "events": [dict],
-    "metrics": MetricsRegistry}``.  Raises :class:`ValueError` on malformed
-    or truncated files.
-    """
-    spans: list[SpanRecord] = []
-    events: list[dict[str, Any]] = []
-    metric_entries: list[dict[str, Any]] = []
-    header: dict[str, Any] | None = None
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-        kind = record.pop("type", None)
-        if kind == "header":
-            header = record
-        elif kind == "span":
-            spans.append(SpanRecord.from_dict(record))
-        elif kind == "event":
-            events.append(record)
-        elif kind == "metric":
-            metric_entries.append(record)
-        else:
-            raise ValueError(f"{path}:{lineno}: unknown record type {kind!r}")
-    if header is not None:
-        expected = (header.get("n_spans"), header.get("n_events"),
-                    header.get("n_metrics"))
-        actual = (len(spans), len(events), len(metric_entries))
-        if expected != actual:
-            raise ValueError(
-                f"{path}: truncated log: header promises {expected} "
-                f"(spans, events, metrics), found {actual}"
-            )
-    return {
-        "spans": spans,
-        "events": events,
-        "metrics": MetricsRegistry.from_dict({"instruments": metric_entries}),
-    }
 
 
 def _format_value(value: float) -> str:

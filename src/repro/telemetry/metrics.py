@@ -273,32 +273,3 @@ class MetricsRegistry:
                 entry["value"] = instrument.value
             samples.append(entry)
         return {"instruments": samples}
-
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "MetricsRegistry":
-        """Rebuild a registry from an :meth:`as_dict` snapshot."""
-        registry = MetricsRegistry()
-        for entry in data.get("instruments", []):
-            labels = dict(entry.get("labels", {}))
-            kind = entry["kind"]
-            if kind == "counter":
-                registry.counter(
-                    entry["name"], help=entry.get("help", ""), **labels
-                ).inc(float(entry["value"]))
-            elif kind == "gauge":
-                registry.gauge(
-                    entry["name"], help=entry.get("help", ""), **labels
-                ).set(float(entry["value"]))
-            elif kind == "histogram":
-                hist = registry.histogram(
-                    entry["name"],
-                    help=entry.get("help", ""),
-                    buckets=tuple(entry["buckets"]),
-                    **labels,
-                )
-                hist.bucket_counts = [int(c) for c in entry["bucket_counts"]]
-                hist.sum = float(entry["sum"])
-                hist.count = int(entry["count"])
-            else:
-                raise ValueError(f"unknown instrument kind {kind!r}")
-        return registry

@@ -72,21 +72,6 @@ class SpanRecord:
             "attributes": dict(self.attributes),
         }
 
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "SpanRecord":
-        """Inverse of :meth:`as_dict`."""
-        return SpanRecord(
-            name=str(data["name"]),
-            start=float(data["start"]),
-            end=float(data["end"]),
-            span_id=int(data["span_id"]),
-            parent_id=(
-                None if data.get("parent_id") is None
-                else int(data["parent_id"])
-            ),
-            attributes=dict(data.get("attributes", {})),
-        )
-
 
 class Span:
     """A live span; use as a context manager around the timed region."""

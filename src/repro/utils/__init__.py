@@ -2,11 +2,8 @@
 
 from repro.utils.clock import SECONDS_PER_CYCLE, SimulatedClock, TemporalContext
 from repro.utils.logging import get_logger
-from repro.utils.rng import SeedSequencer, default_rng, spawn
+from repro.utils.rng import SeedSequencer, default_rng
 from repro.utils.validation import (
-    as_float_array,
-    check_array_shape,
-    check_distribution,
     check_in_range,
     check_non_negative,
     check_positive,
@@ -20,10 +17,6 @@ __all__ = [
     "get_logger",
     "SeedSequencer",
     "default_rng",
-    "spawn",
-    "as_float_array",
-    "check_array_shape",
-    "check_distribution",
     "check_in_range",
     "check_non_negative",
     "check_positive",

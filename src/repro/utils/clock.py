@@ -98,23 +98,3 @@ class SimulatedClock:
         if elapsed_seconds > self._elapsed:
             self._elapsed = float(elapsed_seconds)
         return self._elapsed
-
-    def advance_cycles(self, n: int, cycle_seconds: float = SECONDS_PER_CYCLE) -> float:
-        """Advance by ``n`` sensing cycles of ``cycle_seconds`` each."""
-        if n < 0:
-            raise ValueError(f"cannot advance a negative number of cycles: {n}")
-        return self.advance(n * cycle_seconds)
-
-    def jump_to_context(self, context: TemporalContext) -> float:
-        """Advance (forwards only) until the clock enters ``context``."""
-        starts = {
-            TemporalContext.MORNING: 6.0,
-            TemporalContext.AFTERNOON: 12.0,
-            TemporalContext.EVENING: 18.0,
-            TemporalContext.MIDNIGHT: 0.0,
-        }
-        target = starts[context]
-        delta_hours = (target - self.hour_of_day) % 24.0
-        if self.context is context:
-            return self._elapsed
-        return self.advance(delta_hours * 3600.0)

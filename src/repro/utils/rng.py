@@ -2,10 +2,10 @@
 
 Every stochastic component in the reproduction draws from a
 :class:`numpy.random.Generator` handed to it explicitly, so whole experiment
-runs are reproducible from a single integer seed.  :func:`spawn` derives
-independent child generators for subsystems (crowd simulator, bandit, model
-initialization, ...) so that changing how many draws one subsystem makes does
-not perturb the others.
+runs are reproducible from a single integer seed.  :class:`SeedSequencer`
+derives independent child generators for subsystems (crowd simulator,
+bandit, model initialization, ...) so that changing how many draws one
+subsystem makes does not perturb the others.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["default_rng", "spawn", "SeedSequencer"]
+__all__ = ["default_rng", "SeedSequencer"]
 
 
 def default_rng(seed: int | None = None) -> np.random.Generator:
@@ -26,24 +26,12 @@ def default_rng(seed: int | None = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` statistically independent child generators from ``rng``.
-
-    Uses the generator's own bit stream to seed the children, which keeps the
-    derivation deterministic given the parent's state.
-    """
-    if n < 0:
-        raise ValueError(f"cannot spawn a negative number of generators: {n}")
-    seeds = rng.integers(0, 2**63 - 1, size=n, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]
-
-
 class SeedSequencer:
     """Deterministically hands out named child generators.
 
-    Unlike :func:`spawn`, children are keyed by name so the generator a
-    subsystem receives depends only on the root seed and the subsystem's
-    name — not on the order subsystems are constructed in.
+    Children are keyed by name, so the generator a subsystem receives
+    depends only on the root seed and the subsystem's name — not on the
+    order subsystems are constructed in.
 
     Example
     -------

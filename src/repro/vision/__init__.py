@@ -9,11 +9,7 @@ from repro.vision.histograms import (
 )
 from repro.vision.hog import gradient_magnitude_orientation, hog_descriptor
 from repro.vision.kmeans import KMeans, kmeans_plus_plus_init
-from repro.vision.patches import (
-    dense_patches,
-    describe_image_patches,
-    patch_descriptor,
-)
+from repro.vision.patches import dense_patches, describe_image_patches
 
 __all__ = [
     "BoVWEncoder",
@@ -27,5 +23,4 @@ __all__ = [
     "kmeans_plus_plus_init",
     "dense_patches",
     "describe_image_patches",
-    "patch_descriptor",
 ]

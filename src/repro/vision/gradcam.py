@@ -4,7 +4,7 @@ The DDM baseline [5] combines a CNN with Grad-CAM: the class-discriminative
 heatmap localizes the damaged region, and the heatmap mass is used to grade
 severity.  This implementation works directly on
 :class:`repro.nn.model.Sequential` models by replaying the forward pass,
-in training mode past the chosen convolutional layer (so the caches backward
+in training mode past the last convolutional layer (so the caches backward
 reads are populated) and in inference mode up to it, and backpropagating a
 one-hot class gradient down to that layer.
 """
@@ -13,50 +13,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import BatchNorm, Conv2D, Dropout
+from repro.nn.layers import Conv2D, Dropout
 from repro.nn.model import Sequential
 
 __all__ = ["GradCAM"]
 
 
 class GradCAM:
-    """Computes Grad-CAM heatmaps for a target conv layer of a model.
+    """Computes Grad-CAM heatmaps over a CNN's last conv layer.
 
     Parameters
     ----------
     model:
-        The CNN; its input must be NCHW.
-    target_layer:
-        Index into ``model.layers`` of the convolution whose output feature
-        maps the heatmap is computed over.  Defaults to the last
-        :class:`~repro.nn.layers.Conv2D` in the model.  No
-        :class:`~repro.nn.layers.BatchNorm` may follow it: the layers past
-        the target run in training mode, where BatchNorm would normalise
-        with batch statistics and overwrite its running ones.
+        The CNN; its input must be NCHW.  The heatmap is computed over the
+        output feature maps of its last :class:`~repro.nn.layers.Conv2D`.
     """
 
-    def __init__(self, model: Sequential, target_layer: int | None = None) -> None:
-        if target_layer is None:
-            conv_indices = [
-                i for i, layer in enumerate(model.layers) if isinstance(layer, Conv2D)
-            ]
-            if not conv_indices:
-                raise ValueError("model contains no Conv2D layer for Grad-CAM")
-            target_layer = conv_indices[-1]
-        if not 0 <= target_layer < len(model.layers):
-            raise ValueError(
-                f"target_layer {target_layer} out of range for "
-                f"{len(model.layers)} layers"
-            )
-        for i, layer in enumerate(model.layers[target_layer + 1 :], target_layer + 1):
-            if isinstance(layer, BatchNorm):
-                raise ValueError(
-                    f"BatchNorm at layer {i} follows Grad-CAM target layer "
-                    f"{target_layer}; scoring would normalise with batch "
-                    "statistics and overwrite its running statistics"
-                )
+    def __init__(self, model: Sequential) -> None:
+        conv_indices = [
+            i for i, layer in enumerate(model.layers) if isinstance(layer, Conv2D)
+        ]
+        if not conv_indices:
+            raise ValueError("model contains no Conv2D layer for Grad-CAM")
         self.model = model
-        self.target_layer = target_layer
+        self.target_layer = conv_indices[-1]
 
     def _forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One instrumented forward pass; returns (target activations, logits).
@@ -66,10 +46,9 @@ class GradCAM:
         or the heatmaps (and any prediction derived from them) become
         stochastic.  Backward never reaches the target or the layers before
         it, so they run in inference mode and build no caches.  Of the
-        layers in training mode, only Dropout and BatchNorm compute
-        different *values* with the flag; Dropout is excluded and the
-        constructor rejects BatchNorm, so the logits are bit-identical to
-        an inference-mode forward.
+        layers in training mode, only Dropout computes different *values*
+        with the flag, and it is excluded, so the logits are bit-identical
+        to an inference-mode forward.
         """
         activations = x
         cached: np.ndarray | None = None
@@ -134,25 +113,17 @@ class GradCAM:
             raise ValueError("class_idx out of range for the model's outputs")
         return self._cam(cached, logits, class_idx)
 
-    def heatmap_mass(self, x: np.ndarray, class_idx: np.ndarray) -> np.ndarray:
-        """Fraction of image area the heatmap activates, shape ``(n,)``.
-
-        DDM grades severity by how much of the image the damage evidence
-        covers; this returns mean heatmap intensity per sample as that proxy.
-        """
-        maps = self.heatmaps(x, class_idx)
-        return maps.mean(axis=(1, 2))
-
     def heatmap_masses(
         self, x: np.ndarray, class_rows: list[np.ndarray]
     ) -> tuple[list[np.ndarray], np.ndarray]:
         """Heatmap masses for several class vectors off one shared forward.
 
-        Calling :meth:`heatmap_mass` per class vector repeats the full
-        forward pass each time; this runs it once and backpropagates once
-        per vector (the masses are bit-identical either way).  Also returns
-        the logits, so callers needing class probabilities can reuse the
-        same pass instead of running the model a third time.
+        A heatmap's mass is its mean intensity, the fraction of image area
+        the damage evidence covers, by which DDM grades severity.  The
+        forward pass runs once and backpropagates once per vector (the
+        masses are bit-identical to one :meth:`heatmaps` call each).  Also
+        returns the logits, so callers needing class probabilities can
+        reuse the same pass instead of running the model a third time.
         """
         rows = [self._check_classes(x, row) for row in class_rows]
         cached, logits = self._forward(x)

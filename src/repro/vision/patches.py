@@ -6,8 +6,7 @@ described by small orientation histograms — the same gradient statistics
 SIFT aggregates, minus the detector.
 
 Descriptors are computed by :func:`describe_patches` in one vectorized pass
-over a whole patch batch; :func:`patch_descriptor` is the single-patch
-reference implementation the batch path is kept bit-identical to.
+over a whole patch batch.
 """
 
 from __future__ import annotations
@@ -15,14 +14,10 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.vision.hog import (
-    batch_gradient_magnitude_orientation,
-    gradient_magnitude_orientation,
-)
+from repro.vision.hog import batch_gradient_magnitude_orientation
 
 __all__ = [
     "dense_patches",
-    "patch_descriptor",
     "describe_patches",
     "describe_image_patches",
 ]
@@ -55,36 +50,15 @@ def dense_patches(
     return grid.reshape(-1, *grid.shape[2:])
 
 
-def patch_descriptor(patch: np.ndarray, n_bins: int = 8) -> np.ndarray:
-    """Describe one patch by an orientation histogram + intensity moments.
-
-    The descriptor concatenates an ``n_bins`` gradient-orientation histogram
-    (magnitude weighted, L2-normalized) with the patch's mean and standard
-    deviation of intensity, giving ``n_bins + 2`` dimensions.
-    """
-    if n_bins <= 0:
-        raise ValueError(f"n_bins must be positive, got {n_bins}")
-    magnitude, orientation = gradient_magnitude_orientation(patch)
-    bin_idx = np.clip(
-        (orientation / np.pi * n_bins).astype(np.int64), 0, n_bins - 1
-    )
-    hist = np.bincount(
-        bin_idx.ravel(), weights=magnitude.ravel(), minlength=n_bins
-    )
-    norm = np.sqrt((hist**2).sum()) + 1e-8
-    hist = hist / norm
-    gray = patch if patch.ndim == 2 else patch.mean(axis=2)
-    return np.concatenate([hist, [gray.mean(), gray.std()]])
-
-
 def describe_patches(patches: np.ndarray, n_bins: int = 8) -> np.ndarray:
-    """:func:`patch_descriptor` over an (N, ps, ps[, C]) batch, ``(N, n_bins+2)``.
+    """Describe an (N, ps, ps[, C]) patch batch, shape ``(N, n_bins + 2)``.
 
-    One vectorized pass: batched gradients, a single offset ``bincount``
-    for every patch's orientation histogram (the scatter never crosses
-    patch boundaries, so each histogram accumulates its pixels in the same
-    raster order as the scalar path), and axis-wise intensity moments.
-    Rows are bit-identical to calling :func:`patch_descriptor` per patch.
+    Each row concatenates an ``n_bins`` gradient-orientation histogram
+    (magnitude weighted, L2-normalized) with the patch's mean and standard
+    deviation of intensity.  One vectorized pass: batched gradients, a
+    single offset ``bincount`` for every patch's orientation histogram (the
+    scatter never crosses patch boundaries, so each histogram accumulates
+    its pixels in raster order), and axis-wise intensity moments.
     """
     if n_bins <= 0:
         raise ValueError(f"n_bins must be positive, got {n_bins}")

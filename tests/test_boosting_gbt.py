@@ -50,25 +50,6 @@ class TestGradientBoostedClassifier:
         probs = model.predict_proba(x[:1])
         assert probs[0, 0] > probs[0, 1]
 
-    def test_early_stopping_truncates(self, rng):
-        x, y = xor_data(rng, n=200)
-        # A noisy validation set guarantees the val loss bottoms out, so
-        # early stopping must fire well before the round cap.
-        x_val, y_val = xor_data(rng, n=100)
-        flip = rng.random(100) < 0.3
-        y_val = np.where(flip, 1 - y_val, y_val)
-        model = GradientBoostedClassifier(
-            n_estimators=200, max_depth=2, early_stopping_rounds=5
-        )
-        model.fit(x, y, rng=rng, x_val=x_val, y_val=y_val)
-        assert model.n_rounds < 200
-
-    def test_early_stopping_requires_validation(self, rng):
-        x, y = xor_data(rng, n=50)
-        model = GradientBoostedClassifier(early_stopping_rounds=3)
-        with pytest.raises(ValueError):
-            model.fit(x, y, rng=rng)
-
     def test_subsample_still_learns(self, rng):
         x, y = xor_data(rng)
         model = GradientBoostedClassifier(

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.system import CrowdLearnSystem, RunOutcome
+from repro.core.system import RunOutcome
+from repro.eval.journal import resume_run
 from repro.eval.persistence import (
     cycle_outcome_from_dict,
     cycle_outcome_to_dict,
@@ -55,8 +56,8 @@ class TestCheckpointResume:
             outcome.append(system.run_cycle(stream.cycle(t)))
         save_checkpoint(path, system, stream, outcome, k)
 
-        resumed = CrowdLearnSystem.resume_from_checkpoint(path)
-        assert_outcomes_equal(resumed, uninterrupted)
+        resumed = resume_run(path, tmp_path / "deployment.journal", fsync="never")
+        assert_outcomes_equal(resumed.outcome, uninterrupted)
 
     def test_run_with_checkpointing_matches_plain_run(
         self, setup, uninterrupted, tmp_path

@@ -143,10 +143,12 @@ class TestCommands:
         assert "cycle.mic.retrain" in out
         assert "crowd spend (cents)" in out
 
-        from repro.telemetry import read_jsonl
+        import json
 
-        parsed = read_jsonl(jsonl)
-        assert any(s.name == "cycle" for s in parsed["spans"])
+        records = [json.loads(line) for line in jsonl.read_text().splitlines()]
+        assert any(
+            r["type"] == "span" and r["name"] == "cycle" for r in records
+        )
         assert "queries_posted_total" in prom.read_text()
 
     def test_trace_leaves_process_default_clean(self):
@@ -225,6 +227,26 @@ class TestCommands:
     def test_loadgen_resume_requires_dir(self, capsys):
         assert main(["loadgen", "--resume", "--seed", "61"]) == 2
         assert "--resume requires --serve-dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--watchdog", "nan"), ("--watchdog", "inf"), ("--backoff", "nan"),
+         ("--backoff", "inf")],
+    )
+    def test_supervise_rejects_non_finite_settings(
+        self, flag, value, tmp_path, capsys
+    ):
+        """A NaN watchdog would never fire; a NaN backoff crashes sleep."""
+        rc = main([
+            "supervise", "--seed", "61",
+            "--checkpoint", str(tmp_path / "c.ckpt"),
+            "--journal", str(tmp_path / "c.journal"),
+            flag, value,
+        ])
+        assert rc == 2
+        field = {"--watchdog": "watchdog_seconds", "--backoff": "backoff_base_seconds"}[flag]
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "c.journal").exists()  # no child launched
 
     def test_serve(self, capsys, tmp_path):
         digest_file = tmp_path / "digest.txt"

@@ -324,7 +324,7 @@ class TestDivergenceSentinel:
 class TestTrainerSentinel:
     """Deterministic divergence via a scripted constant-step optimizer."""
 
-    def make_trainer(self, lr: float, sentinel=None, seed: int = 4):
+    def make_trainer(self, lr: float, seed: int = 4):
         rng = np.random.default_rng(seed)
         model = Sequential([Dense(2, 2, rng)])
         for p in model.params():
@@ -332,7 +332,7 @@ class TestTrainerSentinel:
         optimizer = _ConstantStepOptimizer(model.params(), lr=lr)
         trainer = Trainer(
             model, SoftmaxCrossEntropy(), optimizer, rng=rng,
-            batch_size=8, sentinel=sentinel,
+            batch_size=8,
         )
         x = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
         y = np.array([0, 1, 0, 1], dtype=np.int64)
@@ -343,8 +343,9 @@ class TestTrainerSentinel:
         # lr=1.5 that exceeds max_update_ratio=1 * param norm sqrt(6); the
         # retry at lr=0.75 stays under it.
         sentinel = DivergenceSentinel(max_update_ratio=1.0, lr_backoff_factor=0.5)
-        trainer, x, y = self.make_trainer(lr=1.5, sentinel=sentinel)
-        history = trainer.fit(x, y, epochs=1)
+        trainer, x, y = self.make_trainer(lr=1.5)
+        with use_divergence_sentinel(sentinel):
+            history = trainer.fit(x, y, epochs=1)
         assert history.epochs == 1
         assert (sentinel.aborts, sentinel.retries, sentinel.failures) == (1, 1, 0)
         for p in trainer.model.params():
@@ -353,8 +354,9 @@ class TestTrainerSentinel:
 
     def test_double_divergence_gives_up_cleanly(self):
         sentinel = DivergenceSentinel(max_update_ratio=1.0, lr_backoff_factor=0.5)
-        trainer, x, y = self.make_trainer(lr=10.0, sentinel=sentinel)
-        history = trainer.fit(x, y, epochs=3)
+        trainer, x, y = self.make_trainer(lr=10.0)
+        with use_divergence_sentinel(sentinel):
+            history = trainer.fit(x, y, epochs=3)
         assert history.epochs == 0  # fit stopped, no garbage epoch recorded
         assert (sentinel.aborts, sentinel.retries, sentinel.failures) == (1, 1, 1)
         for p in trainer.model.params():  # last good weights, bit-identical
@@ -385,8 +387,9 @@ class TestTrainerSentinel:
             sentinel = DivergenceSentinel(
                 max_update_ratio=1.0, lr_backoff_factor=0.5
             )
-            trainer, x, y = self.make_trainer(lr=1.5, sentinel=sentinel)
-            history = trainer.fit(x, y, epochs=2)
+            trainer, x, y = self.make_trainer(lr=1.5)
+            with use_divergence_sentinel(sentinel):
+                history = trainer.fit(x, y, epochs=2)
             losses.append(tuple(history.train_loss))
             assert sentinel.counter_state() == (1, 1, 0)
         assert losses[0] == losses[1]

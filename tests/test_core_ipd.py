@@ -118,9 +118,10 @@ class TestWarmStart:
             for arm, level in enumerate(INCENTIVE_LEVELS):
                 delay = 100.0 if level == 4.0 else 500.0
                 ipd.observe(TemporalContext.MORNING, arm, delay)
-        schedule = ipd.incentive_schedule()
-        assert schedule[TemporalContext.MORNING] == 4.0
-        assert np.isnan(schedule[TemporalContext.EVENING])
+        morning = TemporalContext.MORNING.index
+        best = int(np.argmax(ipd.policy.mean_payoffs(morning)))
+        assert ipd.policy.arms[best] == 4.0
+        assert ipd.policy.pull_counts(TemporalContext.EVENING.index).sum() == 0
 
 
 class TestValidation:

@@ -56,14 +56,6 @@ class TestPostQuery:
         with pytest.raises(BudgetExhausted):
             platform.post_query(meta(), 4.0, TemporalContext.MORNING, ledger=ledger)
 
-    def test_post_queries_batch(self, platform):
-        ledger = BudgetLedger(100.0)
-        results = platform.post_queries(
-            [meta(0), meta(1), meta(2)], 2.0, TemporalContext.EVENING, ledger
-        )
-        assert len(results) == 3
-        assert ledger.spent == pytest.approx(6.0)
-
     def test_higher_incentive_faster_in_morning(self, platform):
         cheap = [
             platform.post_query(meta(), 1.0, TemporalContext.MORNING).mean_delay

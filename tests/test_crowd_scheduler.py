@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.crowd.delay import DelayModel
-from repro.crowd.platform import BatchPostResult, CrowdsourcingPlatform
+from repro.crowd.platform import CrowdsourcingPlatform
 from repro.crowd.quality import QualityModel
 from repro.crowd.scheduler import PendingResponse, VirtualTimeScheduler
 from repro.crowd.tasks import (
@@ -171,59 +171,6 @@ class TestSchedulerBasics:
         assert sorted([b, a, c]) == [c, a, b]
 
 
-class TestDelayTail:
-    def test_late_probability_monotone_in_deadline(self):
-        model = DelayModel()
-        p_tight = model.late_probability(TemporalContext.MORNING, 1.0, 300.0)
-        p_loose = model.late_probability(TemporalContext.MORNING, 1.0, 3000.0)
-        assert p_tight > p_loose
-
-    def test_late_probability_matches_figure5_shape(self):
-        """Slow morning 1c crowds straggle; paid morning crowds do not."""
-        model = DelayModel()
-        slow = model.late_probability(
-            TemporalContext.MORNING, 1.0, SECONDS_PER_CYCLE
-        )
-        fast = model.late_probability(
-            TemporalContext.MORNING, 20.0, SECONDS_PER_CYCLE
-        )
-        assert slow > 0.9
-        assert fast < 0.05
-
-    def test_late_probability_agrees_with_sampling(self):
-        model = DelayModel()
-        rng = np.random.default_rng(3)
-        deadline = 600.0
-        draws = np.array([
-            model.sample(TemporalContext.MIDNIGHT, 1.0, rng)
-            for _ in range(4000)
-        ])
-        analytic = model.late_probability(
-            TemporalContext.MIDNIGHT, 1.0, deadline
-        )
-        empirical = float(np.mean(draws > deadline))
-        assert abs(analytic - empirical) < 0.03
-
-    def test_zero_sigma_degenerates_to_step(self):
-        model = DelayModel(noise_sigma=0.0)
-        mean = model.mean_delay(TemporalContext.MORNING, 1.0)
-        assert model.late_probability(
-            TemporalContext.MORNING, 1.0, mean / 2
-        ) == 1.0
-        assert model.late_probability(
-            TemporalContext.MORNING, 1.0, mean * 2
-        ) == 0.0
-
-    def test_validation(self):
-        model = DelayModel()
-        with pytest.raises(ValueError):
-            model.late_probability(TemporalContext.MORNING, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            model.late_probability(
-                TemporalContext.MORNING, 1.0, 600.0, worker_speed=0.0
-            )
-
-
 def make_platform(population, rng=None, scheduler=None):
     return CrowdsourcingPlatform(
         population=population,
@@ -315,59 +262,3 @@ class TestPlatformScheduling:
 
         result = QueryResult(query=query(), responses=[response(0, 100.0)])
         assert result.realized_mean_delay() == result.mean_delay
-
-
-class TestBatchPosting:
-    def test_batch_forwards_deadline(self, population):
-        platform = make_platform(population)
-        batch = platform.post_queries(
-            [meta(i) for i in range(3)],
-            1.0,
-            TemporalContext.MORNING,
-            deadline_seconds=300.0,
-        )
-        assert batch.ok
-        assert len(batch) == 3
-        for result in batch:
-            assert result.deadline_seconds == 300.0
-
-    def test_batch_keeps_partial_results_on_budget_exhausted(self, population):
-        from repro.bandit.budget import BudgetExhausted, BudgetLedger
-
-        platform = make_platform(population)
-        ledger = BudgetLedger(total=20.0)  # 2 posts of 8c, not 3
-        batch = platform.post_queries(
-            [meta(i) for i in range(3)],
-            8.0,
-            TemporalContext.EVENING,
-            ledger=ledger,
-        )
-        assert not batch.ok
-        assert isinstance(batch.error, BudgetExhausted)
-        assert len(batch) == 2  # the completed work survives
-
-    def test_batch_keeps_partial_results_on_outage(self, population):
-        from repro.crowd.faults import (
-            FaultInjector,
-            FaultPlan,
-            PlatformUnavailable,
-        )
-
-        injector = FaultInjector(
-            FaultPlan(outage_windows=((2, 100),)),
-            rng=np.random.default_rng(0),
-        )
-        platform = make_platform(population)
-        platform.faults = injector
-        batch = platform.post_queries(
-            [meta(i) for i in range(5)], 8.0, TemporalContext.EVENING
-        )
-        assert not batch.ok
-        assert isinstance(batch.error, PlatformUnavailable)
-        assert len(batch) == 2  # posts 0 and 1 landed before the outage
-
-    def test_batch_result_is_sequence_like(self):
-        batch = BatchPostResult()
-        assert batch.ok
-        assert len(batch) == 0
-        assert list(batch) == []

@@ -22,6 +22,7 @@ from repro.core.guards import GuardPolicy, Snapshot, SnapshotRing
 from repro.core.system import CrowdLearnSystem, RunOutcome
 from repro.crowd.faults import FaultInjector
 from repro.eval.experiments import adversarial_label_plan, run_guard_chaos
+from repro.eval.journal import resume_run
 from repro.eval.persistence import run_outcome_digest, save_checkpoint
 from repro.eval.runner import build_crowdlearn, prepare
 from repro.models.base import DDAModel
@@ -125,8 +126,8 @@ class TestGuardedCheckpointResume:
             outcome.append(system.run_cycle(stream.cycle(t)))
         save_checkpoint(path, system, stream, outcome, k)
 
-        resumed = CrowdLearnSystem.resume_from_checkpoint(path)
-        assert_runs_equal(resumed, uninterrupted)
+        resumed = resume_run(path, tmp_path / "guarded.journal", fsync="never")
+        assert_runs_equal(resumed.outcome, uninterrupted)
 
 
 class TestSnapshotReuseParity:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import Adam
 
 
 def quadratic_problem():
@@ -11,63 +11,6 @@ def quadratic_problem():
     w = np.array([10.0, -5.0])
     g = np.zeros_like(w)
     return w, g
-
-
-class TestSGD:
-    def test_plain_step(self):
-        w, g = quadratic_problem()
-        opt = SGD([w], [g], lr=0.1)
-        g[...] = w - 3.0
-        opt.step()
-        np.testing.assert_allclose(w, [10.0 - 0.7, -5.0 + 0.8])
-
-    def test_converges_on_quadratic(self):
-        w, g = quadratic_problem()
-        opt = SGD([w], [g], lr=0.1)
-        for _ in range(200):
-            g[...] = w - 3.0
-            opt.step()
-        np.testing.assert_allclose(w, 3.0, atol=1e-6)
-
-    def test_momentum_accelerates(self):
-        w1, g1 = quadratic_problem()
-        w2, g2 = quadratic_problem()
-        plain = SGD([w1], [g1], lr=0.01)
-        momentum = SGD([w2], [g2], lr=0.01, momentum=0.9)
-        for _ in range(20):
-            g1[...] = w1 - 3.0
-            plain.step()
-            g2[...] = w2 - 3.0
-            momentum.step()
-        assert np.abs(w2 - 3.0).sum() < np.abs(w1 - 3.0).sum()
-
-    def test_weight_decay_shrinks_params(self):
-        w = np.array([10.0])
-        g = np.zeros_like(w)
-        opt = SGD([w], [g], lr=0.1, weight_decay=0.5)
-        opt.step()  # gradient 0: only decay acts
-        assert w[0] < 10.0
-
-    def test_zero_grad(self):
-        w, g = quadratic_problem()
-        opt = SGD([w], [g], lr=0.1)
-        g[...] = 5.0
-        opt.zero_grad()
-        np.testing.assert_array_equal(g, 0.0)
-
-    def test_invalid_lr_raises(self):
-        w, g = quadratic_problem()
-        with pytest.raises(ValueError):
-            SGD([w], [g], lr=0.0)
-
-    def test_mismatched_lists_raise(self):
-        w, g = quadratic_problem()
-        with pytest.raises(ValueError):
-            SGD([w], [g, g], lr=0.1)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            SGD([np.zeros(2)], [np.zeros(3)], lr=0.1)
 
 
 class TestAdam:
@@ -104,3 +47,24 @@ class TestAdam:
         assert w[0] < 10.0 and w[1] < 10.0
         # Adam normalizes per-coordinate: both should move comparably.
         assert abs((10.0 - w[0]) - (10.0 - w[1])) < 1.0
+
+    def test_zero_grad(self):
+        w, g = quadratic_problem()
+        opt = Adam([w], [g], lr=0.1)
+        g[...] = 5.0
+        opt.zero_grad()
+        np.testing.assert_array_equal(g, 0.0)
+
+    def test_invalid_lr_raises(self):
+        w, g = quadratic_problem()
+        with pytest.raises(ValueError):
+            Adam([w], [g], lr=0.0)
+
+    def test_mismatched_lists_raise(self):
+        w, g = quadratic_problem()
+        with pytest.raises(ValueError):
+            Adam([w], [g, g], lr=0.1)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            Adam([np.zeros(2)], [np.zeros(3)], lr=0.1)

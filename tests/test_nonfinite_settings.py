@@ -8,6 +8,8 @@ touches.  Each of these settings must raise ``ValueError`` at
 construction instead.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import CrowdLearnConfig
@@ -51,3 +53,24 @@ def test_fault_plan_from_dict_refuses_non_finite_spike_factor(value):
     """Serve manifests rebuild fault plans through ``from_dict``."""
     with pytest.raises(ValueError, match="delay_spike_factor"):
         FaultPlan.from_dict({"delay_spike_factor": value})
+
+
+def _float_fields():
+    """Every ``float``-typed field of the four settings dataclasses."""
+    for cls in (CrowdLearnConfig, FaultPlan, GuardPolicy, ResiliencePolicy):
+        for f in dataclasses.fields(cls):
+            if f.type in ("float", float):
+                yield cls, f.name
+
+
+FLOAT_FIELDS = list(_float_fields())
+
+
+@pytest.mark.parametrize("value", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "cls, field", FLOAT_FIELDS,
+    ids=[f"{cls.__name__}.{field}" for cls, field in FLOAT_FIELDS],
+)
+def test_every_float_field_refuses_non_finite(cls, field, value):
+    with pytest.raises(ValueError, match=field):
+        cls(**{field: value})

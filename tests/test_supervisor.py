@@ -143,6 +143,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SupervisorConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "field",
+        ["watchdog_seconds", "backoff_base_seconds", "backoff_max_seconds",
+         "poll_seconds"],
+    )
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SupervisorConfig(**{field: value})
+
+    def test_rejects_negative_backoff_cap(self):
+        with pytest.raises(ValueError, match="backoff_max_seconds"):
+            SupervisorConfig(backoff_max_seconds=-1.0)
+
     def test_backoff_doubles_and_caps(self):
         config = SupervisorConfig(
             backoff_base_seconds=1.0, backoff_max_seconds=5.0

@@ -11,7 +11,8 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core.system import CrowdLearnSystem, RunOutcome
+from repro.core.system import RunOutcome
+from repro.eval.journal import resume_run
 from repro.eval.persistence import load_checkpoint, save_checkpoint
 from repro.eval.runner import build_crowdlearn, prepare
 from repro.telemetry import NULL_TELEMETRY, Telemetry
@@ -157,8 +158,8 @@ class TestCheckpointTelemetry:
         assert restored_tel.registry.value("cycles_total") == k
         assert len(restored_tel.tracer.by_name("cycle")) == k
 
-        resumed = CrowdLearnSystem.resume_from_checkpoint(path)
-        assert_outcomes_equal(resumed, baseline)
+        resumed = resume_run(path, tmp_path / "tel.journal", fsync="never")
+        assert_outcomes_equal(resumed.outcome, baseline)
         # the resumed system's telemetry kept counting past the crash
         final_system, _, _, _ = load_checkpoint(path)
         assert final_system.telemetry.registry.value("cycles_total") == len(

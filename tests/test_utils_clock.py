@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.clock import SECONDS_PER_CYCLE, SimulatedClock, TemporalContext
+from repro.utils.clock import SimulatedClock, TemporalContext
 
 
 class TestTemporalContext:
@@ -54,35 +54,8 @@ class TestSimulatedClock:
         with pytest.raises(ValueError):
             SimulatedClock().advance(-1.0)
 
-    def test_advance_cycles(self):
-        clock = SimulatedClock()
-        clock.advance_cycles(3)
-        assert clock.elapsed_seconds == pytest.approx(3 * SECONDS_PER_CYCLE)
-
-    def test_advance_cycles_negative_raises(self):
-        with pytest.raises(ValueError):
-            SimulatedClock().advance_cycles(-2)
-
     def test_hour_wraps_past_midnight(self):
         clock = SimulatedClock(start_hour=23.0)
         clock.advance(2 * 3600.0)
         assert clock.hour_of_day == pytest.approx(1.0)
         assert clock.context is TemporalContext.MIDNIGHT
-
-    def test_jump_to_context_moves_forward_only(self):
-        clock = SimulatedClock(start_hour=8.0)
-        clock.jump_to_context(TemporalContext.EVENING)
-        assert clock.context is TemporalContext.EVENING
-        assert clock.elapsed_seconds == pytest.approx(10 * 3600.0)
-
-    def test_jump_to_current_context_is_noop(self):
-        clock = SimulatedClock(start_hour=8.0)
-        before = clock.elapsed_seconds
-        clock.jump_to_context(TemporalContext.MORNING)
-        assert clock.elapsed_seconds == before
-
-    def test_jump_wraps_to_next_day(self):
-        clock = SimulatedClock(start_hour=20.0)
-        clock.jump_to_context(TemporalContext.MORNING)
-        assert clock.context is TemporalContext.MORNING
-        assert clock.hour_of_day == pytest.approx(6.0)

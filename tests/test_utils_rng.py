@@ -1,9 +1,8 @@
 """Tests for repro.utils.rng."""
 
 import numpy as np
-import pytest
 
-from repro.utils.rng import SeedSequencer, default_rng, spawn
+from repro.utils.rng import SeedSequencer, default_rng
 
 
 class TestDefaultRng:
@@ -14,29 +13,6 @@ class TestDefaultRng:
 
     def test_different_seeds_differ(self):
         assert not np.array_equal(default_rng(1).random(5), default_rng(2).random(5))
-
-
-class TestSpawn:
-    def test_spawn_count(self, rng):
-        children = spawn(rng, 4)
-        assert len(children) == 4
-
-    def test_spawn_children_independent(self, rng):
-        a, b = spawn(rng, 2)
-        assert not np.array_equal(a.random(10), b.random(10))
-
-    def test_spawn_deterministic_given_parent_state(self):
-        kids1 = spawn(default_rng(5), 3)
-        kids2 = spawn(default_rng(5), 3)
-        for k1, k2 in zip(kids1, kids2):
-            np.testing.assert_array_equal(k1.random(4), k2.random(4))
-
-    def test_spawn_zero_is_empty(self, rng):
-        assert spawn(rng, 0) == []
-
-    def test_spawn_negative_raises(self, rng):
-        with pytest.raises(ValueError):
-            spawn(rng, -1)
 
 
 class TestSeedSequencer:

@@ -1,12 +1,8 @@
 """Tests for repro.utils.validation."""
 
-import numpy as np
 import pytest
 
 from repro.utils.validation import (
-    as_float_array,
-    check_array_shape,
-    check_distribution,
     check_in_range,
     check_non_negative,
     check_positive,
@@ -45,46 +41,3 @@ class TestScalarChecks:
     def test_error_message_names_argument(self):
         with pytest.raises(ValueError, match="epsilon"):
             check_probability(2.0, name="epsilon")
-
-
-class TestArrayChecks:
-    def test_shape_match(self):
-        arr = check_array_shape(np.zeros((3, 4)), (3, 4))
-        assert arr.shape == (3, 4)
-
-    def test_shape_wildcard(self):
-        check_array_shape(np.zeros((7, 4)), (None, 4))
-
-    def test_shape_rank_mismatch(self):
-        with pytest.raises(ValueError, match="dimensions"):
-            check_array_shape(np.zeros(3), (3, 1))
-
-    def test_shape_axis_mismatch(self):
-        with pytest.raises(ValueError, match="axis 1"):
-            check_array_shape(np.zeros((3, 4)), (3, 5))
-
-    def test_distribution_valid(self):
-        dist = check_distribution(np.array([0.25, 0.75]))
-        assert dist.sum() == pytest.approx(1.0)
-
-    def test_distribution_rejects_negative(self):
-        with pytest.raises(ValueError, match="negative"):
-            check_distribution(np.array([1.2, -0.2]))
-
-    def test_distribution_rejects_bad_sum(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            check_distribution(np.array([0.5, 0.4]))
-
-    def test_distribution_rejects_empty_and_2d(self):
-        with pytest.raises(ValueError):
-            check_distribution(np.array([]))
-        with pytest.raises(ValueError):
-            check_distribution(np.ones((2, 2)) / 4)
-
-    def test_as_float_array_rejects_nan(self):
-        with pytest.raises(ValueError, match="NaN"):
-            as_float_array([1.0, np.nan])
-
-    def test_as_float_array_converts(self):
-        out = as_float_array([1, 2, 3])
-        assert out.dtype == np.float64

@@ -3,11 +3,36 @@
 import numpy as np
 import pytest
 
+from repro.vision.hog import gradient_magnitude_orientation
 from repro.vision.patches import (
     dense_patches,
     describe_image_patches,
-    patch_descriptor,
+    describe_patches,
 )
+
+
+def scalar_descriptor(patch, n_bins=8):
+    """Reference: one patch's descriptor, computed on its own.
+
+    An orientation histogram (magnitude weighted, L2-normalized) followed by
+    the patch's mean and standard deviation of intensity; the batched
+    :func:`describe_patches` must reproduce it bit for bit.
+    """
+    magnitude, orientation = gradient_magnitude_orientation(patch)
+    bin_idx = np.clip(
+        (orientation / np.pi * n_bins).astype(np.int64), 0, n_bins - 1
+    )
+    hist = np.bincount(
+        bin_idx.ravel(), weights=magnitude.ravel(), minlength=n_bins
+    )
+    hist = hist / (np.sqrt((hist**2).sum()) + 1e-8)
+    gray = patch if patch.ndim == 2 else patch.mean(axis=2)
+    return np.concatenate([hist, [gray.mean(), gray.std()]])
+
+
+def describe_one(patch, n_bins=8):
+    """:func:`describe_patches` on a batch of one patch."""
+    return describe_patches(np.asarray(patch)[None], n_bins=n_bins)[0]
 
 
 class TestDensePatches:
@@ -37,15 +62,15 @@ class TestDensePatches:
 
 class TestPatchDescriptor:
     def test_length(self, rng):
-        desc = patch_descriptor(rng.random((8, 8)), n_bins=8)
+        desc = describe_one(rng.random((8, 8)), n_bins=8)
         assert desc.shape == (10,)
 
     def test_histogram_part_normalized(self, rng):
-        desc = patch_descriptor(rng.random((8, 8)), n_bins=8)
+        desc = describe_one(rng.random((8, 8)), n_bins=8)
         assert np.linalg.norm(desc[:8]) <= 1.0 + 1e-6
 
     def test_flat_patch_zero_histogram(self):
-        desc = patch_descriptor(np.full((8, 8), 0.3), n_bins=8)
+        desc = describe_one(np.full((8, 8), 0.3), n_bins=8)
         np.testing.assert_allclose(desc[:8], 0.0, atol=1e-6)
         assert desc[8] == pytest.approx(0.3)  # mean intensity retained
         assert desc[9] == pytest.approx(0.0)  # zero std
@@ -55,13 +80,13 @@ class TestPatchDescriptor:
         vertical[:, 4:] = 1.0
         horizontal = np.zeros((8, 8))
         horizontal[4:, :] = 1.0
-        dv = patch_descriptor(vertical)
-        dh = patch_descriptor(horizontal)
+        dv = describe_one(vertical)
+        dh = describe_one(horizontal)
         assert not np.allclose(dv[:8], dh[:8])
 
     def test_invalid_bins_raise(self):
         with pytest.raises(ValueError):
-            patch_descriptor(np.zeros((8, 8)), n_bins=0)
+            describe_patches(np.zeros((1, 8, 8)), n_bins=0)
 
 
 class TestDescribeImagePatches:
@@ -79,24 +104,20 @@ class TestDescribeImagePatches:
 
 
 class TestDescribePatchesParity:
-    """The batched descriptor must reproduce patch_descriptor exactly."""
+    """The batched descriptor must reproduce the per-patch one exactly."""
 
     def test_matches_scalar_descriptor_gray(self, rng):
-        from repro.vision.patches import describe_patches
-
         patches = dense_patches(rng.random((32, 32)), patch_size=8, stride=4)
         batched = describe_patches(patches)
-        expected = np.stack([patch_descriptor(p) for p in patches])
+        expected = np.stack([scalar_descriptor(p) for p in patches])
         np.testing.assert_array_equal(batched, expected)
 
     def test_matches_scalar_descriptor_rgb(self, rng):
-        from repro.vision.patches import describe_patches
-
         patches = dense_patches(
             rng.random((24, 24, 3)), patch_size=8, stride=8
         )
         batched = describe_patches(patches, n_bins=6)
-        expected = np.stack([patch_descriptor(p, n_bins=6) for p in patches])
+        expected = np.stack([scalar_descriptor(p, n_bins=6) for p in patches])
         np.testing.assert_array_equal(batched, expected)
 
     def test_describe_image_patches_unchanged(self, rng):
@@ -104,5 +125,5 @@ class TestDescribePatchesParity:
         image = rng.random((32, 32, 3))
         descriptors = describe_image_patches(image, patch_size=8, stride=4)
         patches = dense_patches(image, patch_size=8, stride=4)
-        expected = np.stack([patch_descriptor(p) for p in patches])
+        expected = np.stack([scalar_descriptor(p) for p in patches])
         np.testing.assert_array_equal(descriptors, expected)
