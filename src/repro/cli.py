@@ -175,8 +175,6 @@ def cmd_run(args) -> int:
             recovery = resume_run(
                 args.checkpoint,
                 args.journal,
-                checkpoint_every=args.checkpoint_every,
-                fsync=args.fsync,
                 fresh=build_fresh,
                 on_record=on_record,
             )
@@ -198,16 +196,12 @@ def cmd_run(args) -> int:
             if args.journal:
                 journal = CycleJournal.create(
                     args.journal,
-                    fsync=args.fsync,
                     crash_injector=system.platform.faults,
                     on_record=on_record,
                 )
             try:
                 outcome = system.run(
-                    stream,
-                    checkpoint_path=args.checkpoint,
-                    checkpoint_every=args.checkpoint_every,
-                    journal=journal,
+                    stream, checkpoint_path=args.checkpoint, journal=journal
                 )
             finally:
                 if journal is not None:
@@ -238,8 +232,6 @@ def cmd_supervise(args) -> int:
         "--seed", str(args.seed),
         "--checkpoint", args.checkpoint,
         "--journal", args.journal,
-        "--checkpoint-every", str(args.checkpoint_every),
-        "--fsync", args.fsync,
     ]
     if args.full:
         argv.append("--full")
@@ -552,7 +544,6 @@ def cmd_serve(args) -> int:
             _prepare(args),
             pool=pool,
             serve_dir=args.serve_dir,
-            fsync=args.fsync,
         )
         for i in range(args.events):
             service.submit_event(f"event-{i + 1:02d}")
@@ -592,6 +583,7 @@ def cmd_serve(args) -> int:
 
 def cmd_loadgen(args) -> int:
     """Surge bench over the serving layer; writes BENCH_serve.json."""
+    from repro.eval.journal import JournalError
     from repro.eval.persistence import CheckpointIntegrityError
     from repro.serve.loadgen import (
         DEFAULT_OUTPUT,
@@ -624,11 +616,10 @@ def cmd_loadgen(args) -> int:
                 burst_images=args.burst_images,
                 burst_seed=args.burst_seed,
                 serve_dir=args.serve_dir,
-                fsync=args.fsync,
                 crash_at_tick=args.crash_at_tick,
                 chaos=args.chaos,
             )
-    except CheckpointIntegrityError:
+    except (CheckpointIntegrityError, JournalError):
         raise  # exit 3 from main(), not a usage error
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -752,23 +743,13 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(
                 "--journal", metavar="PATH",
                 required=(name == "supervise"),
-                help="write-ahead journal of intra-cycle stage effects; "
-                     "rotated atomically at each checkpoint",
-            )
-            sub.add_argument(
-                "--checkpoint-every", type=int, default=1, metavar="N",
-                dest="checkpoint_every",
-                help="checkpoint every N cycles (default 1)",
+                help="write-ahead journal of intra-cycle stage effects, "
+                     "each record fsynced; rotated atomically at each "
+                     "checkpoint",
             )
             sub.add_argument(
                 "--digest-file", metavar="PATH", dest="digest_file",
                 help="write the run-outcome digest here (parity checks)",
-            )
-            sub.add_argument(
-                "--fsync", choices=("always", "rotate", "never"),
-                default="always",
-                help="journal durability policy (default always: fsync "
-                     "every record)",
             )
         if name in ("run", "supervise", "chaos"):
             sub.add_argument(
@@ -785,7 +766,8 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(
                 "--resume", action="store_true",
                 help="resume from --checkpoint, replaying --journal "
-                     "past it (exit 3 on a corrupt checkpoint)",
+                     "past it (exit 3 on a corrupt checkpoint or "
+                     "journal)",
             )
         if name == "supervise":
             sub.add_argument(
@@ -847,11 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "--resume", action="store_true",
                 help="resume a crashed fleet from --serve-dir "
                      "(exit 3 on integrity failures)",
-            )
-            sub.add_argument(
-                "--fsync", choices=("always", "rotate", "never"),
-                default="always",
-                help="journal durability policy (default always)",
             )
             sub.add_argument(
                 "--crash-at-tick", type=int, metavar="K",
@@ -927,8 +904,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code.
 
-    A corrupt checkpoint or serve journal escaping any command is exit 3.
+    A corrupt checkpoint, journal or serve journal escaping any command
+    is exit 3.
     """
+    from repro.eval.journal import JournalError
     from repro.eval.persistence import CheckpointIntegrityError
     from repro.serve.service import ServeJournalError
 
@@ -940,6 +919,8 @@ def main(argv: list[str] | None = None) -> int:
             f"corrupt checkpoint ({exc.check} check failed): {exc}",
             file=sys.stderr,
         )
+    except JournalError as exc:
+        print(f"journal integrity failure: {exc}", file=sys.stderr)
     except ServeJournalError as exc:
         print(f"serve journal integrity failure: {exc}", file=sys.stderr)
     return 3

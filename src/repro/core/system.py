@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,6 +37,9 @@ from repro.data.stream import SensingCycle, SensingCycleStream
 from repro.telemetry.runtime import Telemetry, get_telemetry, use_telemetry
 from repro.utils.clock import TemporalContext
 from repro.utils.rng import SeedSequencer
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (eval imports core)
+    from repro.eval.journal import CycleJournal
 
 __all__ = ["CycleOutcome", "RunOutcome", "StragglerRecord", "CrowdLearnSystem"]
 
@@ -181,6 +185,13 @@ class _CycleState:
     truth_dists: np.ndarray
     #: Cache counters at the start of the cycle (``None`` when uncached).
     cache_stats: dict | None
+    #: Write-ahead journal (:class:`repro.eval.journal.CycleJournal`);
+    #: ``None`` runs the cycle without crash tolerance.
+    journal: CycleJournal | None = None
+    #: Query cap the shared crowd pool granted this cycle; ``None``
+    #: (standalone runs) falls back to ``config.queries_per_cycle``.  May
+    #: exceed the nominal size when the pool grants catch-up capacity.
+    query_cap: int | None = None
     counters: ResilienceCounters = field(default_factory=ResilienceCounters)
     gcounters: GuardCounters = field(default_factory=GuardCounters)
     straggler_images: list[DisasterImage] = field(default_factory=list)
@@ -251,11 +262,6 @@ class CrowdLearnSystem:
         #: each sensing cycle becomes a real deadline and late responses
         #: are harvested into later cycles (under the "harvest" policy).
         self.scheduler = scheduler
-        #: Write-ahead journal (:class:`repro.eval.journal.CycleJournal`);
-        #: ``None`` runs without crash-tolerance.  Attached by
-        #: :meth:`run`/``repro.eval.journal.resume_run`` for the duration
-        #: of the run and never pickled into checkpoints.
-        self.journal = None
         #: Identity of the disaster event this system serves, set by the
         #: serving layer (``repro.serve``); ``None`` for standalone runs.
         #: Scopes the prediction-cache namespace and telemetry labels.
@@ -265,11 +271,6 @@ class CrowdLearnSystem:
         #: only removes redundant inference.
         self.cache: PredictionCache | None = None
         self.attach_cache(cache)
-        #: Per-cycle admission cap imposed by the shared crowd pool;
-        #: ``None`` (standalone runs) falls back to
-        #: ``config.queries_per_cycle``.  May exceed the nominal per-cycle
-        #: size when the pool grants catch-up capacity for a backlog.
-        self.cycle_query_cap: int | None = None
         #: Queries with late responses still in flight, by query id.
         self._straggler_queries: dict[int, StragglerRecord] = {}
         if scheduler is not None and config.straggler_policy == "harvest":
@@ -296,13 +297,6 @@ class CrowdLearnSystem:
 
     def _telemetry(self) -> Telemetry:
         return self.telemetry if self.telemetry is not None else get_telemetry()
-
-    def __getstate__(self) -> dict:
-        # The journal holds an open file handle and belongs to exactly one
-        # process's run; a checkpoint must never capture it.
-        state = self.__dict__.copy()
-        state["journal"] = None
-        return state
 
     @classmethod
     def build(
@@ -483,7 +477,7 @@ class CrowdLearnSystem:
         re-executes them; the record exists to anchor crash points and to
         verify that re-execution reaches the same outcome.
         """
-        if self.journal is not None:
+        if st.journal is not None:
             deltas = self._post_counter_deltas(st.counters, before)
             self._log(st, "post", {"kind": kind, **intent, **deltas})
 
@@ -582,8 +576,19 @@ class CrowdLearnSystem:
         )
         return result, paid
 
-    def run_cycle(self, cycle: SensingCycle) -> CycleOutcome:
+    def run_cycle(
+        self,
+        cycle: SensingCycle,
+        journal: CycleJournal | None = None,
+        query_cap: int | None = None,
+    ) -> CycleOutcome:
         """Execute the full CrowdLearn loop on one sensing cycle.
+
+        ``journal`` writes every stage boundary ahead to a
+        :class:`repro.eval.journal.CycleJournal` (or, in recovery, verifies
+        it against the log and serves journaled posts from it).
+        ``query_cap`` is the shared crowd pool's grant for this cycle;
+        ``None`` selects ``config.queries_per_cycle`` queries.
 
         Resilience (see :class:`~repro.core.resilience.ResiliencePolicy`):
         posts that hit a platform outage are retried with backoff and, once
@@ -610,7 +615,9 @@ class CrowdLearnSystem:
         with use_telemetry(tel), tel.span(
             "cycle", index=cycle.index, context=cycle.context.value
         ):
-            return self._run_cycle(cycle, tel)
+            return self._run_cycle(
+                self._begin_cycle(cycle, tel, journal, query_cap)
+            )
 
     def _cycle_worker_reliability(
         self, results: list[QueryResult]
@@ -690,7 +697,7 @@ class CrowdLearnSystem:
                 del registry[query_id]
         return images, labels
 
-    def _run_cycle(self, cycle: SensingCycle, tel: Telemetry) -> CycleOutcome:
+    def _run_cycle(self, st: _CycleState) -> CycleOutcome:
         """The stage driver: one span and one journal record per stage.
 
         Stage and span names, span attributes, journal stage names,
@@ -698,7 +705,7 @@ class CrowdLearnSystem:
         re-executes a cycle and verifies every append against the log, and
         crash points are keyed on the journal stage names.
         """
-        st = self._begin_cycle(cycle, tel)
+        cycle, tel = st.cycle, st.tel
         self._log(st, "cycle_start", {"context": cycle.context.value})
         if self.scheduler is not None:
             with tel.span("scheduler.harvest", cycle=cycle.index) as span:
@@ -753,10 +760,16 @@ class CrowdLearnSystem:
 
     def _log(self, st: _CycleState, stage: str, payload) -> None:
         """Journal one stage boundary (verified against the log in recovery)."""
-        if self.journal is not None:
-            self.journal.append(st.cycle.index, stage, payload)
+        if st.journal is not None:
+            st.journal.append(st.cycle.index, stage, payload)
 
-    def _begin_cycle(self, cycle: SensingCycle, tel: Telemetry) -> _CycleState:
+    def _begin_cycle(
+        self,
+        cycle: SensingCycle,
+        tel: Telemetry,
+        journal: CycleJournal | None,
+        query_cap: int | None,
+    ) -> _CycleState:
         guard = self.guards
         if guard.n_experts != self.committee.n_experts:
             # A new committee was swapped into a live system: per-expert
@@ -775,6 +788,8 @@ class CrowdLearnSystem:
             mask=guard.active_mask(),
             truth_dists=np.empty((0, self.committee.experts[0].n_classes)),
             cache_stats=None if cache is None else cache.stats(),
+            journal=journal,
+            query_cap=query_cap,
         )
 
     def _harvest(self, st: _CycleState) -> dict:
@@ -794,7 +809,7 @@ class CrowdLearnSystem:
         return self.committee.committee_entropy(st.dataset, st.votes, mask=st.mask)
 
     def _select_queries(self, st: _CycleState, entropy: np.ndarray) -> np.ndarray:
-        cap = self.cycle_query_cap
+        cap = st.query_cap
         desired = self.config.queries_per_cycle if cap is None else cap
         return self.qss.select(entropy, min(desired, len(st.dataset)), self.rng)
 
@@ -830,7 +845,7 @@ class CrowdLearnSystem:
         out and the image stays with the AI.  A post the journal already
         holds is replayed from it instead of re-posted.
         """
-        cycle, counters, jrn = st.cycle, st.counters, self.journal
+        cycle, counters, jrn = st.cycle, st.counters, st.journal
         intent = {"index": int(index), "arm": int(arm), "incentive": float(incentive)}
         replayed = before = None
         if jrn is not None:
@@ -1071,16 +1086,14 @@ class CrowdLearnSystem:
         self,
         stream: SensingCycleStream,
         checkpoint_path: str | Path | None = None,
-        checkpoint_every: int = 1,
-        journal=None,
+        journal: CycleJournal | None = None,
     ) -> RunOutcome:
         """Run the system over an entire sensing-cycle stream.
 
         With ``checkpoint_path`` set, the full deployment state (system,
-        stream, completed outcomes) is snapshotted after every
-        ``checkpoint_every`` completed cycles via
-        :func:`repro.eval.persistence.save_checkpoint`, so a crashed run
-        can continue from the last completed cycle with
+        stream, completed outcomes) is snapshotted after every completed
+        cycle via :func:`repro.eval.persistence.commit_cycle`, so a crashed
+        run can continue from the last completed cycle with
         :func:`repro.eval.journal.resume_run` and produce the same final
         outcome as an uninterrupted run.
 
@@ -1091,12 +1104,8 @@ class CrowdLearnSystem:
         :func:`repro.eval.journal.resume_run` — journaled crowd posts are
         served from the log instead of being re-posted and re-charged.
         """
-        if checkpoint_every <= 0:
-            raise ValueError(
-                f"checkpoint_every must be positive, got {checkpoint_every}"
-            )
         return self._run_from(stream, RunOutcome(), 0, checkpoint_path,
-                              checkpoint_every, journal=journal)
+                              journal=journal)
 
     def _run_from(
         self,
@@ -1104,29 +1113,13 @@ class CrowdLearnSystem:
         outcome: RunOutcome,
         start_cycle: int,
         checkpoint_path: str | Path | None,
-        checkpoint_every: int,
-        journal=None,
+        journal: CycleJournal | None = None,
     ) -> RunOutcome:
-        from repro.eval.persistence import save_checkpoint
+        from repro.eval.persistence import commit_cycle
 
-        if journal is not None:
-            self.journal = journal
-        try:
-            for t in range(start_cycle, len(stream)):
-                outcome.append(self.run_cycle(stream.cycle(t)))
-                at_checkpoint = (
-                    (t + 1) % checkpoint_every == 0 or t == len(stream) - 1
-                )
-                if checkpoint_path is not None and at_checkpoint:
-                    save_checkpoint(
-                        checkpoint_path, self, stream, outcome, t + 1
-                    )
-                    if journal is not None:
-                        # Everything the journal recorded is now inside
-                        # the snapshot: rotate to a fresh file whose base
-                        # names the checkpoint's resume cycle.
-                        journal.rotate(t + 1)
-        finally:
-            if journal is not None:
-                self.journal = None
+        for t in range(start_cycle, len(stream)):
+            outcome.append(self.run_cycle(stream.cycle(t), journal=journal))
+            if checkpoint_path is not None:
+                commit_cycle(checkpoint_path, self, stream, outcome, t + 1,
+                             journal)
         return outcome

@@ -36,11 +36,15 @@ Every other re-executed append is verified against the on-disk record
 (sequence, cycle, stage and canonical payload must match) — any divergence
 raises :class:`JournalReplayError` instead of silently forking history.
 
-Records carry a per-record SHA-256 over their canonical JSON body, so a
-torn tail (the line being written when the process died) is detected and
-dropped, never parsed into garbage.  The file is rotated atomically
-(fresh temp file + ``os.replace``) right after each checkpoint, keeping
-it small and keeping its base cycle in lockstep with the snapshot.
+Every record is fsynced before the next stage runs, so only the last
+line can be torn.  Records carry a per-record SHA-256 over their
+canonical JSON body: a torn tail (the line being written when the
+process died) is detected and dropped, never parsed into garbage, and a
+bad line with intact records after it is corruption, which
+:meth:`CycleJournal.resume` refuses rather than truncating away paid-for
+posts.  The file is rotated atomically (fresh temp file +
+``os.replace``) right after each checkpoint, keeping it small and
+keeping its base cycle in lockstep with the snapshot.
 """
 
 from __future__ import annotations
@@ -66,13 +70,10 @@ __all__ = [
     "JournalError", "JournalReplayError", "CycleJournal",
     "JournalReadResult", "read_journal", "wal_tail_summary",
     "encode_response", "decode_response", "encode_pending",
-    "RecoveryResult", "resume_run", "audit_recovery",
+    "RecoveryResult", "restore_run", "resume_run", "audit_recovery",
     "recovery_sidecar_path", "load_recovery_info", "update_recovery_info",
     "heartbeat_writer",
 ]
-
-#: Supported fsync policies for the journal writer.
-FSYNC_POLICIES: tuple[str, ...] = ("always", "rotate", "never")
 
 #: Stage names the loop journals, in intra-cycle order.
 JOURNAL_STAGES: tuple[str, ...] = (
@@ -156,6 +157,8 @@ class JournalReadResult:
     torn_lines: int = 0
     #: Byte offset of the end of the last intact record.
     good_bytes: int = 0
+    #: 1-based line number of the first unreadable line (``None``: none).
+    bad_line: int | None = None
 
     @property
     def base_cycle(self) -> int | None:
@@ -184,21 +187,21 @@ def read_journal(path: str | Path) -> JournalReadResult:
     raw = Path(path).read_bytes()
     result = JournalReadResult()
     offset = 0
-    for line in raw.split(b"\n"):
+    for number, line in enumerate(raw.split(b"\n"), start=1):
         advance = len(line) + 1
         if not line.strip():
             offset += advance
             continue
         try:
             record = json.loads(line)
-            recorded = record["sha256"]
             computed = _record_checksum(
                 record["seq"], record["cycle"], record["stage"],
                 record["payload"],
             )
+            if computed != record["sha256"]:
+                raise ValueError("checksum mismatch")
         except (ValueError, KeyError, TypeError):
-            break
-        if computed != recorded:
+            result.bad_line = number
             break
         result.records.append(record)
         offset += advance
@@ -250,15 +253,9 @@ class CycleJournal:
     ----------
     path:
         The journal file.  Use :meth:`create` for a fresh run or
-        :meth:`resume` to reopen after a crash.
-    fsync:
-        ``"always"`` fsyncs every append (each boundary record is durable
-        before the next stage runs — the true WAL discipline);
-        ``"rotate"`` fsyncs only at rotation and close; ``"never"`` leaves
-        durability to the OS.  Weaker policies can lose the tail of the
-        journal in a crash, which costs re-posted queries in a real
-        deployment but never correctness here: lost records simply
-        re-execute.
+        :meth:`resume` to reopen after a crash.  Every record is fsynced
+        as it is written, so each boundary is durable before the next
+        stage runs and a crash can tear only the last line.
     crash_injector:
         Optional :class:`~repro.crowd.faults.FaultInjector`; its
         ``on_stage_boundary`` hook fires after each *live* append is
@@ -271,16 +268,10 @@ class CycleJournal:
     def __init__(
         self,
         path: str | Path,
-        fsync: str = "always",
         crash_injector=None,
         on_record: Callable[[dict], None] | None = None,
     ) -> None:
-        if fsync not in FSYNC_POLICIES:
-            raise JournalError(
-                f"fsync must be one of {FSYNC_POLICIES}, got {fsync!r}"
-            )
         self.path = Path(path)
-        self.fsync_policy = fsync
         self.crash_injector = crash_injector
         self.on_record = on_record
         self._fh = None
@@ -305,14 +296,12 @@ class CycleJournal:
     def create(
         cls,
         path: str | Path,
-        fsync: str = "always",
         crash_injector=None,
         on_record: Callable[[dict], None] | None = None,
         next_cycle: int = 0,
     ) -> "CycleJournal":
         """Start a fresh journal (truncates any existing file)."""
-        journal = cls(path, fsync=fsync, crash_injector=crash_injector,
-                      on_record=on_record)
+        journal = cls(path, crash_injector=crash_injector, on_record=on_record)
         journal._open_fresh(next_cycle)
         return journal
 
@@ -321,7 +310,6 @@ class CycleJournal:
         cls,
         path: str | Path,
         next_cycle: int,
-        fsync: str = "always",
         crash_injector=None,
         on_record: Callable[[dict], None] | None = None,
     ) -> tuple["CycleJournal", dict]:
@@ -330,7 +318,12 @@ class CycleJournal:
         Returns ``(journal, info)``.  When the journal's base cycle
         matches the checkpoint, its records are queued for replay
         verification; the torn tail (if any) is truncated so live appends
-        continue a clean file.  When base and checkpoint disagree — a
+        continue a clean file.  A bad line with a non-empty line after it
+        cannot be a torn write — every record is synced before the next
+        is written — so it raises :class:`JournalError` naming the line
+        instead of truncating the intact records behind it (a dropped
+        ``post`` would be re-posted and re-charged).  When base and
+        checkpoint disagree — a
         crash during rotation left the journal stale, or the checkpoint
         was rolled back under a newer journal — the mismatched file is
         **quarantined** (renamed ``<path>.stale``) with a warning and a
@@ -339,8 +332,7 @@ class CycleJournal:
         fork history.
         """
         path = Path(path)
-        journal = cls(path, fsync=fsync, crash_injector=crash_injector,
-                      on_record=on_record)
+        journal = cls(path, crash_injector=crash_injector, on_record=on_record)
         info = {
             "torn_lines": 0,
             "replay_records": 0,
@@ -351,6 +343,12 @@ class CycleJournal:
             journal._open_fresh(next_cycle)
             return journal, info
         read = read_journal(path)
+        if read.torn_lines > 1:
+            raise JournalError(
+                f"corrupt journal record at line {read.bad_line} of {path}: "
+                f"{read.torn_lines - 1} non-empty line(s) follow it, so it "
+                "is not a torn tail; refusing to truncate them"
+            )
         info["torn_lines"] = read.torn_lines
         base = read.base_cycle
         if base != next_cycle:
@@ -389,9 +387,8 @@ class CycleJournal:
         old = self._fh
         self._fh = fh
         self._seq = 0
+        # The rotate record is synced by _write before the file goes live.
         self._write(next_cycle, "rotate", {"next_cycle": int(next_cycle)})
-        fh.flush()
-        os.fsync(fh.fileno())
         os.replace(tmp, self.path)
         if old is not None:
             old.close()
@@ -403,9 +400,8 @@ class CycleJournal:
         record = {"seq": seq, "cycle": cycle, "stage": stage,
                   "payload": payload, "sha256": checksum}
         self._fh.write(_canonical(record) + "\n")
-        if self.fsync_policy == "always":
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
+        self._fh.flush()
+        os.fsync(self._fh.fileno())
         self._seq = seq + 1
         self.records_written += 1
         self.write_seconds += time.perf_counter() - start
@@ -417,8 +413,7 @@ class CycleJournal:
         While the replay queue holds records, each append is checked
         against the next one — matching appends are consumed without
         rewriting, a mismatch raises :class:`JournalReplayError`.  Once
-        the queue drains, appends write (and, per the fsync policy, sync)
-        live; *then* any armed crash point for this boundary fires, so
+        the queue drains, appends write and sync live; *then* any armed crash point for this boundary fires, so
         the record always survives its own crash.
         """
         if self._fh is None:
@@ -490,22 +485,17 @@ class CycleJournal:
                 "reached by re-execution; the checkpoint and journal "
                 "describe different runs"
             )
+        # The replaced file's records were each synced as written.
         start = time.perf_counter()
-        if self.fsync_policy != "never":
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
         self._open_fresh(next_cycle)
         self.write_seconds += time.perf_counter() - start
         if self.crash_injector is not None:
             self.crash_injector.on_stage_boundary("rotate", next_cycle)
 
     def close(self) -> None:
-        """Flush, sync (per policy) and close the journal file."""
+        """Close the journal file (every record is already synced)."""
         if self._fh is None:
             return
-        self._fh.flush()
-        if self.fsync_policy != "never":
-            os.fsync(self._fh.fileno())
         self._fh.close()
         self._fh = None
 
@@ -653,28 +643,22 @@ class RecoveryResult:
     info: dict = field(default_factory=dict)
 
 
-def resume_run(
+def restore_run(
     checkpoint_path: str | Path,
     journal_path: str | Path,
-    checkpoint_every: int = 1,
-    fsync: str = "always",
     fresh: Callable[[], tuple] | None = None,
     on_record: Callable[[dict], None] | None = None,
-) -> RecoveryResult:
-    """Resume a journaled deployment after a crash.
+) -> tuple:
+    """Reopen a journaled deployment at its last checkpoint.
 
     Loads the checkpoint (or, when none was written yet and ``fresh`` is
     given, rebuilds the deployment from scratch — the journal then replays
-    from cycle 0), reopens the journal for replay, **disarms crash
-    points** on the restored fault injector so an injected crash cannot
-    loop forever, and re-runs the remaining cycles.  Journaled posts are
-    served from the log (never re-posted, never re-charged); every other
-    re-executed boundary is verified against its record.
-
-    Emits ``recovery_*`` telemetry counters on the system's pipeline,
-    accumulates the same counters in the journal's recovery sidecar (the
-    cross-process channel a supervisor reads), and finishes with
-    :func:`audit_recovery`.
+    from cycle 0), **disarms crash points** on the restored fault injector
+    so an injected crash cannot loop forever, and reopens the journal at
+    the checkpoint's cycle with :meth:`CycleJournal.resume`.  Returns
+    ``(system, stream, outcome, next_cycle, journal, info)``, ``info``
+    being the journal's resume report.  Both :func:`resume_run` and the
+    serving layer's per-event restore go through here.
     """
     from repro.eval.persistence import load_checkpoint
 
@@ -696,8 +680,32 @@ def resume_run(
     if injector is not None:
         injector.disarm_crashes()
     journal, info = CycleJournal.resume(
-        journal_path, next_cycle, fsync=fsync, crash_injector=injector,
+        journal_path, next_cycle, crash_injector=injector,
         on_record=on_record,
+    )
+    return system, stream, outcome, next_cycle, journal, info
+
+
+def resume_run(
+    checkpoint_path: str | Path,
+    journal_path: str | Path,
+    fresh: Callable[[], tuple] | None = None,
+    on_record: Callable[[dict], None] | None = None,
+) -> RecoveryResult:
+    """Resume a journaled deployment after a crash.
+
+    Restores the deployment with :func:`restore_run` and re-runs the
+    remaining cycles, checkpointing after each.  Journaled posts are
+    served from the log (never re-posted, never re-charged); every other
+    re-executed boundary is verified against its record.
+
+    Emits ``recovery_*`` telemetry counters on the system's pipeline,
+    accumulates the same counters in the journal's recovery sidecar (the
+    cross-process channel a supervisor reads), and finishes with
+    :func:`audit_recovery`.
+    """
+    system, stream, outcome, next_cycle, journal, info = restore_run(
+        checkpoint_path, journal_path, fresh=fresh, on_record=on_record,
     )
     info["resumed_at_cycle"] = next_cycle
     update_recovery_info(
@@ -709,8 +717,7 @@ def resume_run(
     )
     try:
         outcome = system._run_from(
-            stream, outcome, next_cycle, checkpoint_path, checkpoint_every,
-            journal=journal,
+            stream, outcome, next_cycle, checkpoint_path, journal=journal,
         )
     finally:
         journal.close()

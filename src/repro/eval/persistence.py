@@ -37,6 +37,7 @@ from repro.utils.clock import TemporalContext
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports eval)
     from repro.core.system import CrowdLearnSystem, CycleOutcome, RunOutcome
     from repro.data.stream import SensingCycleStream
+    from repro.eval.journal import CycleJournal
 
 __all__ = ["scheme_result_to_dict", "scheme_result_from_dict",
            "save_results", "load_results",
@@ -44,7 +45,7 @@ __all__ = ["scheme_result_to_dict", "scheme_result_from_dict",
            "run_outcome_to_dict", "run_outcome_from_dict",
            "run_outcome_digest",
            "CheckpointIntegrityError",
-           "save_checkpoint", "load_checkpoint"]
+           "save_checkpoint", "commit_cycle", "load_checkpoint"]
 
 _FORMAT_VERSION = 1
 # Version 2 wraps the pickled deployment state in an envelope carrying its
@@ -285,6 +286,26 @@ def save_checkpoint(
         os.fsync(handle.fileno())
     os.replace(tmp, path)
     return path
+
+
+def commit_cycle(
+    path: str | Path,
+    system: "CrowdLearnSystem",
+    stream: "SensingCycleStream",
+    outcome: "RunOutcome",
+    next_cycle: int,
+    journal: "CycleJournal | None" = None,
+) -> None:
+    """The durable step that ends a cycle: checkpoint, then rotate.
+
+    Everything the journal recorded is now inside the snapshot, so the
+    journal restarts at a fresh file whose base names the checkpoint's
+    resume cycle.  ``CrowdLearnSystem.run`` and the serving layer's
+    ``Deployment.run_next_cycle`` both end each cycle here.
+    """
+    save_checkpoint(path, system, stream, outcome, next_cycle)
+    if journal is not None:
+        journal.rotate(next_cycle)
 
 
 def load_checkpoint(

@@ -5,9 +5,11 @@ A :class:`Deployment` owns everything single-tenant about an event — the
 accumulated :class:`~repro.core.system.RunOutcome`, and (in durable
 mode) the event's checkpoint file and write-ahead journal.  The service
 drives it one cycle at a time through :meth:`run_next_cycle`, passing
-the query cap the shared pool granted; everything inside the cycle is
-exactly the standalone loop, which is what makes an N=1 served event
-byte-identical to ``CrowdLearnSystem.run``.
+the query cap the shared pool granted; the cycle and the checkpoint
+that ends it are exactly the standalone loop's
+(``CrowdLearnSystem.run_cycle`` and
+:func:`repro.eval.persistence.commit_cycle`), which is what makes an
+N=1 served event byte-identical to ``CrowdLearnSystem.run``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from pathlib import Path
 from repro.core.system import CrowdLearnSystem, CycleOutcome, RunOutcome
 from repro.data.dataset import DisasterImage
 from repro.data.stream import SensingCycleStream
+from repro.eval.persistence import commit_cycle
 
 __all__ = ["Deployment"]
 
@@ -42,9 +45,7 @@ class Deployment:
     start_window:
         Global sensing window in which the event's cycle 0 runs.
     checkpoint_path, journal:
-        Durable mode: snapshot after *every* cycle and rotate the
-        journal, mirroring ``CrowdLearnSystem._run_from`` with
-        ``checkpoint_every=1``.
+        Durable mode: snapshot after every cycle and rotate the journal.
     """
 
     def __init__(
@@ -121,41 +122,25 @@ class Deployment:
     # -- the loop ----------------------------------------------------------
 
     def run_next_cycle(self, grant: int) -> CycleOutcome:
-        """Run one sensing cycle under the pool's query cap.
-
-        Mirrors one iteration of ``CrowdLearnSystem._run_from``: attach
-        the journal, run the cycle, append the outcome, snapshot and
-        rotate.  ``cycle_query_cap`` is reset before the checkpoint is
-        written so snapshots never bake in a transient grant.
-        """
+        """Run one sensing cycle under the pool's query cap, then (in
+        durable mode) checkpoint it and rotate the journal."""
         if self.done:
             raise RuntimeError(f"event {self.event_id!r} already drained")
         cycle = self.stream.cycle(self.next_cycle)
-        system = self.system
-        if self.journal is not None:
-            system.journal = self.journal
-        system.cycle_query_cap = int(grant)
         started = time.perf_counter()
-        try:
-            outcome_cycle = system.run_cycle(cycle)
-        finally:
-            system.cycle_query_cap = None
-            if self.journal is not None:
-                system.journal = None
+        outcome_cycle = self.system.run_cycle(
+            cycle, journal=self.journal, query_cap=int(grant)
+        )
         self.cycle_wall_seconds.append(time.perf_counter() - started)
         self.grants.append(int(grant))
         self.outcome.append(outcome_cycle)
         self.next_cycle += 1
         if self.checkpoint_path is not None:
-            from repro.eval.persistence import save_checkpoint
-
             started = time.perf_counter()
-            save_checkpoint(
-                self.checkpoint_path, system, self.stream, self.outcome,
-                self.next_cycle,
+            commit_cycle(
+                self.checkpoint_path, self.system, self.stream, self.outcome,
+                self.next_cycle, self.journal,
             )
-            if self.journal is not None:
-                self.journal.rotate(self.next_cycle)
             self.checkpoint_wall_seconds.append(time.perf_counter() - started)
         return outcome_cycle
 

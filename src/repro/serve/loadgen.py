@@ -84,7 +84,6 @@ def build_service(
     policy: str = "fair-share",
     max_backlog: int | None = None,
     serve_dir: str | Path | None = None,
-    fsync: str = "always",
     unmetered: bool = False,
     fault_plans: dict[str, FaultPlan] | None = None,
 ) -> CrowdLearnService:
@@ -111,9 +110,7 @@ def build_service(
             policy=create_admission_policy(policy),
             max_backlog=max_backlog,
         )
-    service = CrowdLearnService(
-        setup, pool=pool, serve_dir=serve_dir, fsync=fsync
-    )
+    service = CrowdLearnService(setup, pool=pool, serve_dir=serve_dir)
     for i in range(n_events):
         event_id = f"event-{i + 1:02d}"
         service.submit_event(
@@ -302,7 +299,6 @@ def run_loadgen(
     burst_images: int = 10,
     burst_seed: int = 1234,
     serve_dir: str | Path | None = None,
-    fsync: str = "always",
     crash_at_tick: int | None = None,
     chaos: bool = False,
 ) -> dict[str, Any]:
@@ -323,7 +319,6 @@ def run_loadgen(
         policy=policy,
         max_backlog=max_backlog,
         serve_dir=serve_dir,
-        fsync=fsync,
         unmetered=chaos,
         fault_plans=(
             {faulted_event_id(n_events): chaos_plan()} if chaos else None
@@ -392,7 +387,6 @@ def _drive_and_report(
         "max_backlog": service.pool.max_backlog,
         "burst": {"images": burst_images, "seed": burst_seed},
         "durable": service.durable,
-        "fsync": service.fsync,
         "chaos": bool(faulted),
         "faulted_event": faulted[0] if faulted else None,
     }

@@ -158,10 +158,8 @@ class CrowdLearnService:
         mode).
     serve_dir:
         Durable mode: per-event checkpoints/journals plus the service
-        manifest and journal live here.
-    fsync:
-        Journal fsync policy forwarded to every event journal
-        (``always``/``rotate``/``never``).
+        manifest and journal live here.  Every record of every journal
+        (the events' and ``serve.journal``) is fsynced as it is written.
     instrument:
         Give each event a live :class:`Telemetry` pipeline labelled
         ``{"event": <id>}`` (disjoint per event).  Off by default — the
@@ -179,13 +177,11 @@ class CrowdLearnService:
         setup,
         pool: SharedCrowdPool | None = None,
         serve_dir: str | Path | None = None,
-        fsync: str = "always",
         instrument: bool = False,
     ) -> None:
         self.setup = setup
         self.pool = pool if pool is not None else SharedCrowdPool()
         self.registry = EventRegistry()
-        self.fsync = fsync
         self.instrument = instrument
         self.cycle_seconds = float(setup.config.cycle_seconds)
         #: Per-event breaker + ladder state, keyed by event id.
@@ -202,7 +198,6 @@ class CrowdLearnService:
             "version": 1,
             "seed": setup.seed,
             "fast": setup.fast,
-            "fsync": fsync,
             "capacity_per_cycle": self.pool.capacity_per_cycle,
             "policy": self.pool.policy.name,
             "max_backlog": self.pool.max_backlog,
@@ -236,9 +231,8 @@ class CrowdLearnService:
         if self._journal_fh is None:
             return
         self._journal_fh.write(_record_line(record) + "\n")
-        if self.fsync == "always":
-            self._journal_fh.flush()
-            os.fsync(self._journal_fh.fileno())
+        self._journal_fh.flush()
+        os.fsync(self._journal_fh.fileno())
 
     def _write_manifest(self) -> None:
         if self.serve_dir is None:
@@ -359,7 +353,6 @@ class CrowdLearnService:
         _, journal_path = self._event_paths(deployment.event_id)
         deployment.journal = CycleJournal.create(
             journal_path,
-            fsync=self.fsync,
             crash_injector=deployment.system.platform.faults,
             next_cycle=deployment.next_cycle,
         )
@@ -887,6 +880,8 @@ class CrowdLearnService:
         if not manifest_path.exists():
             raise FileNotFoundError(f"no serve manifest at {manifest_path}")
         manifest = json.loads(manifest_path.read_text())
+        # Manifests written while the fsync policy was settable record it;
+        # the key is ignored, since syncing changes no record or digest.
         # Manifests written while the thresholds were settable record them.
         recorded = manifest.get("health_policy", HEALTH_POLICY)
         if recorded != HEALTH_POLICY:
@@ -908,7 +903,6 @@ class CrowdLearnService:
             setup,
             pool=pool,
             serve_dir=serve_dir,
-            fsync=manifest["fsync"],
             instrument=instrument,
         )
         service._manifest = manifest
@@ -932,40 +926,32 @@ class CrowdLearnService:
     ) -> Deployment:
         """Stage 3: one event from its checkpoint and journal.
 
-        An event that crashed before its first checkpoint is rebuilt from
-        its manifest entry (re-arming any event-scoped fault plan — the
-        injector RNG starts fresh, and so does the replayed cycle), and
-        its journal replays cycle 0.  Journaled imagery bursts the
-        checkpoint predates are re-applied.
+        Goes through :func:`repro.eval.journal.restore_run`, as
+        ``repro run --resume`` does.  An event that crashed before its
+        first checkpoint is rebuilt from its manifest entry (re-arming any
+        event-scoped fault plan — the injector RNG starts fresh, and so
+        does the replayed cycle), and its journal replays cycle 0.
+        Journaled imagery bursts the checkpoint predates are re-applied.
         """
-        from repro.core.system import RunOutcome
-        from repro.eval.journal import CycleJournal
-        from repro.eval.persistence import load_checkpoint
+        from repro.eval.journal import restore_run
 
         event_id = entry["event_id"]
         checkpoint_path, journal_path = self._event_paths(event_id)
-        if checkpoint_path.exists():
-            system, stream, outcome, next_cycle = load_checkpoint(
-                checkpoint_path
-            )
+        system, stream, outcome, next_cycle, journal, _info = restore_run(
+            checkpoint_path, journal_path,
+            fresh=lambda: self._build_event(entry),
+        )
+        if event_id not in self.telemetries:
+            # Restored from a checkpoint: an instrumented fleet gives the
+            # event a new pipeline (a fresh build already has one).
             telemetry = self._telemetry_for(event_id)
             if telemetry is not None:
                 system.telemetry = telemetry
                 system.platform.telemetry = telemetry
-        else:
-            system, stream = self._build_event(entry)
-            outcome, next_cycle = RunOutcome(), 0
         # Checkpointed systems drop cache entries on pickle; give the
         # restored system its namespaced view of the shared physical
         # stores again.
         system.attach_cache(self.cache)
-        injector = system.platform.faults
-        if injector is not None:
-            injector.disarm_crashes()
-        journal, _info = CycleJournal.resume(
-            journal_path, next_cycle, fsync=self.fsync,
-            crash_injector=injector,
-        )
         deployment = self._register(
             entry, system, stream,
             journal=journal, outcome=outcome, next_cycle=next_cycle,

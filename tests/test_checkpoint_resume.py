@@ -56,7 +56,7 @@ class TestCheckpointResume:
             outcome.append(system.run_cycle(stream.cycle(t)))
         save_checkpoint(path, system, stream, outcome, k)
 
-        resumed = resume_run(path, tmp_path / "deployment.journal", fsync="never")
+        resumed = resume_run(path, tmp_path / "deployment.journal")
         assert_outcomes_equal(resumed.outcome, uninterrupted)
 
     def test_run_with_checkpointing_matches_plain_run(
@@ -64,9 +64,7 @@ class TestCheckpointResume:
     ):
         path = tmp_path / "live.ckpt"
         system = build_crowdlearn(setup)
-        outcome = system.run(
-            setup.make_stream("ckpt"), checkpoint_path=path, checkpoint_every=2
-        )
+        outcome = system.run(setup.make_stream("ckpt"), checkpoint_path=path)
         assert_outcomes_equal(outcome, uninterrupted)
         # The final snapshot records the whole completed run.
         _, _, saved_outcome, next_cycle = load_checkpoint(path)
@@ -87,9 +85,6 @@ class TestCheckpointResume:
         stream = setup.make_stream("ckpt")
         with pytest.raises(ValueError):
             save_checkpoint(tmp_path / "x", system, stream, RunOutcome(), -1)
-        with pytest.raises(ValueError):
-            system.run(stream, checkpoint_path=tmp_path / "x",
-                       checkpoint_every=0)
 
     def test_version_mismatch_rejected(self, setup, tmp_path):
         import pickle

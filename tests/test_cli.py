@@ -32,17 +32,19 @@ class TestParser:
         assert args.full is True
 
     def test_run_durable_flags(self):
-        args = build_parser().parse_args([
+        argv = [
             "run", "--checkpoint", "c.ckpt", "--journal", "c.journal",
             "--resume", "--cycles", "3", "--crash-at", "cqc:1:0:kill",
-            "--crash-at", "post:2", "--fsync", "rotate",
-            "--digest-file", "d.txt", "--checkpoint-every", "2",
-        ])
+            "--crash-at", "post:2", "--digest-file", "d.txt",
+        ]
+        args = build_parser().parse_args(argv)
         assert args.resume is True
         assert args.cycles == 3
         assert args.crash_at == ["cqc:1:0:kill", "post:2"]
-        assert args.fsync == "rotate"
-        assert args.checkpoint_every == 2
+        # Every record is fsynced and every cycle checkpointed.
+        for removed in (["--fsync", "rotate"], ["--checkpoint-every", "2"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + removed)
 
     def test_supervise_requires_journal_and_checkpoint(self):
         with pytest.raises(SystemExit):
@@ -63,7 +65,7 @@ class TestParser:
         args = build_parser().parse_args([
             "serve", "--events", "4", "--capacity", "6",
             "--policy", "deadline", "--max-backlog", "2",
-            "--serve-dir", "fleet", "--resume", "--fsync", "rotate",
+            "--serve-dir", "fleet", "--resume",
             "--crash-at-tick", "9", "--digest-file", "d.txt",
         ])
         assert args.events == 4
@@ -72,9 +74,11 @@ class TestParser:
         assert args.max_backlog == 2
         assert args.serve_dir == "fleet"
         assert args.resume is True
-        assert args.fsync == "rotate"
         assert args.crash_at_tick == 9
         assert args.digest_file == "d.txt"
+        for command in ("serve", "loadgen"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--fsync", "rotate"])
 
     def test_loadgen_flags(self):
         args = build_parser().parse_args([
@@ -196,6 +200,25 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "corrupt checkpoint" in err
         assert "format check failed" in err
+
+    def test_run_resume_corrupt_journal_middle_exits_3(
+        self, tmp_path, capsys
+    ):
+        ckpt, jrn = tmp_path / "c.ckpt", tmp_path / "c.journal"
+        durable = ["--checkpoint", str(ckpt), "--journal", str(jrn)]
+        assert main([
+            "run", "--seed", "61", "--cycles", "2", *durable,
+            "--crash-at", "cqc:1:0:raise",
+        ]) == 75
+        lines = jrn.read_bytes().split(b"\n")
+        assert len([line for line in lines if line]) > 3
+        lines[2] = lines[2].replace(b'"stage"', b'"stagE"')
+        jrn.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert main(["run", "--seed", "61", "--resume", *durable]) == 3
+        assert "corrupt journal record at line 3" in capsys.readouterr().err
+        # The intact records after the bad line are still there.
+        assert jrn.read_bytes() == b"\n".join(lines)
 
     @pytest.mark.parametrize(
         "argv, ignored",

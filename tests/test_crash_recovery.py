@@ -20,6 +20,7 @@ from repro.eval.journal import (
     CycleJournal,
     audit_recovery,
     read_journal,
+    restore_run,
     resume_run,
 )
 from repro.eval.persistence import run_outcome_digest
@@ -79,8 +80,7 @@ def boundary_specs(records):
     return specs
 
 
-def crash_then_resume(setup, spec, tmp_path, checkpoint_every=1,
-                      scheduler=False):
+def crash_then_resume(setup, spec, tmp_path, scheduler=False):
     """Run until the injected crash, then resume from journal+checkpoint."""
     safe = spec.replace(":", "_").replace("*", "any")
     ckpt = tmp_path / f"{safe}.ckpt"
@@ -92,12 +92,7 @@ def crash_then_resume(setup, spec, tmp_path, checkpoint_every=1,
     stream = setup.make_stream("crash-ref")
     with pytest.raises(InjectedCrash):
         try:
-            system.run(
-                stream,
-                checkpoint_path=ckpt,
-                checkpoint_every=checkpoint_every,
-                journal=journal,
-            )
+            system.run(stream, checkpoint_path=ckpt, journal=journal)
         finally:
             journal.close()
     crashed_before_checkpoint = not ckpt.exists()
@@ -108,9 +103,7 @@ def crash_then_resume(setup, spec, tmp_path, checkpoint_every=1,
             setup.make_stream("crash-ref"),
         )
 
-    result = resume_run(
-        ckpt, jrn, checkpoint_every=checkpoint_every, fresh=fresh
-    )
+    result = resume_run(ckpt, jrn, fresh=fresh)
     return result, crashed_before_checkpoint
 
 
@@ -151,16 +144,39 @@ class TestEveryBoundary:
     def test_sparse_checkpoints_replay_whole_cycles(
         self, setup, reference, tmp_path
     ):
-        """checkpoint_every=2: the journal alone carries cycle 2's posts."""
+        """Journaled without a checkpoint: the journal alone carries cycles
+        0-2, and a fresh rebuild replays all of them."""
         ref_digest, _ = reference
-        result, _ = crash_then_resume(
-            setup, "cqc:2:0:raise", tmp_path, checkpoint_every=2
+        jrn = tmp_path / "journal-only.journal"
+        system = build(setup, crash_spec="cqc:2:0:raise")
+        journal = CycleJournal.create(
+            jrn, crash_injector=system.platform.faults
         )
-        assert run_outcome_digest(result.outcome) == ref_digest
-        # cycle 2 re-ran from the cycle-2 checkpoint... the crash in cqc:2
-        # means its posts were journaled and must be served, not re-posted
-        assert result.info["requeries_avoided_cents"] > 0
-        assert result.info["audit"]["ok"]
+        with pytest.raises(InjectedCrash):
+            try:
+                system.run(setup.make_stream("crash-ref"), journal=journal)
+            finally:
+                journal.close()
+        assert read_journal(jrn).base_cycle == 0
+
+        def fresh():
+            return build(setup), setup.make_stream("crash-ref")
+
+        system, stream, _, next_cycle, journal, info = restore_run(
+            tmp_path / "never-written.ckpt", jrn, fresh=fresh
+        )
+        assert next_cycle == 0
+        assert info["replay_records"] > 2 * 10  # cycles 0 and 1 in full
+        try:
+            outcome = system.run(stream, journal=journal)
+        finally:
+            journal.close()
+        assert run_outcome_digest(outcome) == ref_digest
+        # cycles 0-2's posts were journaled and must be served, not
+        # re-posted
+        assert journal.requeries_avoided_cents > 0
+        assert not journal.replaying
+        assert audit_recovery(system, outcome, journal)["ok"]
 
     def test_scheduler_run_recovers_to_parity_digest(
         self, setup, reference, tmp_path

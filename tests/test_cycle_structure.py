@@ -44,17 +44,17 @@ class Recorder:
         )
         self.stream = setup.make_stream(name)
         self.path = tmp_path / f"{name}.journal"
-        self.journal = CycleJournal.create(self.path, fsync="never")
+        self.journal = CycleJournal.create(self.path)
+        #: The pool grant each cycle runs under (``None``: uncapped).
+        self.query_cap = None
         self.outcomes = []
 
     def run_cycle(self):
         cycle = self.stream.cycle(len(self.outcomes))
-        self.system.journal = self.journal
-        try:
-            with use_telemetry(self.telemetry):
-                outcome = self.system.run_cycle(cycle)
-        finally:
-            self.system.journal = None
+        with use_telemetry(self.telemetry):
+            outcome = self.system.run_cycle(
+                cycle, journal=self.journal, query_cap=self.query_cap
+            )
         self.outcomes.append(outcome)
         return outcome
 
@@ -187,7 +187,7 @@ def straggler_run(setup, tmp_path_factory):
     )
     recorder.run_cycle()
     assert recorder.system.scheduler.pending_count > 0
-    recorder.system.cycle_query_cap = 0
+    recorder.query_cap = 0
     registry = recorder.telemetry.registry
     while True:
         retrained = registry.value("stragglers_retrained_total")

@@ -83,18 +83,43 @@ class TestReadWrite:
         assert info["torn_lines"] == 1
         assert read_journal(path).torn_lines == 0
 
-    def test_bad_fsync_policy_rejected(self, tmp_path):
-        with pytest.raises(JournalError, match="fsync"):
-            CycleJournal(tmp_path / "j.journal", fsync="sometimes")
+    def test_resume_refuses_corrupt_middle_record(self, tmp_path):
+        """A bad line with intact records after it is not a torn write:
+        truncating there would drop the later ``post`` records and
+        recovery would re-post and re-charge those queries."""
+        path = tmp_path / "j.journal"
+        write_sample(path, n_cycles=1)
+        before = path.read_bytes()
+        lines = before.split(b"\n")
+        lines[2] = lines[2].replace(b'"qss"', b'"qsX"')
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(JournalError, match="line 3 of"):
+            CycleJournal.resume(path, 0)
+        # Nothing was truncated or quarantined.
+        assert path.read_bytes() == b"\n".join(lines)
+        assert not (tmp_path / "j.journal.stale").exists()
 
-    @pytest.mark.parametrize("policy", ["always", "rotate", "never"])
-    def test_fsync_policies_write_identical_records(self, tmp_path, policy):
-        path = tmp_path / f"{policy}.journal"
-        journal = CycleJournal.create(path, fsync=policy)
+    def test_every_record_synced_once(self, tmp_path, monkeypatch):
+        """Each record is fsynced as it is written; rotation and close
+        add no sync of their own."""
+        import repro.eval.journal as journal_module
+
+        synced = []
+        monkeypatch.setattr(
+            journal_module.os, "fsync", lambda fd: synced.append(fd)
+        )
+        path = tmp_path / "j.journal"
+        journal = CycleJournal.create(path)
+        assert len(synced) == 1  # the rotate record heading the file
         journal.append(0, "qss", {"indices": [1, 2, 3]})
+        assert len(synced) == 2
+        journal.rotate(1)
+        assert len(synced) == 3
         journal.close()
+        assert len(synced) == 3
         read = read_journal(path)
-        assert [r["stage"] for r in read.records] == ["rotate", "qss"]
+        assert [r["stage"] for r in read.records] == ["rotate"]
+        assert read.base_cycle == 1
 
     def test_append_after_close_raises(self, tmp_path):
         journal = CycleJournal.create(tmp_path / "j.journal")

@@ -126,7 +126,7 @@ class TestGuardedCheckpointResume:
             outcome.append(system.run_cycle(stream.cycle(t)))
         save_checkpoint(path, system, stream, outcome, k)
 
-        resumed = resume_run(path, tmp_path / "guarded.journal", fsync="never")
+        resumed = resume_run(path, tmp_path / "guarded.journal")
         assert_runs_equal(resumed.outcome, uninterrupted)
 
 

@@ -132,6 +132,38 @@ class TestResume:
         with pytest.raises(ServeJournalError, match="corrupt"):
             CrowdLearnService.resume(serve_dir, setup=setup)
 
+    def test_corrupt_middle_event_journal_record_exits_3(
+        self, setup, tmp_path
+    ):
+        """A bad event-journal line with intact records after it is
+        refused, never truncated: dropping the later ``post`` records
+        would re-post and re-charge their queries."""
+        from repro.cli import main
+        from repro.eval.journal import JournalError
+
+        serve_dir = tmp_path / "fleet"
+        service = make_service(setup, serve_dir=serve_dir)
+        plan = FaultPlan(crash_points=(CrashPoint.parse("cqc:1:0:raise"),))
+        service.submit_event("alpha", fault_plan=plan)
+        with pytest.raises(InjectedCrash):
+            while service.step() is not None:
+                pass
+        journal_path = serve_dir / "event-alpha.journal"
+        stages = [r["stage"] for r in read_journal(journal_path).records]
+        assert "post" in stages and stages[-1] == "cqc"
+        lines = journal_path.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b'"stage"', b'"stagE"')
+        journal_path.write_bytes(b"\n".join(lines))
+
+        with pytest.raises(JournalError, match="line 3 of"):
+            CrowdLearnService.resume(serve_dir, setup=setup)
+        resume = ["--serve-dir", str(serve_dir), "--resume"]
+        assert main(["serve", *resume]) == 3
+        assert main([
+            "loadgen", *resume, "--output", str(tmp_path / "bench.json"),
+        ]) == 3
+        assert journal_path.read_bytes() == b"\n".join(lines)
+
     def test_resume_without_manifest_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="manifest"):
             CrowdLearnService.resume(tmp_path / "nowhere")
@@ -218,6 +250,33 @@ class TestFixedThresholds:
         journal_path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ServeJournalError, match="breaker policy"):
             CrowdLearnService.resume(serve_dir, setup=setup)
+
+
+def _set_manifest_fsync(serve_dir, policy):
+    path = serve_dir / "serve.json"
+    manifest = json.loads(path.read_text())
+    manifest["fsync"] = policy
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+
+
+class TestOlderManifests:
+    def test_recorded_fsync_policy_is_ignored(
+        self, setup, reference, tmp_path
+    ):
+        """Manifests once recorded an fsync policy.  Syncing changes no
+        record or digest, so such a serve dir resumes and drains to the
+        uninterrupted digests."""
+        serve_dir = tmp_path / "fleet"
+        service = make_service(setup, serve_dir=serve_dir)
+        surge_timeline(service, interrupt_after=6)
+        _set_manifest_fsync(serve_dir, "rotate")
+
+        resumed = CrowdLearnService.resume(serve_dir, setup=setup)
+        resumed.drain()
+        digest, totals = reference
+        assert resumed.combined_digest() == digest
+        assert resumed.pool.totals() == totals
+        resumed.close()
 
 
 class TestReopenedEvent:

@@ -1,6 +1,5 @@
 """Tests for the multi-event serving core: parity, isolation, backpressure."""
 
-import numpy as np
 import pytest
 
 from repro.data.stream import SensingCycleStream

@@ -158,7 +158,7 @@ class TestCheckpointTelemetry:
         assert restored_tel.registry.value("cycles_total") == k
         assert len(restored_tel.tracer.by_name("cycle")) == k
 
-        resumed = resume_run(path, tmp_path / "tel.journal", fsync="never")
+        resumed = resume_run(path, tmp_path / "tel.journal")
         assert_outcomes_equal(resumed.outcome, baseline)
         # the resumed system's telemetry kept counting past the crash
         final_system, _, _, _ = load_checkpoint(path)
