@@ -114,8 +114,8 @@ def _crash_specs(args) -> list[str]:
 
 
 def cmd_run(args) -> int:
-    """``repro run``, optionally with a checkpoint, a write-ahead journal,
-    or both; without either it is one plain ``system.run``."""
+    """``repro run``, optionally with a checkpoint, or a checkpoint and a
+    write-ahead journal; without either it is one plain ``system.run``."""
     import dataclasses
     import os
     from pathlib import Path
@@ -131,8 +131,8 @@ def cmd_run(args) -> int:
     from repro.utils.rng import SeedSequencer
 
     specs = _crash_specs(args)
-    if args.resume and not (args.journal and args.checkpoint):
-        print("--resume requires --journal and --checkpoint", file=sys.stderr)
+    if args.resume and not args.journal or args.journal and not args.checkpoint:
+        print("--resume requires --journal, and --journal requires --checkpoint", file=sys.stderr)
         return 2
     if args.crash_at and not args.journal:
         print(
@@ -745,7 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
                 required=(name == "supervise"),
                 help="write-ahead journal of intra-cycle stage effects, "
                      "each record fsynced; rotated atomically at each "
-                     "checkpoint",
+                     "checkpoint (requires --checkpoint)",
             )
             sub.add_argument(
                 "--digest-file", metavar="PATH", dest="digest_file",

@@ -2,7 +2,7 @@
 
 All layers operate on float64 numpy arrays.  Convolutions use NCHW layout
 (batch, channels, height, width) and are implemented with im2col so the heavy
-lifting is a single matrix multiply.  Each layer exposes:
+lifting is one multiply of channel-major patches.  Each layer exposes:
 
 - ``forward(x, training)`` — compute outputs; a training forward caches what
   backward needs, an inference forward clears those caches;
@@ -148,7 +148,7 @@ def im2col(
 ) -> tuple[np.ndarray, int, int]:
     """Unfold NCHW input into (N*OH*OW, C*kernel*kernel) patch rows.
 
-    Returns the patch matrix along with the output spatial dims (OH, OW).
+    Returns the transposed view of a channel-major patch matrix and (OH, OW).
     """
     n, c, h, w = x.shape
     out_h = (h + 2 * pad - kernel) // stride + 1
@@ -159,18 +159,17 @@ def im2col(
             f"input of spatial size {h}x{w}"
         )
     if pad:
-        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-        padded[:, :, pad : pad + h, pad : pad + w] = x
+        padded = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        padded[:, :, pad : pad + h, pad : pad + w] = x.transpose(1, 0, 2, 3)
     else:
-        padded = x
-    cols = np.empty((n, c, kernel, kernel, out_h, out_w), dtype=x.dtype)
+        padded = x.transpose(1, 0, 2, 3)
+    cols = np.empty((c, kernel, kernel, n, out_h, out_w), dtype=x.dtype)
     for ky in range(kernel):
         y_end = ky + stride * out_h
         for kx in range(kernel):
             x_end = kx + stride * out_w
-            cols[:, :, ky, kx, :, :] = padded[:, :, ky:y_end:stride, kx:x_end:stride]
-    cols = cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, -1)
-    return cols, out_h, out_w
+            cols[:, ky, kx] = padded[:, :, ky:y_end:stride, kx:x_end:stride]
+    return cols.reshape(c * kernel * kernel, -1).T, out_h, out_w
 
 
 def col2im(
@@ -180,7 +179,7 @@ def col2im(
     stride: int,
     pad: int,
 ) -> np.ndarray:
-    """Fold patch rows back into an NCHW gradient (inverse of :func:`im2col`)."""
+    """Fold patch rows (either memory order) into an NCHW gradient; inverse of :func:`im2col`."""
     n, c, h, w = x_shape
     out_h = (h + 2 * pad - kernel) // stride + 1
     out_w = (w + 2 * pad - kernel) // stride + 1
@@ -191,13 +190,17 @@ def col2im(
         for kx in range(kernel):
             x_end = kx + stride * out_w
             padded[:, :, ky:y_end:stride, kx:x_end:stride] += cols[:, :, ky, kx, :, :]
-    if pad == 0:
-        return padded
-    return padded[:, :, pad:-pad, pad:-pad]
+    return padded[:, :, pad : pad + h, pad : pad + w]
 
 
 class Conv2D(Layer):
-    """2-D convolution (cross-correlation) over NCHW inputs via im2col."""
+    """2-D convolution (cross-correlation) over NCHW inputs via im2col.
+
+    The GEMMs read :func:`im2col`'s transposed view; several images read a
+    row-major copy where BLAS sums in a layout-dependent order (one output
+    channel: gemv; under 2048 output elements: OpenBLAS small-matrix kernels).
+    Grad-CAM's sums depend on the output's ``(N, OH, OW, O)`` memory order.
+    """
 
     def __init__(
         self,
@@ -229,16 +232,13 @@ class Conv2D(Layer):
             )
         cols, out_h, out_w = im2col(x, self.kernel, self.stride, self.pad)
         out_channels = self.weight.shape[0]
-        flat_w = self.weight.reshape(out_channels, -1)
-        out = cols @ flat_w.T + self.bias
-        out = out.reshape(x.shape[0], out_h, out_w, out_channels)
-        if training:
-            self._cols = cols
-            self._x_shape = x.shape
-        else:
-            self._cols = None
-            self._x_shape = None
-        return out.transpose(0, 3, 1, 2)
+        if x.shape[0] > 1 and (out_channels == 1 or len(cols) * out_channels < 2048):
+            cols = np.ascontiguousarray(cols)
+        self._cols = cols if training else None
+        self._x_shape = x.shape if training else None
+        out = cols @ self.weight.reshape(out_channels, -1).T
+        out += self.bias
+        return out.reshape(x.shape[0], out_h, out_w, out_channels).transpose(0, 3, 1, 2)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         grad_flat = self._accumulate(grad)

@@ -144,7 +144,7 @@ class Trainer:
             {key: value.copy() for key, value in layer_state.items()}
             for layer_state in self.model.state()
         ]
-        params_before = [p.copy() for p in self.model.params()]
+        params_before = [p for layer in saved for p in layer.values()]  # params(), in order
         train_loss, train_acc = self.train_epoch(x, y)
         if not sentinel.diverged(train_loss, params_before, self.model.params()):
             return train_loss, train_acc

@@ -15,7 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.layers import Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU, im2col
+from repro.nn.layers import (
+    Conv2D,
+    Dense,
+    Dropout,
+    Flatten,
+    MaxPool2D,
+    ReLU,
+    col2im,
+    im2col,
+)
 from repro.nn.model import Sequential
 from repro.vision.gradcam import GradCAM
 
@@ -166,3 +175,113 @@ class TestGradCAMParity:
         assert same_bytes(new_logits, old_logits)
         for a, b in zip(new_masses, old_masses):
             assert same_bytes(a, b)
+
+
+# The experts' conv geometries: (in channels, out channels, input side) of the
+# paper-scale VGG16 (width 8) and DDM (width 12) layers.  Below these sizes
+# BLAS may sum in an order that depends on the patch layout; here the
+# patches are read as the transposed view im2col returns.
+_EXPERT_CONVS = [(3, 8, 32), (8, 8, 32), (8, 16, 16), (3, 12, 32), (12, 24, 16)]
+#: The same layers at the fast scale (width 4), which the benchmark runs.
+_FAST_CONVS = [(3, 4, 32), (4, 4, 32), (4, 8, 16)]
+_EXPERT_BATCHES = [1, 5, 12, 24]
+
+
+def _reference_col2im(cols, x_shape, kernel, stride, pad):
+    """A copy of ``col2im``'s NCHW fold.
+
+    ``nn_oracle.Conv2D`` calls the live ``col2im``, so only this pins its
+    summation order.
+    """
+    n, c, h, w = x_shape
+    out_h = (h + 2 * pad - kernel) // stride + 1
+    out_w = (w + 2 * pad - kernel) // stride + 1
+    cols = cols.reshape(n, out_h, out_w, c, kernel, kernel).transpose(0, 3, 4, 5, 1, 2)
+    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    for ky in range(kernel):
+        y_end = ky + stride * out_h
+        for kx in range(kernel):
+            x_end = kx + stride * out_w
+            padded[:, :, ky:y_end:stride, kx:x_end:stride] += cols[:, :, ky, kx, :, :]
+    if pad == 0:
+        return padded
+    return padded[:, :, pad:-pad, pad:-pad]
+
+
+def _ddm(seed: int, width: int, side: int, conv, pool) -> Sequential:
+    """The DDM backbone (``repro.models.ddm``) built from ``conv`` and ``pool``."""
+    rng = np.random.default_rng(seed)
+    spatial = side // 4
+    return Sequential(
+        [
+            conv(3, width, kernel=3, rng=rng, pad=1),
+            ReLU(),
+            pool(2),
+            conv(width, 2 * width, kernel=3, rng=rng, pad=1),
+            ReLU(),
+            pool(2),
+            Flatten(),
+            Dense(2 * width * spatial * spatial, 64, rng=rng),
+            ReLU(),
+            Dropout(0.15, rng=rng),
+            Dense(64, 3, rng=rng),
+        ]
+    )
+
+
+class TestExpertShapeParity:
+    """Byte parity at the sizes the experts train and score at."""
+
+    @pytest.mark.parametrize("n", _EXPERT_BATCHES)
+    @pytest.mark.parametrize("c_in, c_out, side", _EXPERT_CONVS)
+    def test_conv_forward_and_gradients(self, c_in, c_out, side, n):
+        rng = np.random.default_rng(1000 * c_out + 10 * side + n)
+        x = rng.normal(size=(n, c_in, side, side))
+
+        def conv(cls):
+            return cls(c_in, c_out, 3, np.random.default_rng(n), pad=1)
+
+        new, params_only, old = conv(Conv2D), conv(Conv2D), conv(nn_oracle.Conv2D)
+        assert same_bytes(new.forward(x), old.forward(x))
+        out = old.forward(x, training=True)
+        assert same_bytes(new.forward(x, training=True), out)
+        params_only.forward(x, training=True)
+        grad = rng.normal(size=out.shape)
+        assert same_bytes(new.backward(grad), old.backward(grad))
+        params_only.backward_params(grad)
+        for layer in (new, params_only):
+            assert same_bytes(layer.grad_weight, old.grad_weight)
+            assert same_bytes(layer.grad_bias, old.grad_bias)
+
+    @pytest.mark.parametrize("c_in, side", [(8, 32), (12, 16)])
+    def test_col2im_matches_the_nchw_fold(self, c_in, side):
+        rng = np.random.default_rng(side)
+        x_shape = (5, c_in, side, side)
+        grad_cols = rng.normal(size=(5 * side * side, c_in * 9))
+        expected = _reference_col2im(grad_cols, x_shape, 3, 1, 1)
+        for cols in (grad_cols, np.asfortranarray(grad_cols)):
+            assert same_bytes(col2im(cols, x_shape, 3, 1, 1), expected)
+
+    @pytest.mark.parametrize("n", _EXPERT_BATCHES)
+    @pytest.mark.parametrize("width", [4, 12])
+    def test_ddm_heatmap_masses_and_logits(self, width, n):
+        side = 32
+        rng = np.random.default_rng(width * 100 + n)
+        x = rng.normal(size=(n, 3, side, side))
+        rows = [rng.integers(0, 3, size=n) for _ in range(2)]
+        new = GradCAM(_ddm(n, width, side, Conv2D, MaxPool2D))
+        old = _OracleGradCAM(_ddm(n, width, side, nn_oracle.Conv2D, nn_oracle.MaxPool2D))
+        new_masses, new_logits = new.heatmap_masses(x, rows)
+        old_masses, old_logits = old.heatmap_masses(x, rows)
+        assert same_bytes(new_logits, old_logits)
+        for a, b in zip(new_masses, old_masses):
+            assert same_bytes(a, b)
+
+    @pytest.mark.parametrize("n", _EXPERT_BATCHES)
+    @pytest.mark.parametrize("c_in, c_out, side", _EXPERT_CONVS + _FAST_CONVS)
+    def test_experts_read_patches_without_a_copy(self, c_in, c_out, side, n):
+        """The row-major fallback never catches an expert's layer."""
+        layer = Conv2D(c_in, c_out, 3, np.random.default_rng(0), pad=1)
+        layer.forward(np.zeros((n, c_in, side, side)), training=True)
+        assert layer._cols.T.flags.c_contiguous and not layer._cols.flags.c_contiguous
+

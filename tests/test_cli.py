@@ -189,6 +189,16 @@ class TestCommands:
         assert main(["run", "--crash-at", "cqc:0", "--seed", "61"]) == 2
         assert "--crash-at requires --journal" in capsys.readouterr().err
 
+    def test_run_journal_requires_checkpoint(self, tmp_path, capsys):
+        """A journal never rotated spans cycles a resume cannot replay."""
+        journal = tmp_path / "j.journal"
+        assert main([
+            "run", "--seed", "61", "--journal", str(journal),
+            "--crash-at", "cqc:1:0:raise",
+        ]) == 2
+        assert "--journal requires --checkpoint" in capsys.readouterr().err
+        assert not journal.exists()
+
     def test_run_resume_corrupt_checkpoint_exits_3(self, tmp_path, capsys):
         ckpt = tmp_path / "c.ckpt"
         ckpt.write_bytes(b"garbage")

@@ -97,3 +97,11 @@ def test_fit_computes_no_input_gradient(rng, monkeypatch):
     trainer.fit(rng.normal(size=(8, 3, 4, 4)), rng.integers(0, 2, size=8), epochs=2)
     assert calls == []
     assert not np.array_equal(before[0], model.params()[0])  # the conv trained
+
+    # Positive control: an input gradient does fold through the counted col2im.
+    two_conv = Sequential(
+        [Conv2D(3, 2, kernel=3, rng=rng, pad=1), ReLU(), Conv2D(2, 2, kernel=3, rng=rng, pad=1)]
+    )
+    out = two_conv.forward(rng.normal(size=(2, 3, 4, 4)), training=True)
+    assert two_conv.backward(np.ones_like(out)).shape == (2, 3, 4, 4)
+    assert len(calls) == 2
