@@ -1,13 +1,13 @@
-"""BENCH_cycle: per-stage wall time of the closed loop + cache A/B.
+"""BENCH_cycle: per-stage wall time of the closed loop + memo A/B.
 
 Runs :func:`repro.eval.bench.run_bench` on the seeded deployment and saves
 the JSON artifact CI archives (``benchmarks/results/BENCH_cycle.json``).
 Wall-clock numbers are machine-dependent, so assertions cover structure
-and the cache's ordering guarantees only: every closed-loop stage shows up
-in the span table, the loop serves committee votes from the shared
-prediction cache, and the cached vote path is never slower than computing
-votes from scratch (it skips the entire feature-encode + forward pass, so
-even noisy CI machines clear this by orders of magnitude).
+and the memos' ordering guarantees only: every closed-loop stage shows up
+in the span table, the loop serves holdout scores from the guard's memo
+and BoVW features from its store, and memoized holdout scoring is never
+slower than scoring from scratch (a hit skips every expert's forward
+pass, so even noisy CI machines clear this by orders of magnitude).
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ def test_bench_cycle_artifact():
         assert stage in loop["stages"], sorted(loop["stages"])
         assert loop["stages"][stage]["count"] == loop["cycles"]
 
-    # The loop must actually exercise the shared cache...
+    # The loop must actually exercise both memos...
     assert loop["cache"]["prediction_hits"] > 0, loop["cache"]
     assert loop["cache"]["feature_hits"] > 0, loop["cache"]
 
-    # ...and serving cached votes must never lose to recomputing them.
-    vote = report["committee_vote"]
-    assert vote["cached_best_seconds"] <= vote["uncached_best_seconds"], vote
-    assert vote["cache"]["prediction_hits"] >= vote["repeats"], vote["cache"]
+    # ...and serving memoized holdout scores must never lose to rescoring.
+    score = report["holdout_score"]
+    assert score["cached_best_seconds"] <= score["uncached_best_seconds"], score
+    assert score["memo"]["hits"] >= score["repeats"], score["memo"]

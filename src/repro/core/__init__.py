@@ -1,6 +1,6 @@
 """CrowdLearn core: QSS, IPD, CQC, MIC and the closed-loop system."""
 
-from repro.core.cache import BoundedCache, CacheStats, PredictionCache, pool_key
+from repro.core.cache import BoundedCache, CacheStats, MemoCounters
 from repro.core.committee import Committee
 from repro.core.config import CrowdLearnConfig
 from repro.core.cqc import CrowdQualityControl
@@ -20,8 +20,7 @@ from repro.core.system import CrowdLearnSystem, CycleOutcome, RunOutcome
 __all__ = [
     "BoundedCache",
     "CacheStats",
-    "PredictionCache",
-    "pool_key",
+    "MemoCounters",
     "Committee",
     "CrowdLearnConfig",
     "CrowdQualityControl",

@@ -8,16 +8,11 @@ derive final labels after reweighting.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.data.dataset import DisasterDataset
 from repro.metrics.information import batch_entropy
 from repro.models.base import DDAModel
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.cache import PredictionCache
 
 __all__ = ["Committee"]
 
@@ -33,10 +28,6 @@ class Committee:
         Initial expert weights; uniform when omitted.  Weights are kept
         normalized to sum to 1.
     """
-
-    #: Shared prediction/feature cache; ``None`` (the default for a
-    #: standalone committee) computes votes directly.
-    cache: "PredictionCache | None" = None
 
     def __init__(
         self, experts: list[DDAModel], weights: np.ndarray | None = None
@@ -68,31 +59,15 @@ class Committee:
             raise ValueError("weights must be non-negative with positive sum")
         self._weights = weights / weights.sum()
 
-    def attach_cache(self, cache: "PredictionCache | None") -> None:
-        """Route expert votes through a shared prediction cache.
-
-        Propagates to every member so experts with cacheable derived state
-        (e.g. BoVW features) host it in the same bounded store.  ``None``
-        detaches the cache.
-        """
-        self.cache = cache
-        for expert in self.experts:
-            expert.attach_cache(cache)
-
     def _after_update(self, expert: DDAModel, version_before: int) -> None:
-        """Ensure a retrained expert's version moved and evict stale votes.
+        """Ensure a retrained expert's version moved.
 
         Built-in experts bump their own version inside ``fit``/``retrain``;
-        third-party experts may not, so the committee enforces the bump.
-        Either way the expert's now-stale cached predictions are dropped
-        eagerly rather than waiting for LRU pressure.
+        third-party experts may not, so the committee enforces the bump
+        (the guard's holdout-score memo keys on it).
         """
         if expert.model_version == version_before:
             expert.bump_version()
-        if self.cache is not None:
-            self.cache.invalidate_expert(
-                expert.name, keep_version=expert.model_version
-            )
 
     def fit(self, dataset: DisasterDataset, rng: np.random.Generator) -> "Committee":
         """Train every expert on the same labeled dataset."""
@@ -103,16 +78,7 @@ class Committee:
         return self
 
     def expert_votes(self, dataset: DisasterDataset) -> list[np.ndarray]:
-        """Each expert's vote V(AI_m) — one ``(n, k)`` array per expert.
-
-        With a cache attached, each expert's votes for this pool are
-        computed once per model version and served from the cache for
-        every later call site (QSS entropy, MIC reweighting, guard
-        scoring, final labels).
-        """
-        if self.cache is not None:
-            cache = self.cache
-            return [cache.predict_proba(expert, dataset) for expert in self.experts]
+        """Each expert's vote V(AI_m) — one ``(n, k)`` array per expert."""
         return [expert.predict_proba(dataset) for expert in self.experts]
 
     def _effective_weights(self, mask: np.ndarray | None) -> np.ndarray:

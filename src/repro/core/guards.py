@@ -54,6 +54,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 
+from repro.core.cache import CacheStats
 from repro.telemetry.runtime import Telemetry, get_telemetry
 from repro.utils.validation import (
     check_non_negative,
@@ -62,7 +63,6 @@ from repro.utils.validation import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.cache import PredictionCache
     from repro.core.committee import Committee
     from repro.core.mic import MachineIntelligenceCalibrator
     from repro.data.dataset import DisasterDataset, DisasterImage
@@ -459,11 +459,6 @@ class ModelGuard:
     training pool) or directly with a pre-built holdout dataset.
     """
 
-    #: Shared prediction cache; set by the system so holdout scoring
-    #: reuses (and primes) the same per-version votes as the committee.
-    #: ``None`` (the default for a standalone guard) scores uncached.
-    cache: "PredictionCache | None" = None
-
     def __init__(
         self,
         policy: GuardPolicy,
@@ -474,12 +469,26 @@ class ModelGuard:
             raise ValueError("enabled guards require a non-empty holdout")
         self.policy = policy
         self.holdout = holdout
+        #: Holdout scores by ``id(expert)``: ``(weak reference, model
+        #: version, accuracy)``; see :meth:`holdout_accuracy`.
+        self._scores: dict[int, tuple[weakref.ref, int, float]] = {}
+        #: Lookups in that memo (the ``prediction_*`` cache counters).
+        self.score_stats = CacheStats()
         self._disagreement_history: list[float] = []
         self.rebind(n_experts)
         self._sentinel = DivergenceSentinel(
             max_update_ratio=policy.max_update_ratio,
             lr_backoff_factor=policy.lr_backoff_factor,
         )
+
+    def __getstate__(self) -> dict:
+        # A resumed process restarts the version counter, so a kept score
+        # could alias a new parameter state: a pickled guard's memo starts
+        # empty, counters included.
+        state = self.__dict__.copy()
+        state["_scores"] = {}
+        state["score_stats"] = CacheStats()
+        return state
 
     @classmethod
     def build(
@@ -648,18 +657,26 @@ class ModelGuard:
     def holdout_accuracy(self, expert) -> float:
         """An expert's accuracy on the reserved golden holdout slice.
 
-        With a shared cache attached the expert's holdout votes are
-        computed at most once per model version — this method is called up
-        to three times per expert per cycle (quarantine scoring, incumbent
-        scoring, candidate scoring) and all but the candidate call see the
-        incumbent's parameters.
+        Called up to three times per expert per cycle (quarantine scoring,
+        incumbent scoring, candidate scoring), and all but the candidate
+        call see the incumbent's parameters.  So the score is remembered
+        for the expert *object* at its ``model_version`` — the test
+        :class:`SnapshotRing` uses — and a rolled-back or swapped-in
+        expert, being another object, is always scored afresh.  Experts
+        without a ``model_version`` are scored on every call.
         """
-        cache = self.cache
-        if cache is not None:
-            predicted = np.argmax(cache.predict_proba(expert, self.holdout), axis=1)
-        else:
-            predicted = expert.predict(self.holdout)
-        return float(np.mean(predicted == self.holdout.labels()))
+        version = getattr(expert, "model_version", None)
+        held = self._scores.get(id(expert))
+        if held is not None and held[0]() is expert:
+            if held[1] == version:
+                self.score_stats.hits += 1
+                return held[2]
+            self.score_stats.invalidations += 1
+        self.score_stats.misses += 1
+        score = float(np.mean(expert.predict(self.holdout) == self.holdout.labels()))
+        if version is not None:
+            self._scores[id(expert)] = (weakref.ref(expert), version, score)
+        return score
 
     def snapshot_ring(self, index: int) -> SnapshotRing:
         """The incumbent snapshot of expert ``index`` (for inspection/tests)."""
@@ -725,22 +742,17 @@ class ModelGuard:
         counters.sentinel_aborts += aborts - before[0]
         counters.sentinel_retries += retries - before[1]
         counters.sentinel_failures += failures - before[2]
-        cache = self.cache
         tolerance = self.policy.regression_tolerance
         with tel.span("guard.score", experts=self.n_experts):
             for m in range(self.n_experts):
                 candidate = self.holdout_accuracy(committee.experts[m])
                 if candidate < incumbent_accuracy[m] - tolerance:
                     restored = self._rings[m].restore_latest()
+                    store = getattr(committee.experts[m], "feature_store", None)
+                    if store is not None:
+                        # Features depend on the codebook version, not on
+                        # the rolled-back head: keep the store the candidate
+                        # used (in a fleet, the one every event shares).
+                        restored.feature_store = store
                     committee.experts[m] = restored
                     counters.rollbacks += 1
-                    if cache is not None:
-                        # The restored expert carries the snapshot's (older)
-                        # version, so the incumbent's cached votes stay
-                        # valid; the discarded candidate's entries must go,
-                        # and the unpickled expert needs the shared store
-                        # re-attached (pickling drops cache contents).
-                        restored.attach_cache(cache)
-                        cache.invalidate_expert(
-                            restored.name, keep_version=restored.model_version
-                        )

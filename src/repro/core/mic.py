@@ -92,8 +92,8 @@ class MachineIntelligenceCalibrator:
         the crowd ReplayBuffer``.  Every ``full_refit_every``-th retrain
         (and always the first) falls back to the full cold path as an
         escape hatch against drift.  Both paths flow through the same
-        ``Committee.retrain`` — guard gating, version bumps and cache
-        invalidation are identical.
+        ``Committee.retrain`` — guard gating and version bumps are
+        identical.
     replay_buffer:
         Capacity of the crowd :class:`ReplayBuffer` (warm-start only).
     warm_replay_sample:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.bandit.budget import BudgetExhausted, BudgetLedger
-from repro.core.cache import PredictionCache
+from repro.core.cache import MemoCounters, feature_stores
 from repro.core.committee import Committee
 from repro.core.config import CrowdLearnConfig
 from repro.core.cqc import CrowdQualityControl
@@ -183,8 +183,8 @@ class _CycleState:
     mask: np.ndarray | None
     #: CQC's label distributions; ``(0, k)`` until CQC runs.
     truth_dists: np.ndarray
-    #: Cache counters at the start of the cycle (``None`` when uncached).
-    cache_stats: dict | None
+    #: Memo counters at the start of the cycle (see ``CrowdLearnSystem.cache``).
+    cache_stats: dict
     #: Write-ahead journal (:class:`repro.eval.journal.CycleJournal`);
     #: ``None`` runs the cycle without crash tolerance.
     journal: CycleJournal | None = None
@@ -234,7 +234,6 @@ class CrowdLearnSystem:
         guards: ModelGuard,
         resilience: ResiliencePolicy | None = None,
         telemetry: Telemetry | None = None,
-        cache: PredictionCache | None = None,
         scheduler: VirtualTimeScheduler | None = None,
         event_id: str | None = None,
     ) -> None:
@@ -264,13 +263,8 @@ class CrowdLearnSystem:
         self.scheduler = scheduler
         #: Identity of the disaster event this system serves, set by the
         #: serving layer (``repro.serve``); ``None`` for standalone runs.
-        #: Scopes the prediction-cache namespace and telemetry labels.
+        #: Scopes telemetry labels.
         self.event_id = event_id
-        #: Shared prediction/feature cache; ``None`` computes every vote
-        #: directly.  Results are bit-identical either way — the cache
-        #: only removes redundant inference.
-        self.cache: PredictionCache | None = None
-        self.attach_cache(cache)
         #: Queries with late responses still in flight, by query id.
         self._straggler_queries: dict[int, StragglerRecord] = {}
         if scheduler is not None and config.straggler_policy == "harvest":
@@ -279,21 +273,13 @@ class CrowdLearnSystem:
             # unset so misses stay misses.
             self.platform.scheduler = scheduler
 
-    def attach_cache(self, cache: PredictionCache | None) -> None:
-        """Route the committee's votes and the guard's holdout scoring
-        through ``cache``.
-
-        A served system (``event_id`` set) gets a view scoped to its
-        event: it shares the physical stores but not the key space, so an
-        event never reads another event's memoized votes.  ``None`` marks
-        the system uncached and detaches nothing.
-        """
-        if cache is not None and self.event_id is not None:
-            cache = cache.scoped(self.event_id)
-        self.cache = cache
-        if cache is not None:
-            self.committee.attach_cache(cache)
-            self.guards.cache = cache
+    @property
+    def cache(self) -> MemoCounters:
+        """Counters of the guard's holdout-score memo (``prediction_*``)
+        and the committee's feature stores (``feature_*``)."""
+        return MemoCounters(
+            [self.guards.score_stats], feature_stores(self.committee.experts)
+        )
 
     def _telemetry(self) -> Telemetry:
         return self.telemetry if self.telemetry is not None else get_telemetry()
@@ -310,7 +296,6 @@ class CrowdLearnSystem:
         resilience: ResiliencePolicy | None = None,
         guards: ModelGuard | GuardPolicy | None = None,
         telemetry: Telemetry | None = None,
-        cache: PredictionCache | None = None,
         event_id: str | None = None,
     ) -> "CrowdLearnSystem":
         """Assemble the full system as the paper deploys it.
@@ -366,8 +351,6 @@ class CrowdLearnSystem:
             guards = ModelGuard.build(
                 policy, training_set, committee.n_experts, seeds.get("guards")
             )
-        if cache is None:
-            cache = PredictionCache()
         scheduler = None
         if config.scheduler_enabled:
             scheduler = VirtualTimeScheduler(
@@ -390,7 +373,6 @@ class CrowdLearnSystem:
             resilience=resilience,
             guards=guards,
             telemetry=telemetry,
-            cache=cache,
             scheduler=scheduler,
             event_id=event_id,
         )
@@ -775,19 +757,13 @@ class CrowdLearnSystem:
             # A new committee was swapped into a live system: per-expert
             # guard memory no longer describes anything real.
             guard.rebind(self.committee.n_experts)
-        cache = self.cache
-        stale = cache is not self.committee.cache or cache is not guard.cache
-        if cache is not None and stale:
-            # A new committee or guard was swapped in: route it through the
-            # shared cache too.
-            self.attach_cache(cache)
         return _CycleState(
             cycle=cycle,
             tel=tel,
             dataset=cycle.dataset(),
             mask=guard.active_mask(),
             truth_dists=np.empty((0, self.committee.experts[0].n_classes)),
-            cache_stats=None if cache is None else cache.stats(),
+            cache_stats=self.cache.stats(),
             journal=journal,
             query_cap=query_cap,
         )
@@ -1074,13 +1050,12 @@ class CrowdLearnSystem:
             prefix="guard_",
             help="guard interventions (see repro.core.guards)",
         )
-        if st.cache_stats is not None:
-            after = self.cache.stats()
-            tel.merge_counters(
-                {f"{k}_total": after[k] - v for k, v in st.cache_stats.items()},
-                prefix="cache_",
-                help="prediction/feature cache activity (see repro.core.cache)",
-            )
+        after = self.cache.stats()
+        tel.merge_counters(
+            {f"{k}_total": after[k] - v for k, v in st.cache_stats.items()},
+            prefix="cache_",
+            help="holdout-score and feature memo activity (see repro.core.cache)",
+        )
 
     def run(
         self,
@@ -1102,8 +1077,16 @@ class CrowdLearnSystem:
         the journal and the file is rotated at each checkpoint, so a run
         killed *mid-cycle* can be resumed with
         :func:`repro.eval.journal.resume_run` — journaled crowd posts are
-        served from the log instead of being re-posted and re-charged.
+        served from the log instead of being re-posted and re-charged.  A
+        journal without ``checkpoint_path`` raises :class:`ValueError`: it
+        would never rotate, so its records would span cycles no resume
+        can replay.
         """
+        if journal is not None and checkpoint_path is None:
+            raise ValueError(
+                "a journal requires checkpoint_path: an unrotated journal "
+                "spans cycles no resume can replay"
+            )
         return self._run_from(stream, RunOutcome(), 0, checkpoint_path,
                               journal=journal)
 

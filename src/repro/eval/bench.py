@@ -1,28 +1,29 @@
 """Benchmark harness for the closed loop (``repro bench``).
 
 Times one full CrowdLearn deployment with telemetry spans enabled and
-aggregates per-stage wall time, micro-benchmarks the committee-vote hot
-path cached vs uncached on a fixed image pool, and A/Bs the retrain stage
-cold vs warm-start.  Results are written to ``BENCH_cycle.json`` so CI can
-archive them and assert the shared
-:class:`~repro.core.cache.PredictionCache` never makes the vote stage
-slower than computing votes from scratch.
+aggregates per-stage wall time, micro-benchmarks the guard's holdout
+scoring with and without its score memo, A/Bs the retrain stage cold vs
+warm-start, and measures the write-ahead journal's overhead over repeated
+journaled runs.  Results are written to ``BENCH_cycle.json`` so CI can
+archive them and assert the memo never makes holdout scoring slower than
+scoring from scratch.
 
 Wall-clock numbers are machine-dependent; everything else in the report
-(cycle counts, cache hit/miss totals, speedup *direction*) is
-deterministic given the seed.  Timings use best-of-``repeats`` so a single
-scheduler hiccup cannot fail the CI check.
+(cycle counts, memo hit/miss totals, speedup *direction*) is
+deterministic given the seed.  Timings use best-of-``repeats`` (the
+journal overhead, the median of ``repeats`` runs) so a single scheduler
+hiccup cannot fail the CI check.
 """
 
 from __future__ import annotations
 
 import json
 import platform
+import statistics
 import time
 from pathlib import Path
 from typing import Any
 
-from repro.core.cache import PredictionCache
 from repro.telemetry.runtime import Telemetry, use_telemetry
 from repro.telemetry.tracing import aggregate_spans
 
@@ -30,11 +31,6 @@ __all__ = ["run_bench", "write_bench", "render_bench", "DEFAULT_OUTPUT"]
 
 #: Default artifact path, relative to the working directory.
 DEFAULT_OUTPUT = Path("benchmarks/results/BENCH_cycle.json")
-
-#: Pool size for the committee-vote micro-benchmark (small enough that the
-#: uncached arm stays fast, large enough that encoding dominates overhead).
-_VOTE_POOL_SIZE = 48
-
 
 def _stage_table(spans) -> dict[str, dict[str, float]]:
     """Per-stage wall-time aggregates, insertion-ordered by first finish."""
@@ -60,36 +56,43 @@ def _best_of(repeats: int, fn) -> float:
     return best
 
 
-def _vote_benchmark(setup, repeats: int) -> dict[str, Any]:
-    """Time ``Committee.expert_votes`` on a fixed pool, cached vs uncached.
+def _holdout_benchmark(setup, repeats: int) -> dict[str, Any]:
+    """Time ``ModelGuard.holdout_accuracy`` over a committee, with and
+    without the guard's score memo.
 
-    The uncached arm detaches the cache so every call recomputes each
-    expert's predictions; the cached arm attaches a fresh
-    :class:`PredictionCache`, warms it with one call, then times pure
-    cache hits — the steady state ``run_cycle`` reaches after the first
-    call site per (model version, pool).
+    Both arms score every expert of a cloned committee on one golden
+    holdout slice.  The uncached arm scores through a fresh guard per
+    pass (an empty memo: every call runs the expert); the cached arm warms
+    one guard with one pass, then times pure memo hits — what the loop's
+    quarantine and incumbent scoring of an unchanged expert cost.
     """
+    from repro.core.guards import GuardPolicy, ModelGuard
+
     committee = setup.clone_committee()
-    pool = setup.test_set.subset(
-        list(range(min(_VOTE_POOL_SIZE, len(setup.test_set))))
+    policy = GuardPolicy()
+    guard = ModelGuard.build(
+        policy, setup.train_set, committee.n_experts,
+        setup.seeds.get("bench-holdout"),
     )
 
-    committee.attach_cache(None)
-    uncached = _best_of(repeats, lambda: committee.expert_votes(pool))
+    def score_all(scorer: ModelGuard) -> None:
+        for expert in committee.experts:
+            scorer.holdout_accuracy(expert)
 
-    cache = PredictionCache()
-    committee.attach_cache(cache)
-    committee.expert_votes(pool)  # warm: one compute per expert
-    cached = _best_of(repeats, lambda: committee.expert_votes(pool))
-    committee.attach_cache(None)
+    uncached = _best_of(repeats, lambda: score_all(
+        ModelGuard(policy, guard.holdout, committee.n_experts)
+    ))
+    score_all(guard)  # warm: one scoring per expert
+    cached = _best_of(repeats, lambda: score_all(guard))
 
     return {
-        "pool_size": len(pool),
+        "holdout_size": len(guard.holdout),
+        "experts": committee.n_experts,
         "repeats": repeats,
         "uncached_best_seconds": uncached,
         "cached_best_seconds": cached,
         "speedup": uncached / cached if cached > 0 else float("inf"),
-        "cache": cache.stats(),
+        "memo": guard.score_stats.as_dict(),
     }
 
 
@@ -205,39 +208,50 @@ def _retrain_benchmark(setup) -> dict[str, Any]:
     }
 
 
-def _journal_benchmark(setup) -> dict[str, Any]:
-    """Run the loop with the write-ahead journal and checkpoints on.
+def _journal_benchmark(setup, repeats: int) -> dict[str, Any]:
+    """Run the loop ``repeats`` times with the write-ahead journal and
+    checkpoints on.
 
-    Overhead is the time spent inside journal appends (canonical
-    serialization + write + fsync, plus rotation) as a fraction of the
-    journaled run's wall time — the price of crash tolerance.  CI gates
-    on this staying under 5% of cycle wall time.
+    A run's overhead is the time spent inside journal appends (canonical
+    serialization + write + fsync, plus rotation) as a fraction of its
+    wall time — the price of crash tolerance.  ``overhead_fraction`` is
+    the median over the runs; CI gates on it staying under 5% of cycle
+    wall time.
     """
     import tempfile
 
     from repro.eval.journal import CycleJournal
     from repro.eval.runner import build_crowdlearn
 
-    with tempfile.TemporaryDirectory(prefix="repro-bench-journal-") as tmp:
-        tmp_path = Path(tmp)
-        system = build_crowdlearn(setup, platform_name="bench-journal")
-        journal = CycleJournal.create(tmp_path / "bench.journal")
-        started = time.perf_counter()
-        try:
-            system.run(
-                setup.make_stream("bench-journal"),
-                checkpoint_path=tmp_path / "bench.ckpt",
-                journal=journal,
-            )
-        finally:
-            journal.close()
-        wall = time.perf_counter() - started
+    runs = []
+    for _ in range(repeats):
+        with tempfile.TemporaryDirectory(prefix="repro-bench-journal-") as tmp:
+            tmp_path = Path(tmp)
+            system = build_crowdlearn(setup, platform_name="bench-journal")
+            journal = CycleJournal.create(tmp_path / "bench.journal")
+            started = time.perf_counter()
+            try:
+                system.run(
+                    setup.make_stream("bench-journal"),
+                    checkpoint_path=tmp_path / "bench.ckpt",
+                    journal=journal,
+                )
+            finally:
+                journal.close()
+            wall = time.perf_counter() - started
+        runs.append({
+            "wall_seconds": wall,
+            "journal_write_seconds": journal.write_seconds,
+            "records_written": journal.records_written,
+            "overhead_fraction": (
+                journal.write_seconds / wall if wall > 0 else 0.0
+            ),
+        })
     return {
-        "wall_seconds": wall,
-        "journal_write_seconds": journal.write_seconds,
-        "records_written": journal.records_written,
-        "overhead_fraction": (
-            journal.write_seconds / wall if wall > 0 else 0.0
+        "runs": runs,
+        "records_written": runs[0]["records_written"],
+        "overhead_fraction": statistics.median(
+            run["overhead_fraction"] for run in runs
         ),
     }
 
@@ -249,11 +263,12 @@ def run_bench(
     """Benchmark one deployment; returns a JSON-safe report.
 
     The report has five sections: ``loop`` (a full instrumented run with
-    per-stage span aggregates and end-of-run cache statistics),
-    ``committee_vote`` (the cached-vs-uncached micro-benchmark),
-    ``retrain`` (the warm-start vs cold retrain A/B), ``journal`` (the
-    write-ahead journal's overhead fraction) and ``meta`` (seed, scale,
-    interpreter — enough to compare artifacts across CI runs).  With
+    per-stage span aggregates and end-of-run memo counters),
+    ``holdout_score`` (holdout scoring with vs without the guard's score
+    memo), ``retrain`` (the warm-start vs cold retrain A/B), ``journal``
+    (the write-ahead journal's overhead over ``repeats`` runs) and
+    ``meta`` (seed, scale, interpreter — enough to compare artifacts
+    across CI runs).  With
     ``scheduler`` set, a sixth section A/Bs the loop with the virtual-time
     scheduler off vs on.
     """
@@ -287,9 +302,9 @@ def run_bench(
             "stages": _stage_table(telemetry.tracer.spans),
             "cache": system.cache.stats(),
         },
-        "committee_vote": _vote_benchmark(setup, repeats),
+        "holdout_score": _holdout_benchmark(setup, repeats),
         "retrain": _retrain_benchmark(setup),
-        "journal": _journal_benchmark(setup),
+        "journal": _journal_benchmark(setup, repeats),
     }
     if scheduler:
         report["scheduler"] = _scheduler_benchmark(setup)
@@ -307,7 +322,7 @@ def write_bench(report: dict[str, Any], path: Path | str = DEFAULT_OUTPUT) -> Pa
 def render_bench(report: dict[str, Any]) -> str:
     """Human-readable summary of a :func:`run_bench` report."""
     loop = report["loop"]
-    vote = report["committee_vote"]
+    score = report["holdout_score"]
     lines = [
         f"closed loop: {loop['cycles']} cycles in {loop['wall_seconds']:.2f}s "
         f"(macro-F1 {loop['macro_f1']:.3f})",
@@ -326,8 +341,8 @@ def render_bench(report: dict[str, Any]) -> str:
     if cache:
         lines += [
             "",
-            "cache: "
-            f"{cache.get('prediction_hits', 0)} prediction hits / "
+            "memos: "
+            f"{cache.get('prediction_hits', 0)} holdout-score hits / "
             f"{cache.get('prediction_misses', 0)} misses, "
             f"{cache.get('prediction_invalidations', 0)} invalidations; "
             f"{cache.get('feature_hits', 0)} feature hits / "
@@ -335,11 +350,11 @@ def render_bench(report: dict[str, Any]) -> str:
         ]
     lines += [
         "",
-        f"committee vote ({vote['pool_size']} images, "
-        f"best of {vote['repeats']}): "
-        f"uncached {vote['uncached_best_seconds'] * 1e3:.2f}ms, "
-        f"cached {vote['cached_best_seconds'] * 1e3:.2f}ms "
-        f"({vote['speedup']:.0f}x)",
+        f"holdout scoring ({score['experts']} experts x "
+        f"{score['holdout_size']} images, best of {score['repeats']}): "
+        f"no memo {score['uncached_best_seconds'] * 1e3:.2f}ms, "
+        f"memo {score['cached_best_seconds'] * 1e3:.2f}ms "
+        f"({score['speedup']:.0f}x)",
     ]
     ab = report.get("retrain")
     if ab:
@@ -365,11 +380,13 @@ def render_bench(report: dict[str, Any]) -> str:
         lines += [
             "",
             "journal: "
-            f"{jrn['records_written']} records "
-            "(each fsynced) in "
-            f"{jrn['journal_write_seconds'] * 1e3:.1f}ms of "
-            f"{jrn['wall_seconds']:.2f}s journaled run "
-            f"({jrn['overhead_fraction'] * 100:.2f}% overhead)",
+            f"{jrn['records_written']} records a run (each fsynced); "
+            f"median overhead {jrn['overhead_fraction'] * 100:.2f}% of "
+            f"wall time over {len(jrn['runs'])} journaled runs ("
+            + ", ".join(
+                f"{run['overhead_fraction'] * 100:.2f}%" for run in jrn["runs"]
+            )
+            + ")",
         ]
     sched = report.get("scheduler")
     if sched:

@@ -60,7 +60,10 @@ _FORMAT_VERSION = 1
 # Version 5 drops the fused conv blocks, which a version-4 file may pickle.
 # Version 6 collapses the guard policy to one switch and keeps one snapshot
 # per expert; a version-5 file pickles the old policy and ring layout.
-_CHECKPOINT_VERSION = 6
+# Version 7 replaces the system's prediction cache with the guard's
+# holdout-score memo and BoVW's own feature store; a version-6 file
+# pickles the deleted ``PredictionCache``.
+_CHECKPOINT_VERSION = 7
 
 
 class CheckpointIntegrityError(ValueError):

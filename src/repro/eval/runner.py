@@ -205,7 +205,6 @@ def build_crowdlearn(
     telemetry: "Telemetry | None" = None,
     seed: int | None = None,
     event_id: str | None = None,
-    cache: "PredictionCache | None" = None,
 ) -> CrowdLearnSystem:
     """Assemble a CrowdLearn system from the shared setup.
 
@@ -218,9 +217,8 @@ def build_crowdlearn(
     ``telemetry`` instruments the system and its platform (see
     :mod:`repro.telemetry`); ``None`` keeps the no-op default.
     ``seed`` overrides the setup's root seed for the system's own named
-    streams (the serving layer derives one per event); ``event_id`` and
-    ``cache`` let the serving layer give each deployment a namespaced
-    view of one shared prediction cache (see :mod:`repro.serve`).
+    streams (the serving layer derives one per event, and names it with
+    ``event_id``; see :mod:`repro.serve`).
     """
     platform = setup.make_platform(platform_name)
     if faults is not None:
@@ -237,7 +235,6 @@ def build_crowdlearn(
         resilience=resilience,
         guards=guards,
         telemetry=telemetry,
-        cache=cache,
         event_id=event_id,
     )
 

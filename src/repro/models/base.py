@@ -11,15 +11,10 @@ labels.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.data.dataset import DisasterDataset
 from repro.data.metadata import DamageLabel
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.cache import PredictionCache
 
 __all__ = ["DDAModel", "next_model_version"]
 
@@ -30,13 +25,14 @@ _version_counter: int = 0
 def next_model_version(minimum: int = 0) -> int:
     """Advance and return the process-wide model-version counter.
 
-    Versions identify *parameter states* for the prediction cache: every
-    ``fit``/``retrain`` assigns a fresh one.  The counter is global (not
-    per expert) and never goes below ``minimum + 1``, so a version number
-    is never reused within a process — in particular, an expert rolled
-    back to a snapshot (which carries the snapshot's older version) can
-    never later re-assign the number its discarded candidate used, which
-    would otherwise let the cache serve the candidate's stale votes.
+    Versions identify *parameter states* (and BoVW codebooks) for the
+    guard's holdout-score memo, its snapshot ring and the BoVW feature
+    store: every ``fit``/``retrain`` assigns a fresh one.  The counter is
+    global (not per expert) and never goes below ``minimum + 1``, so a
+    version number is never reused within a process — in particular, an
+    expert rolled back to a snapshot (which carries the snapshot's older
+    version) can never later re-assign the number its discarded candidate
+    used.
     """
     global _version_counter
     _version_counter = max(_version_counter + 1, int(minimum) + 1)
@@ -65,21 +61,11 @@ class DDAModel(ABC):
 
         Concrete experts call this at the end of ``fit`` and ``retrain``
         (and :class:`~repro.core.committee.Committee` enforces it for
-        third-party experts that forget), so cached predictions keyed on
-        the old version become unreachable.
+        third-party experts that forget), so a holdout score remembered
+        for the old version is never served again.
         """
         self._model_version = next_model_version(self._model_version)
         return self._model_version
-
-    def attach_cache(self, cache: "PredictionCache | None") -> None:
-        """Adopt a shared cache for derived per-image state (hook).
-
-        The base implementation does nothing: most experts keep no state
-        the shared cache could host.  Experts with per-image derived
-        features (BoVW) redirect their feature store here.  ``None``
-        detaches, restoring a private store.
-        """
-        return None
 
     @property
     def n_classes(self) -> int:

@@ -8,16 +8,11 @@ expert, as in Table II.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.core.cache import BoundedCache
 from repro.data.dataset import DisasterDataset
 from repro.models.base import DDAModel, next_model_version
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.cache import PredictionCache
 from repro.nn.layers import Dense, ReLU
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential
@@ -73,10 +68,9 @@ class BoVWModel(DDAModel):
                 f"feature_cache_size must be positive, got {feature_cache_size}"
             )
         self.feature_cache_size = feature_cache_size
-        # Bounded LRU store keyed (feature_version, image_id); replaced by
-        # the shared PredictionCache store via attach_cache when a system
-        # routes experts through one.
-        self._feature_cache: BoundedCache = BoundedCache(feature_cache_size)
+        #: Bounded LRU store keyed ``(feature_version, image_id)``.  The
+        #: serving layer replaces it with one store every event shares.
+        self.feature_store: BoundedCache = BoundedCache(feature_cache_size)
         #: Backing field of :attr:`feature_version` (0 = not yet assigned).
         self._feature_version: int = 0
 
@@ -92,13 +86,6 @@ class BoVWModel(DDAModel):
             self._feature_version = next_model_version()
         return self._feature_version
 
-    def attach_cache(self, cache: "PredictionCache | None") -> None:
-        """Host per-image features in the shared cache's bounded store."""
-        if cache is None:
-            self._feature_cache = BoundedCache(self.feature_cache_size)
-        else:
-            self._feature_cache = cache.features
-
     def _features(self, dataset: DisasterDataset) -> np.ndarray:
         """Encode (and memoize by image id) the dataset's BoVW features.
 
@@ -107,7 +94,7 @@ class BoVWModel(DDAModel):
         global cue in the spirit of classical BoVW pipelines' color
         channels.
         """
-        store = self._feature_cache
+        store = self.feature_store
         version = self.feature_version
         rows: list[np.ndarray | None] = []
         misses: list[tuple[int, "object"]] = []

@@ -26,7 +26,7 @@ from repro.eval.persistence import commit_cycle
 __all__ = ["Deployment"]
 
 #: Base image id for ingested bursts: far above any world dataset's ids so
-#: burst images can never alias a seed image in cache pool keys.
+#: burst images can never alias a seed image in feature-store keys.
 _BURST_ID_BASE = 1_000_000
 
 
@@ -36,7 +36,7 @@ class Deployment:
     Parameters
     ----------
     event_id:
-        Stable identity; orders heap ties and namespaces caches/labels.
+        Stable identity; orders heap ties and names telemetry labels.
     system, stream:
         The event's own system (per-event RNG streams, committee clone,
         platform, ledger) and sensing-cycle stream.
@@ -152,7 +152,7 @@ class Deployment:
 
         Burst images are re-identified into a disjoint id range (see
         ``_BURST_ID_BASE``) so they can never alias the world dataset in
-        prediction-cache pool keys, then appended to the stream's image
+        the BoVW feature store's keys, then appended to the stream's image
         plan; the stream grows by however many (possibly ragged) cycles
         the burst fills.  Returns the number of cycles added.
 

@@ -51,7 +51,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.cache import PredictionCache
+from repro.core.cache import BoundedCache, MemoCounters
 from repro.core.system import CrowdLearnSystem, CycleOutcome
 from repro.crowd.faults import FaultInjector, FaultPlan, InjectedCrash
 from repro.data.dataset import build_dataset
@@ -72,6 +72,8 @@ __all__ = ["CrowdLearnService", "EventStatus", "ServeJournalError"]
 
 _MANIFEST_NAME = "serve.json"
 _JOURNAL_NAME = "serve.journal"
+#: Capacity of the fleet's shared BoVW feature store, in per-image vectors.
+_FEATURE_STORE_SIZE = 8192
 
 
 class ServeJournalError(RuntimeError):
@@ -190,8 +192,8 @@ class CrowdLearnService:
         self._heap: list[tuple[float, str, int]] = []
         self._seq = 0
         self.ticks = 0
-        #: Shared physical cache; each event gets a namespaced view.
-        self.cache = PredictionCache()
+        #: The one BoVW feature store every event's committee encodes into.
+        self.features = BoundedCache(_FEATURE_STORE_SIZE)
         self.serve_dir = Path(serve_dir) if serve_dir is not None else None
         self._journal_fh = None
         self._manifest: dict[str, Any] = {
@@ -210,6 +212,15 @@ class CrowdLearnService:
             )
 
     # -- internal plumbing -------------------------------------------------
+
+    @property
+    def cache(self) -> MemoCounters:
+        """Counters of every event's holdout-score memo (``prediction_*``)
+        and the shared feature store (``feature_*``)."""
+        return MemoCounters(
+            [d.system.guards.score_stats for d in self.registry.all()],
+            [self.features],
+        )
 
     @property
     def durable(self) -> bool:
@@ -302,7 +313,6 @@ class CrowdLearnService:
             telemetry=self._telemetry_for(event_id),
             seed=entry["seed"],
             event_id=event_id,
-            cache=self.cache,
             faults=injector,
         )
         stream = SensingCycleStream(
@@ -336,6 +346,11 @@ class CrowdLearnService:
             **state,
         )
         self.registry.add(deployment)
+        # Fresh and restored events alike encode BoVW features into the
+        # fleet's one store (a built or checkpointed system has its own).
+        for expert in system.committee.experts:
+            if hasattr(expert, "feature_store"):
+                expert.feature_store = self.features
         # Capture the pool, not the service: a platform -> service
         # reference cycle would keep a dropped fleet alive until the
         # cyclic collector runs.
@@ -948,10 +963,6 @@ class CrowdLearnService:
             if telemetry is not None:
                 system.telemetry = telemetry
                 system.platform.telemetry = telemetry
-        # Checkpointed systems drop cache entries on pickle; give the
-        # restored system its namespaced view of the shared physical
-        # stores again.
-        system.attach_cache(self.cache)
         deployment = self._register(
             entry, system, stream,
             journal=journal, outcome=outcome, next_cycle=next_cycle,

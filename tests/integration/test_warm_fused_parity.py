@@ -1,8 +1,8 @@
 """Digest parity for the warm-start retrain path.
 
 Warm-start retraining with ``full_refit_every=1`` degenerates to the cold
-schedule, and a warm retrain's version bump must reach the prediction
-cache.  Both claims are checked the strongest way available — the full
+schedule, and a warm retrain's version bump must reach the guard's
+holdout-score memo.  Both claims are checked the strongest way available — the full
 closed loop must produce a bit-identical outcome digest.
 """
 
@@ -10,6 +10,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.guards import ModelGuard
 from repro.eval.persistence import run_outcome_digest
 from repro.eval.runner import build_crowdlearn, prepare
 
@@ -19,23 +20,24 @@ def setup():
     return prepare(seed=11, fast=True)
 
 
-def _detach_cache(system) -> None:
-    """Make ``system`` the uncached reference arm: every vote and holdout
-    score is computed directly."""
-    system.committee.attach_cache(None)
-    system.guards.cache = None
-    system.cache = None
+def _without_memo(monkeypatch) -> None:
+    """Make every holdout call score afresh: the memo-free reference."""
+    original = ModelGuard.holdout_accuracy
+
+    def unmemoized(self, expert):
+        self._scores.clear()
+        return original(self, expert)
+
+    monkeypatch.setattr(ModelGuard, "holdout_accuracy", unmemoized)
 
 
-def _run(setup, name, cached=True, **overrides):
+def _run(setup, name, **overrides):
     config = (
         dataclasses.replace(setup.config, **overrides)
         if overrides
         else setup.config
     )
     system = build_crowdlearn(setup, config=config, platform_name=name)
-    if not cached:
-        _detach_cache(system)
     outcome = system.run(setup.make_stream(name))
     return system, run_outcome_digest(outcome)
 
@@ -68,17 +70,16 @@ class TestWarmDigestParity:
 
 
 class TestWarmRunIntegrity:
-    def test_warm_cached_matches_warm_uncached(self, setup):
-        """No stale prediction may survive a warm retrain's version bump.
+    def test_warm_cached_matches_warm_uncached(self, setup, monkeypatch):
+        """No stale score may survive a warm retrain's version bump.
 
         Warm retrains bump ``model_version`` exactly like cold ones; if the
-        PredictionCache ever served a pre-retrain array afterwards, the
-        cached and uncached deployments would diverge.
+        guard's memo ever served a pre-retrain score afterwards, the
+        memoized and memo-free deployments would diverge.
         """
         cached_system, cached = _run(setup, "warm-fresh", mic_warm_start=True)
-        _, uncached = _run(
-            setup, "warm-fresh", cached=False, mic_warm_start=True
-        )
+        _without_memo(monkeypatch)
+        _, uncached = _run(setup, "warm-fresh", mic_warm_start=True)
         assert cached == uncached
         assert cached_system.cache.stats()["prediction_hits"] > 0
         assert cached_system.mic.retrain_stats()["warm_retrains"] > 0

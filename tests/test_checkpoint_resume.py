@@ -211,6 +211,24 @@ class TestIntegrityCheckNames:
         self._tamper(checkpoint, lambda env: env.update(checkpoint_version=5))
         assert self._check_of(checkpoint) == "version"
 
+    def test_version_6_refused(self, tmp_path):
+        """A version-6 file pickles the deleted ``PredictionCache``; it is
+        refused by the version check before its state is unpickled."""
+        import hashlib
+        import pickle
+
+        state = b"crepro.core.cache\nPredictionCache\n)\x81."
+        with pytest.raises(AttributeError):
+            pickle.loads(state)  # what unpickling the state would do
+        path = tmp_path / "v6.ckpt"
+        path.write_bytes(pickle.dumps({
+            "checkpoint_version": 6,
+            "sha256": hashlib.sha256(state).hexdigest(),
+            "length": len(state),
+            "state": state,
+        }))
+        assert self._check_of(path) == "version"
+
     def test_length(self, checkpoint):
         self._tamper(
             checkpoint, lambda env: env.update(length=env["length"] + 1)

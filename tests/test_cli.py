@@ -171,12 +171,14 @@ class TestCommands:
         ]) == 0
         out = capsys.readouterr().out
         assert "closed loop:" in out
-        assert "committee vote" in out
+        assert "holdout scoring" in out
         report = json.loads(artifact.read_text())
         assert report["loop"]["cycles"] > 0
         assert "cycle.committee" in report["loop"]["stages"]
-        vote = report["committee_vote"]
-        assert vote["cached_best_seconds"] <= vote["uncached_best_seconds"]
+        score = report["holdout_score"]
+        assert score["cached_best_seconds"] <= score["uncached_best_seconds"]
+        # --check gated on the median of one journaled run per repeat.
+        assert len(report["journal"]["runs"]) == 2
 
     def test_bench_rejects_fast_and_full(self, capsys):
         assert main(["bench", "--fast", "--full"]) == 2

@@ -1,4 +1,6 @@
-"""Tests for repro.core.cache — the shared prediction/feature cache."""
+"""Tests for repro.core.cache — the bounded feature store, the guard's
+holdout-score memo behind the ``prediction_*`` counters, and the counters
+view."""
 
 from __future__ import annotations
 
@@ -7,23 +9,23 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core.cache import BoundedCache, PredictionCache, pool_key
+from repro.core.cache import BoundedCache, MemoCounters, feature_stores
+from repro.core.guards import GuardPolicy, ModelGuard
 from repro.data.dataset import build_dataset
+from repro.models.base import next_model_version
 
 
 class _FakeExpert:
     """A predict-counting stand-in for a committee expert."""
 
-    def __init__(self, name: str = "fake", n_classes: int = 3) -> None:
+    def __init__(self, name: str = "fake") -> None:
         self.name = name
-        self.n_classes = n_classes
-        self.model_version = 1
+        self.model_version = next_model_version()
         self.calls = 0
 
-    def predict_proba(self, dataset) -> np.ndarray:
+    def predict(self, dataset) -> np.ndarray:
         self.calls += 1
-        n = len(dataset)
-        return np.full((n, self.n_classes), 1.0 / self.n_classes)
+        return dataset.labels()
 
 
 @pytest.fixture(scope="module")
@@ -31,17 +33,8 @@ def dataset():
     return build_dataset(n_images=12, rng=np.random.default_rng(0))
 
 
-class TestPoolKey:
-    def test_is_image_id_tuple(self, dataset):
-        key = pool_key(dataset)
-        assert key == tuple(img.image_id for img in dataset)
-
-    def test_distinguishes_subsets(self, dataset):
-        assert pool_key(dataset.subset([0, 1])) != pool_key(dataset.subset([1, 0]))
-        assert pool_key(dataset.subset([0, 1])) != pool_key(dataset.subset([0, 2]))
-
-    def test_hashable_and_stable(self, dataset):
-        assert hash(pool_key(dataset)) == hash(pool_key(dataset))
+def _guard(holdout, n_experts: int = 1) -> ModelGuard:
+    return ModelGuard(GuardPolicy(), holdout, n_experts)
 
 
 class TestBoundedCache:
@@ -94,9 +87,11 @@ class TestBoundedCache:
     def test_pickle_drops_entries(self):
         cache = BoundedCache(4)
         cache.put("a", np.arange(3))
+        cache.get("a")
         clone = pickle.loads(pickle.dumps(cache))
         assert len(clone) == 0
         assert clone.capacity == 4
+        assert clone.stats.hits == 0  # a copy is a new, empty store
         # The original is untouched; the clone works as a fresh store.
         assert cache.get("a") is not None
         clone.put("b", 2)
@@ -104,63 +99,74 @@ class TestBoundedCache:
 
 
 class TestPredictionCache:
-    def test_miss_computes_then_hit_serves(self, dataset):
-        cache = PredictionCache()
-        expert = _FakeExpert()
-        first = cache.predict_proba(expert, dataset)
-        second = cache.predict_proba(expert, dataset)
-        assert expert.calls == 1
-        np.testing.assert_array_equal(first, second)
-        assert cache.stats()["prediction_hits"] == 1
-        assert cache.stats()["prediction_misses"] == 1
+    """The ``prediction_*`` counters: the guard's holdout-score memo."""
 
-    def test_distinct_pools_are_distinct_entries(self, dataset):
-        cache = PredictionCache()
+    def test_miss_computes_then_hit_serves(self, dataset):
+        guard = _guard(dataset)
         expert = _FakeExpert()
-        cache.predict_proba(expert, dataset.subset([0, 1]))
-        cache.predict_proba(expert, dataset.subset([2, 3]))
-        assert expert.calls == 2
+        first = guard.holdout_accuracy(expert)
+        second = guard.holdout_accuracy(expert)
+        assert expert.calls == 1
+        assert first == second == 1.0
+        assert guard.score_stats.hits == 1
+        assert guard.score_stats.misses == 1
 
     def test_version_bump_misses(self, dataset):
-        cache = PredictionCache()
+        guard = _guard(dataset)
         expert = _FakeExpert()
-        cache.predict_proba(expert, dataset)
-        expert.model_version += 1
-        cache.predict_proba(expert, dataset)
+        guard.holdout_accuracy(expert)
+        expert.model_version = next_model_version(expert.model_version)
+        guard.holdout_accuracy(expert)
         assert expert.calls == 2
 
     def test_stale_versions_dropped_on_miss(self, dataset):
-        cache = PredictionCache()
+        guard = _guard(dataset)
         expert = _FakeExpert()
-        cache.predict_proba(expert, dataset)
-        expert.model_version += 1
-        cache.predict_proba(expert, dataset)
-        # The version-1 entry was evicted by the keep_version sweep.
-        assert len(cache.predictions) == 1
-        assert cache.stats()["prediction_invalidations"] == 1
+        guard.holdout_accuracy(expert)
+        expert.model_version = next_model_version(expert.model_version)
+        guard.holdout_accuracy(expert)
+        # One entry per expert: the new version replaced the old one.
+        assert len(guard._scores) == 1
+        assert guard.score_stats.invalidations == 1
 
     def test_invalidate_expert_is_per_expert(self, dataset):
-        cache = PredictionCache()
+        guard = _guard(dataset, n_experts=2)
         a, b = _FakeExpert("a"), _FakeExpert("b")
-        cache.predict_proba(a, dataset)
-        cache.predict_proba(b, dataset)
-        cache.invalidate_expert("a")
-        cache.predict_proba(a, dataset)
-        cache.predict_proba(b, dataset)
+        guard.holdout_accuracy(a)
+        guard.holdout_accuracy(b)
+        a.model_version = next_model_version(a.model_version)
+        guard.holdout_accuracy(a)
+        guard.holdout_accuracy(b)
         assert a.calls == 2
         assert b.calls == 1
 
-    def test_keep_version_spares_current_entries(self, dataset):
-        cache = PredictionCache()
-        expert = _FakeExpert()
-        cache.predict_proba(expert, dataset)
-        cache.invalidate_expert("fake", keep_version=expert.model_version)
-        cache.predict_proba(expert, dataset)
-        assert expert.calls == 1
-
     def test_counters_exposed_flat(self, dataset):
-        cache = PredictionCache()
-        stats = cache.stats()
+        guard = _guard(dataset)
+        guard.holdout_accuracy(_FakeExpert())
+        store = BoundedCache(4)
+        store.get("missing")
+        stats = MemoCounters([guard.score_stats], [store]).stats()
         for field in ("hits", "misses", "evictions", "invalidations"):
             assert f"prediction_{field}" in stats
             assert f"feature_{field}" in stats
+        assert stats["prediction_misses"] == 1
+        assert stats["feature_misses"] == 1
+
+
+class TestFeatureStores:
+    def test_distinct_stores_in_member_order(self):
+        class _Holder:
+            def __init__(self, store):
+                self.feature_store = store
+
+        one, two = BoundedCache(2), BoundedCache(2)
+        experts = [_Holder(one), _FakeExpert(), _Holder(two), _Holder(one)]
+        assert feature_stores(experts) == [one, two]
+
+    def test_counters_sum_over_parts(self, dataset):
+        guards = [_guard(dataset), _guard(dataset)]
+        for guard in guards:
+            guard.holdout_accuracy(_FakeExpert())
+        stats = MemoCounters([g.score_stats for g in guards], []).stats()
+        assert stats["prediction_misses"] == 2
+        assert stats["feature_misses"] == 0

@@ -736,9 +736,6 @@ class _WarmStubExpert(_StubExpert):
         self.corrupt_on_call = corrupt_on_call
         self.retrain_epochs_seen = []
 
-    def attach_cache(self, cache) -> None:
-        return None
-
     def retrain(self, dataset, labels, rng, *, epochs=None):
         from repro.models.base import next_model_version
 

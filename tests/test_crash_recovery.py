@@ -10,6 +10,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.system import RunOutcome
 from repro.crowd.faults import (
     CrashPoint,
     FaultInjector,
@@ -39,6 +40,18 @@ def setup():
     return prepare(seed=SEED, config=config, fast=True)
 
 
+def run_cycles(system, stream, journal):
+    """Drive every cycle with one journal that is never rotated.
+
+    ``CrowdLearnSystem.run`` refuses a journal without a checkpoint path,
+    so the journal-only runs here call ``run_cycle`` directly.
+    """
+    outcome = RunOutcome()
+    for t in range(len(stream)):
+        outcome.append(system.run_cycle(stream.cycle(t), journal=journal))
+    return outcome
+
+
 def build(setup, crash_spec=None, scheduler=False):
     config = setup.config
     if scheduler:
@@ -59,7 +72,7 @@ def reference(setup, tmp_path_factory):
     system = build(setup)
     journal = CycleJournal.create(tmp / "ref.journal")
     try:
-        outcome = system.run(setup.make_stream("crash-ref"), journal=journal)
+        outcome = run_cycles(system, setup.make_stream("crash-ref"), journal)
     finally:
         journal.close()
     records = read_journal(tmp / "ref.journal").records
@@ -154,7 +167,7 @@ class TestEveryBoundary:
         )
         with pytest.raises(InjectedCrash):
             try:
-                system.run(setup.make_stream("crash-ref"), journal=journal)
+                run_cycles(system, setup.make_stream("crash-ref"), journal)
             finally:
                 journal.close()
         assert read_journal(jrn).base_cycle == 0
@@ -168,7 +181,7 @@ class TestEveryBoundary:
         assert next_cycle == 0
         assert info["replay_records"] > 2 * 10  # cycles 0 and 1 in full
         try:
-            outcome = system.run(stream, journal=journal)
+            outcome = run_cycles(system, stream, journal)
         finally:
             journal.close()
         assert run_outcome_digest(outcome) == ref_digest
@@ -260,3 +273,19 @@ class TestRecoveryAccounting:
 
         with pytest.raises(JournalReplayError, match="diverged"):
             resume_run(ckpt, jrn, fresh=fresh)
+
+
+class TestJournalNeedsCheckpoint:
+    def test_run_refuses_journal_without_checkpoint(self, setup, tmp_path):
+        """A journal ``run`` never rotates could not be replayed after a
+        crash past cycle 0, so ``run`` refuses it before any cycle runs."""
+        system = build(setup)
+        journal = CycleJournal.create(tmp_path / "lone.journal")
+        written = journal.records_written
+        try:
+            with pytest.raises(ValueError, match="checkpoint_path"):
+                system.run(setup.make_stream("crash-ref"), journal=journal)
+        finally:
+            journal.close()
+        assert journal.records_written == written
+        assert system.ledger.spent == 0

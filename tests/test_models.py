@@ -97,9 +97,9 @@ class TestBoVW:
         model = BoVWModel(**TINY["BoVW"])
         model.fit(train, np.random.default_rng(3))
         model.predict(test)
-        cached = len(model._feature_cache)
+        cached = len(model.feature_store)
         model.predict(test)  # second pass: no new encodes
-        assert len(model._feature_cache) == cached
+        assert len(model.feature_store) == cached
 
     def test_intensity_features_lengthen_vector(self, split):
         train, _ = split

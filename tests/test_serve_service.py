@@ -67,7 +67,7 @@ class TestSingleEventParity:
     def test_n2_unmetered_events_match_their_standalone_runs(
         self, setup, alpha_digest, bravo_digest
     ):
-        """Cross-event isolation: RNG streams, shared cache namespaces and
+        """Cross-event isolation: RNG streams, the shared feature store and
         budget ledgers never leak between co-served events."""
         service = CrowdLearnService(setup)
         service.submit_event("alpha")
@@ -76,7 +76,8 @@ class TestSingleEventParity:
         digests = service.digests()
         assert digests["alpha"] == alpha_digest
         assert digests["bravo"] == bravo_digest
-        assert service.cache is not None  # the isolation ran *through* it
+        # The isolation ran *through* the shared store.
+        assert service.cache.stats()["feature_hits"] > 0
 
 
 class TestInterleaving:
@@ -215,20 +216,56 @@ class TestTelemetryIsolation:
         assert keys["x"].isdisjoint(keys["y"])
 
 
+def _bovw_stores(service, event_id):
+    from repro.models.bovw_model import BoVWModel
+
+    system = service.registry.get(event_id).system
+    return [
+        e.feature_store for e in system.committee.experts
+        if isinstance(e, BoVWModel)
+    ]
+
+
 class TestCacheNamespacing:
     def test_events_share_physical_stores_but_not_keys(self, setup):
+        """Events share the fleet's one feature store; each event's guard
+        keeps its own holdout-score memo, and the service sums them."""
         service = CrowdLearnService(setup)
         service.submit_event("one")
         service.submit_event("two")
-        sys_one = service.registry.get("one").system
-        sys_two = service.registry.get("two").system
-        assert sys_one.cache is not sys_two.cache
-        assert sys_one.cache.predictions is sys_two.cache.predictions
+        assert _bovw_stores(service, "one") == [service.features]
+        assert _bovw_stores(service, "two") == [service.features]
+        guard_one = service.registry.get("one").system.guards
+        guard_two = service.registry.get("two").system.guards
+        assert guard_one.score_stats is not guard_two.score_stats
         service.drain()
-        namespaces = {
-            key[0] for key in service.cache.predictions.keys()
-        }
-        assert namespaces == {"one", "two"}
+        stats = service.cache.stats()
+        assert stats["prediction_hits"] == (
+            guard_one.score_stats.hits + guard_two.score_stats.hits
+        ) > 0
+        assert stats["feature_hits"] == service.features.stats.hits > 0
+
+    def test_restored_event_rejoins_the_shared_store(self, setup, tmp_path):
+        """An event restored from its checkpoint encodes into the resumed
+        fleet's store, not the empty copy its checkpoint carried."""
+        serve_dir = tmp_path / "fleet"
+        service = CrowdLearnService(setup, serve_dir=serve_dir)
+        service.submit_event("one")
+        service.submit_event("two")
+        for _ in range(4):
+            service.step()
+        assert service.registry.get("one").next_cycle > 0
+        resumed = CrowdLearnService.resume(serve_dir, setup=setup)
+        try:
+            for event_id in ("one", "two"):
+                assert _bovw_stores(resumed, event_id) == [resumed.features]
+            misses = resumed.features.stats.misses
+            resumed.drain()
+            assert resumed.features.stats.misses > misses
+            assert resumed.cache.stats()["feature_hits"] > 0
+        finally:
+            resumed.close()
+            service.close()
 
 
 class TestLoadgen:
