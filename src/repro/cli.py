@@ -912,7 +912,6 @@ def main(argv: list[str] | None = None) -> int:
     """
     from repro.eval.journal import JournalError
     from repro.eval.persistence import CheckpointIntegrityError
-    from repro.serve.service import ServeJournalError
 
     args = build_parser().parse_args(argv)
     try:
@@ -922,10 +921,8 @@ def main(argv: list[str] | None = None) -> int:
             f"corrupt checkpoint ({exc.check} check failed): {exc}",
             file=sys.stderr,
         )
-    except JournalError as exc:
+    except JournalError as exc:  # the serve journal's errors included
         print(f"journal integrity failure: {exc}", file=sys.stderr)
-    except ServeJournalError as exc:
-        print(f"serve journal integrity failure: {exc}", file=sys.stderr)
     return 3
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Hashable, Iterable
 
 __all__ = ["CacheStats", "BoundedCache", "MemoCounters", "feature_stores"]
 
@@ -98,14 +98,6 @@ class BoundedCache:
         while len(self._data) > self.capacity:
             self._data.popitem(last=False)
             self.stats.evictions += 1
-
-    def invalidate(self, predicate: Callable[[Hashable], bool]) -> int:
-        """Drop every entry whose key matches; returns how many dropped."""
-        doomed = [key for key in self._data if predicate(key)]
-        for key in doomed:
-            del self._data[key]
-        self.stats.invalidations += len(doomed)
-        return len(doomed)
 
     def __getstate__(self) -> dict[str, Any]:
         state = self.__dict__.copy()

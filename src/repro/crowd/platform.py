@@ -154,7 +154,7 @@ class CrowdsourcingPlatform:
                 self.workers_per_query, context, self.rng
             )
             result = QueryResult(query=query, deadline_seconds=deadline_seconds)
-            late = 0
+            late = expired = 0
             for worker in workers:
                 if self.faults is not None and self.faults.worker_abandons():
                     continue  # the HIT was accepted but never submitted
@@ -190,50 +190,14 @@ class CrowdsourcingPlatform:
                         if self.scheduler is not None and not self.scheduler.schedule(
                             query, response
                         ):
-                            tel.counter(
-                                "stragglers_expired_total",
-                                help="late responses aged out before harvest",
-                            ).inc()
+                            expired += 1
                         continue  # never seen within this sensing cycle
                     result.responses.append(response)
-                    self._record_history(
-                        WorkerHistoryEntry(
-                            worker_id=response.worker_id,
-                            query_id=query.query_id,
-                            label=int(response.label),
-                            correct=None,
-                        )
-                    )
             result.n_late = late
             if tel.enabled:
                 span.set(query_id=query.query_id,
                          responses=len(result.responses))
-                tel.counter(
-                    "platform_queries_total", help="queries posted and charged"
-                ).inc()
-                tel.counter(
-                    "platform_responses_total",
-                    help="worker responses delivered to the requester",
-                ).inc(len(result.responses))
-                if late:
-                    tel.counter(
-                        "platform_late_responses_total",
-                        help="responses that missed the requester deadline",
-                    ).inc(late)
-                    tel.counter(
-                        "platform_late_responses_total",
-                        help="responses that missed the requester deadline",
-                        context=context.value,
-                    ).inc(late)
-                for response in result.responses:
-                    tel.histogram(
-                        "platform_response_delay_seconds",
-                        help="per-response worker delay",
-                        context=context.value,
-                    ).observe(response.delay_seconds)
-        if self.on_post is not None:
-            self.on_post(result)
-        return result
+            return self._book(result, expired, tel)
 
     def restore_posted_query(
         self,
@@ -270,16 +234,38 @@ class CrowdsourcingPlatform:
                 f"platform's next id {self._next_query_id}; refusing to "
                 "replay a duplicate or out-of-order post"
             )
-        tel = self.telemetry if self.telemetry is not None else get_telemetry()
         if ledger is not None:
             # The restored ledger predates this post (the checkpoint was
             # taken a cycle earlier), so the journaled charge is applied
             # exactly once here — never against a live platform.
             ledger.charge(paid_cents)
         self._next_query_id += 1
-        result = QueryResult(query=query, deadline_seconds=deadline_seconds)
-        for response in responses:
-            result.responses.append(response)
+        result = QueryResult(
+            query=query,
+            responses=list(responses),
+            n_late=n_late,
+            deadline_seconds=deadline_seconds,
+        )
+        if self.scheduler is not None:
+            for arrival_time, seq, posted_at, response in scheduled:
+                self.scheduler.restore_event(
+                    arrival_time, seq, query, response, posted_at
+                )
+            self.scheduler.expired_total += int(n_expired)
+        self.rng.bit_generator.state = rng_state
+        tel = self.telemetry if self.telemetry is not None else get_telemetry()
+        return self._book(result, n_expired, tel)
+
+    def _book(
+        self, result: QueryResult, n_expired: int, tel: Telemetry
+    ) -> QueryResult:
+        """Book a delivered result, live or journal-replayed alike: worker
+        history, ``platform_*``/``stragglers_expired_total`` instruments
+        (``n_expired`` late responses aged out at scheduling) and the
+        ``on_post`` meter, so a resumed run's books match an
+        uninterrupted run's."""
+        query = result.query
+        for response in result.responses:
             self._record_history(
                 WorkerHistoryEntry(
                     worker_id=response.worker_id,
@@ -288,15 +274,13 @@ class CrowdsourcingPlatform:
                     correct=None,
                 )
             )
-        result.n_late = n_late
-        if self.scheduler is not None:
-            for arrival_time, seq, posted_at, response in scheduled:
-                self.scheduler.restore_event(
-                    arrival_time, seq, query, response, posted_at
-                )
-            self.scheduler.expired_total += int(n_expired)
-        self.rng.bit_generator.state = rng_state
+        if n_expired:
+            tel.counter(
+                "stragglers_expired_total",
+                help="late responses aged out before harvest",
+            ).inc(n_expired)
         if tel.enabled:
+            context = query.context.value
             tel.counter(
                 "platform_queries_total", help="queries posted and charged"
             ).inc()
@@ -304,30 +288,23 @@ class CrowdsourcingPlatform:
                 "platform_responses_total",
                 help="worker responses delivered to the requester",
             ).inc(len(result.responses))
-            if n_late:
+            if result.n_late:
                 tel.counter(
                     "platform_late_responses_total",
                     help="responses that missed the requester deadline",
-                ).inc(n_late)
+                ).inc(result.n_late)
                 tel.counter(
                     "platform_late_responses_total",
                     help="responses that missed the requester deadline",
-                    context=query.context.value,
-                ).inc(n_late)
-            if n_expired:
-                tel.counter(
-                    "stragglers_expired_total",
-                    help="late responses aged out before harvest",
-                ).inc(n_expired)
+                    context=context,
+                ).inc(result.n_late)
             for response in result.responses:
                 tel.histogram(
                     "platform_response_delay_seconds",
                     help="per-response worker delay",
-                    context=query.context.value,
+                    context=context,
                 ).observe(response.delay_seconds)
         if self.on_post is not None:
-            # Replays meter capacity exactly like the original posts did,
-            # so a resumed pool's books match the uninterrupted run's.
             self.on_post(result)
         return result
 

@@ -36,15 +36,18 @@ Every other re-executed append is verified against the on-disk record
 (sequence, cycle, stage and canonical payload must match) — any divergence
 raises :class:`JournalReplayError` instead of silently forking history.
 
-Every record is fsynced before the next stage runs, so only the last
-line can be torn.  Records carry a per-record SHA-256 over their
-canonical JSON body: a torn tail (the line being written when the
-process died) is detected and dropped, never parsed into garbage, and a
-bad line with intact records after it is corruption, which
-:meth:`CycleJournal.resume` refuses rather than truncating away paid-for
-posts.  The file is rotated atomically (fresh temp file +
-``os.replace``) right after each checkpoint, keeping it small and
-keeping its base cycle in lockstep with the snapshot.
+**One record log.**  The event journal and ``serve.journal`` differ
+only in line shape (:data:`STAGE_LINES`, :data:`ENVELOPE_LINES`): each
+line is canonical JSON with a SHA-256 over the record's body, written by
+one synced append (:func:`append_synced`, one fsync per record, so only
+the last line can be torn) and read by one reader (:func:`read_journal`).
+One set of tail rules applies on reopen (:func:`read_intact`,
+:func:`repair_tail`): a bad last line is a torn tail and is truncated; a
+last record that lost its newline gets it back, so the next append
+starts its own line; a bad line with any line after it, even a blank
+one, is corruption and is refused, never truncated.  The event journal
+is rotated atomically (temp file + ``os.replace``) after each
+checkpoint, keeping its base cycle in lockstep with the snapshot.
 """
 
 from __future__ import annotations
@@ -68,7 +71,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "JournalError", "JournalReplayError", "CycleJournal",
-    "JournalReadResult", "read_journal", "wal_tail_summary",
+    "LineFormat", "STAGE_LINES", "ENVELOPE_LINES", "append_synced",
+    "JournalReadResult", "read_journal", "read_intact", "repair_tail",
+    "wal_tail_summary",
     "encode_response", "decode_response", "encode_pending",
     "RecoveryResult", "restore_run", "resume_run", "audit_recovery",
     "recovery_sidecar_path", "load_recovery_info", "update_recovery_info",
@@ -103,9 +108,53 @@ def _canonical(body: Any) -> str:
     return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
 
-def _record_checksum(seq: int, cycle: int, stage: str, payload: Any) -> str:
-    body = {"seq": seq, "cycle": cycle, "stage": stage, "payload": payload}
+def _checksum(body: Any) -> str:
     return hashlib.sha256(_canonical(body).encode()).hexdigest()
+
+
+@dataclass(frozen=True)
+class LineFormat:
+    """How a record log seals a record into its checksummed line object;
+    ``unseal`` inverts it, raising ``ValueError``/``KeyError``/``TypeError``
+    on anything but an intact sealed record."""
+
+    seal: Callable[[Any], dict]
+    unseal: Callable[[Any], Any]
+
+    def line(self, record: Any) -> str:
+        """The record's line, without its newline."""
+        return _canonical(self.seal(record))
+
+
+def _verified(body: Any, entry: Any) -> Any:
+    """``entry``, if its ``sha256`` is ``body``'s checksum."""
+    if _checksum(body) != entry["sha256"]:
+        raise ValueError("checksum mismatch")
+    return entry
+
+
+#: Event journal lines: ``{seq, cycle, stage, payload, sha256}``.
+STAGE_LINES = LineFormat(
+    seal=lambda body: {**body, "sha256": _checksum(body)},
+    unseal=lambda entry: _verified(
+        {k: entry[k] for k in ("seq", "cycle", "stage", "payload")}, entry
+    ),
+)
+#: ``serve.journal`` lines: ``{"record": …, "sha256": …}``.
+ENVELOPE_LINES = LineFormat(
+    seal=lambda record: {"record": record, "sha256": _checksum(record)},
+    unseal=lambda entry: _verified(entry["record"], entry)["record"],
+)
+
+
+def append_synced(fh, record: Any, lines: LineFormat = STAGE_LINES) -> dict:
+    """Append one sealed record and make it durable (flush + one fsync);
+    returns the sealed line object."""
+    sealed = lines.seal(record)
+    fh.write(_canonical(sealed) + "\n")
+    fh.flush()
+    os.fsync(fh.fileno())
+    return sealed
 
 
 def encode_response(response: WorkerResponse) -> dict:
@@ -150,15 +199,18 @@ def encode_pending(event: "PendingResponse") -> dict:
 
 @dataclass
 class JournalReadResult:
-    """What :func:`read_journal` recovered from a journal file."""
+    """What :func:`read_journal` recovered from a record log."""
 
-    records: list[dict] = field(default_factory=list)
-    #: Lines dropped at the tail (torn write or trailing corruption).
+    records: list = field(default_factory=list)
+    #: Lines from the first bad line to the end of the file, that line
+    #: included (blank lines count): 1 is a torn tail, more is corruption.
     torn_lines: int = 0
     #: Byte offset of the end of the last intact record.
     good_bytes: int = 0
     #: 1-based line number of the first unreadable line (``None``: none).
     bad_line: int | None = None
+    #: The last intact record ends the file without its newline.
+    lost_newline: bool = False
 
     @property
     def base_cycle(self) -> int | None:
@@ -176,39 +228,64 @@ class JournalReadResult:
         return max(cycles) if cycles else -1
 
 
-def read_journal(path: str | Path) -> JournalReadResult:
-    """Read a journal, tolerating a torn tail.
+def read_journal(
+    path: str | Path, lines: LineFormat = STAGE_LINES
+) -> JournalReadResult:
+    """Read a record log, reporting (never repairing) its tail.
 
-    Each line's SHA-256 is recomputed over its canonical body; the first
-    unparseable or checksum-failing line ends the readable prefix — a
-    crash mid-``write`` leaves exactly that shape — and everything from
-    it onward is counted in ``torn_lines`` and ignored.
+    Lines end where :meth:`str.splitlines` ends them.  The first blank,
+    non-UTF-8, unparseable or checksum-failing line ends the readable
+    prefix; it and every line after it count in ``torn_lines``.
     """
     raw = Path(path).read_bytes()
     result = JournalReadResult()
-    offset = 0
-    for number, line in enumerate(raw.split(b"\n"), start=1):
-        advance = len(line) + 1
-        if not line.strip():
-            offset += advance
-            continue
+    text_lines = raw.decode("utf-8", "surrogateescape").splitlines(True)
+    for number, line in enumerate(text_lines, start=1):
         try:
-            record = json.loads(line)
-            computed = _record_checksum(
-                record["seq"], record["cycle"], record["stage"],
-                record["payload"],
-            )
-            if computed != record["sha256"]:
-                raise ValueError("checksum mismatch")
+            data = line.encode("utf-8")  # fails on non-UTF-8 bytes
+            record = lines.unseal(json.loads(line))
         except (ValueError, KeyError, TypeError):
             result.bad_line = number
+            result.torn_lines = len(text_lines) - number + 1
             break
         result.records.append(record)
-        offset += advance
-        result.good_bytes = min(offset, len(raw))
-    tail = raw[result.good_bytes:]
-    result.torn_lines = sum(1 for t in tail.split(b"\n") if t.strip())
+        result.good_bytes += len(data)
+    result.lost_newline = (
+        result.good_bytes > 0
+        and raw[result.good_bytes - 1:result.good_bytes] != b"\n"
+    )
     return result
+
+
+def read_intact(
+    path: str | Path,
+    lines: LineFormat = STAGE_LINES,
+    error: type[JournalError] = JournalError,
+) -> JournalReadResult:
+    """:func:`read_journal`, raising ``error`` on a bad line with any
+    line after it: only the last line can be torn, and truncating intact
+    records would re-post and re-charge a dropped ``post``."""
+    read = read_journal(path, lines)
+    if read.torn_lines > 1:
+        raise error(
+            f"corrupt journal record at line {read.bad_line} of {path}: "
+            f"{read.torn_lines - 1} line(s) follow it, so it is not a "
+            "torn tail; refusing to truncate them"
+        )
+    return read
+
+
+def repair_tail(path: str | Path, read: JournalReadResult) -> None:
+    """Make a log safe to append to: drop its torn tail and give its last
+    record back a lost newline, so the next append starts its own line.
+    """
+    if not (read.torn_lines or read.lost_newline):
+        return
+    with open(path, "r+b") as fh:
+        fh.truncate(read.good_bytes)
+        if read.lost_newline:
+            fh.seek(read.good_bytes)
+            fh.write(b"\n")
 
 
 def wal_tail_summary(journal_path: str | Path) -> dict:
@@ -317,19 +394,17 @@ class CycleJournal:
 
         Returns ``(journal, info)``.  When the journal's base cycle
         matches the checkpoint, its records are queued for replay
-        verification; the torn tail (if any) is truncated so live appends
-        continue a clean file.  A bad line with a non-empty line after it
-        cannot be a torn write — every record is synced before the next
-        is written — so it raises :class:`JournalError` naming the line
-        instead of truncating the intact records behind it (a dropped
-        ``post`` would be re-posted and re-charged).  When base and
-        checkpoint disagree — a
-        crash during rotation left the journal stale, or the checkpoint
-        was rolled back under a newer journal — the mismatched file is
-        **quarantined** (renamed ``<path>.stale``) with a warning and a
-        fresh journal starts: the checkpoint is the only authoritative
-        state snapshot, and replaying records from a different base would
-        fork history.
+        verification, and the record log's tail rules apply
+        (:func:`read_intact`, :func:`repair_tail`): a torn tail is
+        truncated and a lost final newline restored, so live appends
+        continue a clean file, while a bad line with any line after it
+        raises :class:`JournalError` naming the line.  When base and
+        checkpoint disagree — a crash during rotation left the journal
+        stale, or the checkpoint was rolled back under a newer journal —
+        the mismatched file is **quarantined** (renamed ``<path>.stale``)
+        with a warning and a fresh journal starts: the checkpoint is the
+        only authoritative state snapshot, and replaying records from a
+        different base would fork history.
         """
         path = Path(path)
         journal = cls(path, crash_injector=crash_injector, on_record=on_record)
@@ -342,13 +417,7 @@ class CycleJournal:
         if not path.exists():
             journal._open_fresh(next_cycle)
             return journal, info
-        read = read_journal(path)
-        if read.torn_lines > 1:
-            raise JournalError(
-                f"corrupt journal record at line {read.bad_line} of {path}: "
-                f"{read.torn_lines - 1} non-empty line(s) follow it, so it "
-                "is not a torn tail; refusing to truncate them"
-            )
+        read = read_intact(path)
         info["torn_lines"] = read.torn_lines
         base = read.base_cycle
         if base != next_cycle:
@@ -365,9 +434,7 @@ class CycleJournal:
             info["quarantined"] = str(stale)
             journal._open_fresh(next_cycle)
             return journal, info
-        if read.torn_lines:
-            with open(path, "r+b") as fh:
-                fh.truncate(read.good_bytes)
+        repair_tail(path, read)
         journal._fh = open(path, "a", encoding="utf-8")
         journal._seq = read.records[-1]["seq"] + 1 if read.records else 0
         replayable = [r for r in read.records if r["stage"] != "rotate"]
@@ -395,14 +462,11 @@ class CycleJournal:
 
     def _write(self, cycle: int, stage: str, payload: Any) -> dict:
         start = time.perf_counter()
-        seq = self._seq
-        checksum = _record_checksum(seq, cycle, stage, payload)
-        record = {"seq": seq, "cycle": cycle, "stage": stage,
-                  "payload": payload, "sha256": checksum}
-        self._fh.write(_canonical(record) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self._seq = seq + 1
+        record = append_synced(self._fh, {
+            "seq": self._seq, "cycle": cycle, "stage": stage,
+            "payload": payload,
+        })
+        self._seq += 1
         self.records_written += 1
         self.write_seconds += time.perf_counter() - start
         return record

@@ -25,7 +25,7 @@ import json
 import os
 import pickle
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -43,7 +43,7 @@ __all__ = ["scheme_result_to_dict", "scheme_result_from_dict",
            "save_results", "load_results",
            "cycle_outcome_to_dict", "cycle_outcome_from_dict",
            "run_outcome_to_dict", "run_outcome_from_dict",
-           "run_outcome_digest",
+           "json_digest", "run_outcome_digest",
            "CheckpointIntegrityError",
            "save_checkpoint", "commit_cycle", "load_checkpoint"]
 
@@ -217,6 +217,12 @@ def run_outcome_from_dict(data: dict) -> "RunOutcome":
     )
 
 
+def json_digest(data: Any) -> str:
+    """SHA-256 over ``data``'s key-sorted JSON form."""
+    payload = json.dumps(data, sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 def run_outcome_digest(outcome: "RunOutcome") -> str:
     """SHA-256 over a run's canonical JSON form.
 
@@ -225,8 +231,7 @@ def run_outcome_digest(outcome: "RunOutcome") -> str:
     scheduler-off parity guarantee (a disabled scheduler must reproduce
     the synchronous loop exactly) and the CI parity smoke job.
     """
-    payload = json.dumps(run_outcome_to_dict(outcome), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return json_digest(run_outcome_to_dict(outcome))
 
 
 def save_checkpoint(

@@ -41,7 +41,6 @@ Service-level resilience (this layer's blast-radius guarantees):
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import heapq
 import json
 import os
@@ -56,7 +55,14 @@ from repro.core.system import CrowdLearnSystem, CycleOutcome
 from repro.crowd.faults import FaultInjector, FaultPlan, InjectedCrash
 from repro.data.dataset import build_dataset
 from repro.data.stream import SensingCycleStream
-from repro.eval.persistence import run_outcome_digest
+from repro.eval.journal import (
+    ENVELOPE_LINES,
+    JournalError,
+    append_synced,
+    read_intact,
+    repair_tail,
+)
+from repro.eval.persistence import json_digest, run_outcome_digest
 from repro.serve.deployment import Deployment
 from repro.serve.health import POLICY as HEALTH_POLICY
 from repro.serve.health import EventHealth, tick_failed
@@ -76,7 +82,7 @@ _JOURNAL_NAME = "serve.journal"
 _FEATURE_STORE_SIZE = 8192
 
 
-class ServeJournalError(RuntimeError):
+class ServeJournalError(JournalError):
     """The service journal is unreadable or inconsistent with the fleet."""
 
 
@@ -96,54 +102,6 @@ class EventStatus:
     #: which ``latency_seconds`` leaves out (zeros in memory mode).
     checkpoint_seconds: dict[str, float]
     health: dict[str, Any] | None = None
-
-
-def _record_line(record: dict) -> str:
-    """Canonical JSON line with an embedded content hash."""
-    body = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    return json.dumps(
-        {"record": record, "sha256": digest},
-        sort_keys=True, separators=(",", ":"),
-    )
-
-
-def _read_serve_journal(path: Path, repair: bool = False) -> list[dict]:
-    """All intact records; a torn tail line is tolerated, torn middles not.
-
-    With ``repair``, the torn tail (a crash mid-append) is truncated away
-    so the reopened file can take live appends without concatenating a
-    new record onto the garbage.
-    """
-    records: list[dict] = []
-    raw = path.read_bytes()
-    lines = raw.decode("utf-8").splitlines(keepends=True)
-    good_bytes = 0
-    for i, line in enumerate(lines):
-        try:
-            entry = json.loads(line)
-            body = json.dumps(
-                entry["record"], sort_keys=True, separators=(",", ":")
-            )
-            if hashlib.sha256(body.encode()).hexdigest() != entry["sha256"]:
-                raise ValueError("checksum mismatch")
-        except (ValueError, KeyError, TypeError) as exc:
-            if i == len(lines) - 1:
-                break  # torn tail from a crash mid-append
-            raise ServeJournalError(
-                f"corrupt serve journal record at line {i + 1} of {path}"
-            ) from exc
-        records.append(entry["record"])
-        good_bytes += len(line.encode("utf-8"))
-    if repair:
-        if good_bytes < len(raw):
-            with open(path, "r+b") as fh:
-                fh.truncate(good_bytes)
-        elif raw and not raw.endswith(b"\n"):
-            # Final record intact but its newline lost mid-crash.
-            with open(path, "ab") as fh:
-                fh.write(b"\n")
-    return records
 
 
 class CrowdLearnService:
@@ -239,11 +197,8 @@ class CrowdLearnService:
         self._seq += 1
 
     def _append_journal(self, record: dict) -> None:
-        if self._journal_fh is None:
-            return
-        self._journal_fh.write(_record_line(record) + "\n")
-        self._journal_fh.flush()
-        os.fsync(self._journal_fh.fileno())
+        if self._journal_fh is not None:
+            append_synced(self._journal_fh, record, ENVELOPE_LINES)
 
     def _write_manifest(self) -> None:
         if self.serve_dir is None:
@@ -833,8 +788,7 @@ class CrowdLearnService:
 
     def combined_digest(self) -> str:
         """One digest over every event's digest, keyed and sorted by id."""
-        body = json.dumps(self.digests(), sort_keys=True)
-        return hashlib.sha256(body.encode("utf-8")).hexdigest()
+        return json_digest(self.digests())
 
     # -- crash recovery ----------------------------------------------------
 
@@ -906,7 +860,10 @@ class CrowdLearnService:
             )
         if setup is None:
             setup = prepare(seed=manifest["seed"], fast=manifest["fast"])
-        records = _read_serve_journal(serve_dir / _JOURNAL_NAME, repair=True)
+        journal_path = serve_dir / _JOURNAL_NAME
+        read = read_intact(journal_path, ENVELOPE_LINES, ServeJournalError)
+        repair_tail(journal_path, read)
+        records = read.records
         pool = SharedCrowdPool(
             capacity_per_cycle=manifest["capacity_per_cycle"],
             policy=create_admission_policy(manifest["policy"]),

@@ -1,8 +1,16 @@
 """Tests for the command-line interface (fast deployments only)."""
 
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParser:
@@ -231,6 +239,33 @@ class TestCommands:
         assert "corrupt journal record at line 3" in capsys.readouterr().err
         # The intact records after the bad line are still there.
         assert jrn.read_bytes() == b"\n".join(lines)
+
+    def test_serve_resume_corrupt_serve_journal_middle_exits_3(
+        self, tmp_path, capsys
+    ):
+        """The serve journal follows the event journal's tail rules: one
+        overwritten byte inside line 2 is corruption, not a torn tail."""
+        serve_dir = tmp_path / "fleet"
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        killed = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "serve", "--seed", "61",
+                "--events", "2", "--serve-dir", str(serve_dir),
+                "--crash-at-tick", "4",
+            ],
+            env=env, capture_output=True, timeout=600,
+        )
+        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        journal = serve_dir / "serve.journal"
+        data = bytearray(journal.read_bytes())
+        lines = data.split(b"\n")
+        assert len([line for line in lines if line]) > 2
+        index = len(lines[0]) + 1 + len(lines[1]) // 2
+        data[index] = ord("#") if data[index] != ord("#") else ord("$")
+        journal.write_bytes(bytes(data))
+        assert main(["serve", "--serve-dir", str(serve_dir), "--resume"]) == 3
+        assert "corrupt journal record at line 2" in capsys.readouterr().err
+        assert journal.read_bytes() == bytes(data)
 
     @pytest.mark.parametrize(
         "argv, ignored",

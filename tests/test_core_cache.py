@@ -66,15 +66,6 @@ class TestBoundedCache:
             assert len(cache) <= 8
         assert cache.stats.evictions == 92
 
-    def test_invalidate_by_predicate(self):
-        cache = BoundedCache(8)
-        for i in range(6):
-            cache.put(("expert", i), i)
-        dropped = cache.invalidate(lambda key: key[1] % 2 == 0)
-        assert dropped == 3
-        assert len(cache) == 3
-        assert cache.stats.invalidations == 3
-
     def test_stats_track_hits_and_misses(self):
         cache = BoundedCache(4)
         cache.put("a", 1)

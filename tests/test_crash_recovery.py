@@ -26,6 +26,7 @@ from repro.eval.journal import (
 )
 from repro.eval.persistence import run_outcome_digest
 from repro.eval.runner import build_crowdlearn, fast_config, prepare
+from repro.telemetry.runtime import Telemetry
 from repro.utils.rng import SeedSequencer
 
 SEED = 7
@@ -52,11 +53,13 @@ def run_cycles(system, stream, journal):
     return outcome
 
 
-def build(setup, crash_spec=None, scheduler=False):
-    config = setup.config
+def build(setup, crash_spec=None, scheduler=False, telemetry=None,
+          **overrides):
+    """The test world's system; ``overrides`` replace config fields."""
+    config = dataclasses.replace(setup.config, **overrides)
     if scheduler:
         config = dataclasses.replace(config, scheduler_enabled=True)
-    system = build_crowdlearn(setup, config=config)
+    system = build_crowdlearn(setup, config=config, telemetry=telemetry)
     if crash_spec is not None:
         plan = FaultPlan(crash_points=(CrashPoint.parse(crash_spec),))
         system.platform.faults = FaultInjector(
@@ -250,7 +253,7 @@ class TestRecoveryAccounting:
         # the record so the checksum passes but re-execution disagrees
         import json
 
-        from repro.eval.journal import _record_checksum
+        from repro.eval.journal import STAGE_LINES
 
         lines = jrn.read_text().splitlines()
         for i, line in enumerate(lines):
@@ -259,12 +262,8 @@ class TestRecoveryAccounting:
                 record["payload"]["indices"] = [0] * len(
                     record["payload"]["indices"]
                 )
-                record["sha256"] = _record_checksum(
-                    record["seq"], record["cycle"], record["stage"],
-                    record["payload"],
-                )
-                lines[i] = json.dumps(record, sort_keys=True,
-                                      separators=(",", ":"))
+                del record["sha256"]
+                lines[i] = STAGE_LINES.line(record)
                 break
         jrn.write_text("\n".join(lines) + "\n")
 
@@ -273,6 +272,84 @@ class TestRecoveryAccounting:
 
         with pytest.raises(JournalReplayError, match="diverged"):
             resume_run(ckpt, jrn, fresh=fresh)
+
+
+def crowd_books(system):
+    """Every worker's track record and every platform/straggler
+    instrument's state: what booking a delivered post leaves behind."""
+    platform = system.platform
+    tracks = {
+        worker.worker_id: platform.worker_track_record(worker.worker_id)
+        for worker in platform.population.workers
+    }
+    instruments = {}
+    for instrument in system.telemetry.registry:
+        if instrument.name.startswith(("platform_", "stragglers_")):
+            key = (instrument.name, instrument.labels)
+            if instrument.kind == "histogram":
+                instruments[key] = (
+                    instrument.count, instrument.sum,
+                    list(instrument.bucket_counts),
+                )
+            else:
+                instruments[key] = instrument.value
+    return tracks, instruments
+
+
+class TestReplayBooking:
+    """A journal-replayed post books exactly what its live post booked."""
+
+    #: Scheduler on, with 150 s cycles and a one-cycle straggler window:
+    #: posts see late, scheduled and expired responses alike.
+    TIGHT = {"scheduler_enabled": True, "cycle_seconds": 150.0,
+             "straggler_max_cycles": 1}
+
+    @pytest.mark.parametrize("world", [{}, TIGHT], ids=["sync", "tight"])
+    def test_resumed_crowd_books_match_uninterrupted(
+        self, setup, tmp_path, world
+    ):
+        ref_dir = tmp_path / "ref"
+        ref_dir.mkdir()
+        system = build(setup, telemetry=Telemetry(), **world)
+        journal = CycleJournal.create(ref_dir / "ref.journal")
+        try:
+            outcome = system.run(
+                setup.make_stream("crash-ref"),
+                checkpoint_path=ref_dir / "ref.ckpt",
+                journal=journal,
+            )
+        finally:
+            journal.close()
+        expected = crowd_books(system)
+        tracks, instruments = expected
+        assert any(graded for graded, _ in tracks.values())
+        assert instruments[("platform_queries_total", ())] > 0
+        if world:
+            assert instruments[("platform_late_responses_total", ())] > 0
+            assert instruments[("stragglers_expired_total", ())] > 0
+
+        spec = "post:1:0:raise"
+        ckpt, jrn = tmp_path / "crash.ckpt", tmp_path / "crash.journal"
+        crashed = build(
+            setup, crash_spec=spec, telemetry=Telemetry(), **world
+        )
+        journal = CycleJournal.create(
+            jrn, crash_injector=crashed.platform.faults
+        )
+        with pytest.raises(InjectedCrash):
+            try:
+                crashed.run(
+                    setup.make_stream("crash-ref"),
+                    checkpoint_path=ckpt, journal=journal,
+                )
+            finally:
+                journal.close()
+        result = resume_run(ckpt, jrn)
+        assert result.info["requeries_avoided_cents"] > 0
+        assert run_outcome_digest(result.outcome) == run_outcome_digest(
+            outcome
+        )
+        assert crowd_books(result.system) == expected
 
 
 class TestJournalNeedsCheckpoint:

@@ -11,18 +11,24 @@ from repro.crowd.faults import CrashPoint, FaultInjector, FaultPlan, InjectedCra
 from repro.crowd.tasks import QuestionnaireAnswers, WorkerResponse
 from repro.data.metadata import DamageLabel, SceneType
 from repro.eval.journal import (
+    ENVELOPE_LINES,
+    STAGE_LINES,
     CycleJournal,
     JournalError,
     JournalReplayError,
+    append_synced,
     decode_response,
     encode_response,
     heartbeat_writer,
     load_recovery_info,
+    read_intact,
     read_journal,
     recovery_sidecar_path,
+    repair_tail,
     update_recovery_info,
     wal_tail_summary,
 )
+from repro.serve.service import ServeJournalError
 from repro.utils.rng import SeedSequencer
 
 
@@ -34,6 +40,42 @@ def write_sample(path, n_cycles=2):
         journal.append(cycle, "cycle_end", {"cost_cents": 10.0 * cycle})
     journal.close()
     return journal
+
+
+def write_serve_sample(path, n_cycles=2):
+    """A ``serve.journal``-shaped log: 1 + 3 records per cycle, like
+    :func:`write_sample`, appended the way the service appends."""
+    with open(path, "w", encoding="utf-8") as fh:
+        append_synced(fh, {"kind": "window", "window": 0}, ENVELOPE_LINES)
+        for cycle in range(n_cycles):
+            for kind in ("admit", "tick", "drained"):
+                record = {"kind": kind, "event": "alpha", "cycle": cycle}
+                append_synced(fh, record, ENVELOPE_LINES)
+
+
+def reopen_event_journal(path):
+    journal, info = CycleJournal.resume(path, 0)
+    journal.close()
+    return info["torn_lines"]
+
+
+def reopen_serve_journal(path):
+    """The read-and-repair ``CrowdLearnService.resume`` runs on reopen."""
+    read = read_intact(path, ENVELOPE_LINES, ServeJournalError)
+    repair_tail(path, read)
+    return read.torn_lines
+
+
+#: Both record logs share one reader and one set of tail rules; each
+#: tail-rule test runs on both: (name, line format, sample writer, reopen
+#: returning the torn lines it dropped, the error a corrupt log raises,
+#: a record to append live).
+LOGS = (
+    ("event", STAGE_LINES, write_sample, reopen_event_journal, JournalError,
+     {"seq": 99, "cycle": 9, "stage": "cqc", "payload": {"labels": [1]}}),
+    ("serve", ENVELOPE_LINES, write_serve_sample, reopen_serve_journal,
+     ServeJournalError, {"kind": "tick", "event": "bravo", "cycle": 9}),
+)
 
 
 class TestReadWrite:
@@ -63,41 +105,87 @@ class TestReadWrite:
         assert read.torn_lines == len(lines) - 2
 
     def test_torn_tail_tolerated(self, tmp_path):
-        path = tmp_path / "j.journal"
-        write_sample(path)
-        intact = read_journal(path)
-        with open(path, "ab") as fh:
-            fh.write(b'{"seq": 7, "cycle": 1, "stage": "cqc", "payl')
-        read = read_journal(path)
-        assert len(read.records) == len(intact.records)
-        assert read.torn_lines == 1
-        assert read.good_bytes == intact.good_bytes
+        for name, lines, write, _, _, _ in LOGS:
+            path = tmp_path / f"{name}.journal"
+            write(path)
+            intact = read_journal(path, lines)
+            with open(path, "ab") as fh:
+                fh.write(b'{"seq": 7, "cycle": 1, "stage": "cqc", "payl')
+            read = read_journal(path, lines)
+            assert len(read.records) == len(intact.records), name
+            assert read.torn_lines == 1, name
+            assert read.good_bytes == intact.good_bytes, name
 
     def test_resume_truncates_torn_tail(self, tmp_path):
-        path = tmp_path / "j.journal"
-        write_sample(path, n_cycles=1)
-        with open(path, "ab") as fh:
-            fh.write(b"garbage that never parses")
-        journal, info = CycleJournal.resume(path, 0)
-        journal.close()
-        assert info["torn_lines"] == 1
-        assert read_journal(path).torn_lines == 0
+        for name, lines, write, reopen, _, _ in LOGS:
+            path = tmp_path / f"{name}.journal"
+            write(path, n_cycles=1)
+            with open(path, "ab") as fh:
+                fh.write(b"garbage that never parses")
+            assert reopen(path) == 1, name
+            assert read_journal(path, lines).torn_lines == 0, name
 
     def test_resume_refuses_corrupt_middle_record(self, tmp_path):
         """A bad line with intact records after it is not a torn write:
         truncating there would drop the later ``post`` records and
         recovery would re-post and re-charge those queries."""
-        path = tmp_path / "j.journal"
-        write_sample(path, n_cycles=1)
-        before = path.read_bytes()
-        lines = before.split(b"\n")
-        lines[2] = lines[2].replace(b'"qss"', b'"qsX"')
-        path.write_bytes(b"\n".join(lines))
-        with pytest.raises(JournalError, match="line 3 of"):
-            CycleJournal.resume(path, 0)
-        # Nothing was truncated or quarantined.
-        assert path.read_bytes() == b"\n".join(lines)
-        assert not (tmp_path / "j.journal.stale").exists()
+        for name, _, write, reopen, error, _ in LOGS:
+            path = tmp_path / f"{name}.journal"
+            write(path, n_cycles=1)
+            before = path.read_bytes()
+            lines = before.split(b"\n")
+            lines[2] = lines[2].replace(b'"cycle"', b'"cyclX"')
+            path.write_bytes(b"\n".join(lines))
+            with pytest.raises(error, match="line 3 of"):
+                reopen(path)
+            # Nothing was truncated or quarantined.
+            assert path.read_bytes() == b"\n".join(lines), name
+            assert not (tmp_path / f"{name}.journal.stale").exists(), name
+
+    @pytest.mark.parametrize("blank", [b"", b"   "])
+    def test_resume_refuses_blank_middle_line(self, tmp_path, blank):
+        """A blank line is a bad line like any other: with lines after
+        it, it cannot be a torn write, so reopening refuses the log."""
+        for name, _, write, reopen, error, _ in LOGS:
+            path = tmp_path / f"{name}.journal"
+            write(path, n_cycles=1)
+            lines = path.read_bytes().split(b"\n")
+            lines.insert(2, blank)
+            path.write_bytes(b"\n".join(lines))
+            with pytest.raises(error, match="line 3 of"):
+                reopen(path)
+
+    def test_resume_refuses_bad_line_before_blank_line(self, tmp_path):
+        """Only the very last line can be torn: a bad line followed by
+        even an empty line is corruption."""
+        for name, _, write, reopen, error, _ in LOGS:
+            path = tmp_path / f"{name}.journal"
+            write(path, n_cycles=1)
+            with open(path, "ab") as fh:
+                fh.write(b'{"seq": 7, "payl\n\n')
+            with pytest.raises(error, match="corrupt"):
+                reopen(path)
+
+    def test_resume_restores_lost_final_newline(self, tmp_path):
+        """An intact last record whose newline was lost gets it back, so
+        the next live append starts a line of its own instead of
+        fusing onto it."""
+        for name, lines, write, reopen, _, record in LOGS:
+            path = tmp_path / f"{name}.journal"
+            write(path, n_cycles=1)
+            intact = read_journal(path, lines)
+            path.write_bytes(path.read_bytes()[:-1])
+            stripped = read_journal(path, lines)
+            assert stripped.records == intact.records, name
+            assert stripped.lost_newline, name
+            assert reopen(path) == 0, name
+            assert path.read_bytes().endswith(b"\n"), name
+            with open(path, "a", encoding="utf-8") as fh:
+                append_synced(fh, record, lines)
+            read = read_journal(path, lines)
+            assert read.torn_lines == 0, name
+            assert read.records[:-1] == intact.records, name
+            assert len(read.records) == len(intact.records) + 1, name
 
     def test_every_record_synced_once(self, tmp_path, monkeypatch):
         """Each record is fsynced as it is written; rotation and close
@@ -183,6 +271,37 @@ class TestReplay:
         resumed, info = CycleJournal.resume(path, 0)
         resumed.close()
         assert info["in_doubt_posts"] == 1
+
+    def test_lost_newline_keeps_journaled_post_for_replay(self, tmp_path):
+        """A paid ``post`` that lost only its newline survives a resume,
+        its replay, live appends and a second resume: it stays queued
+        for replay, so it is never re-posted or re-charged."""
+        path = tmp_path / "j.journal"
+        post = {"kind": "posted", "query_id": 0, "paid": 5.0}
+        journal = CycleJournal.create(path)
+        journal.append(0, "cycle_start", {"context": "day"})
+        journal.append(0, "post", post)
+        journal.close()
+        path.write_bytes(path.read_bytes()[:-1])
+
+        journal, info = CycleJournal.resume(path, 0)
+        assert info["replay_records"] == 2
+        journal.append(0, "cycle_start", {"context": "day"})
+        journal.append(0, "post", post)
+        journal.append(0, "cqc", {"labels": [1]})
+        journal.close()
+        read = read_journal(path)
+        assert read.torn_lines == 0
+        assert [r["stage"] for r in read.records] == [
+            "rotate", "cycle_start", "post", "cqc",
+        ]
+
+        journal, info = CycleJournal.resume(path, 0)
+        assert info["torn_lines"] == 0
+        assert info["replay_records"] == 3
+        journal.append(0, "cycle_start", {"context": "day"})
+        assert journal.peek_replay(0, "post") == post
+        journal.close()
 
     def test_base_mismatch_quarantines(self, tmp_path):
         path = tmp_path / "j.journal"

@@ -19,14 +19,10 @@ from pathlib import Path
 import pytest
 
 from repro.crowd.faults import CrashPoint, FaultPlan, InjectedCrash
-from repro.eval.journal import read_journal
+from repro.eval.journal import ENVELOPE_LINES, read_journal
 from repro.eval.runner import prepare
 from repro.serve import CrowdLearnService, SharedCrowdPool
-from repro.serve.service import (
-    ServeJournalError,
-    _read_serve_journal,
-    _record_line,
-)
+from repro.serve.service import ServeJournalError
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +93,7 @@ class TestResume:
         journal_path.write_text("\n".join(lines[:-1]) + "\n")
 
         resumed = CrowdLearnService.resume(serve_dir, setup=setup)
-        records = _read_serve_journal(journal_path)
+        records = read_journal(journal_path, ENVELOPE_LINES).records
         assert records[-1]["kind"] == "tick"
         assert records[-1].get("reconstructed") is True
         resumed.drain()
@@ -215,7 +211,7 @@ class TestFixedThresholds:
         serve_dir = tmp_path / "fleet"
         service = make_service(setup, serve_dir=serve_dir)
         surge_timeline(service, interrupt_after=6)
-        records = _read_serve_journal(serve_dir / "serve.journal")
+        records = read_journal(serve_dir / "serve.journal", ENVELOPE_LINES).records
         breaker = records[-1]["health"]["alpha"]["breaker"]
         assert breaker["policy"] == RECORDED_HEALTH_POLICY["breaker"]
         _set_manifest_health_policy(serve_dir, RECORDED_HEALTH_POLICY)
@@ -246,7 +242,7 @@ class TestFixedThresholds:
         lines = journal_path.read_text().splitlines()
         record = json.loads(lines[-1])["record"]
         record["health"]["alpha"]["breaker"]["policy"]["window"] = 8
-        lines[-1] = _record_line(record)
+        lines[-1] = ENVELOPE_LINES.line(record)
         journal_path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ServeJournalError, match="breaker policy"):
             CrowdLearnService.resume(serve_dir, setup=setup)
