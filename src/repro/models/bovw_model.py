@@ -19,7 +19,7 @@ from repro.nn.model import Sequential
 from repro.nn.optim import Adam
 from repro.nn.trainer import Trainer
 from repro.vision.bovw import BoVWEncoder
-from repro.vision.histograms import grayscale_histogram
+from repro.vision.histograms import grayscale_histogram_batch
 
 __all__ = ["BoVWModel"]
 
@@ -105,16 +105,15 @@ class BoVWModel(DDAModel):
             if cached is None:
                 misses.append((len(rows) - 1, image))
         if misses:
-            # All misses are encoded in one vectorized pass (bit-identical
-            # to per-image encoding; see BoVWEncoder.encode_batch).
-            encoded = self.encoder.encode_batch(
-                np.stack([image.pixels for _, image in misses])
-            )
+            # All misses are encoded, and their intensity histograms binned,
+            # in one vectorized pass each (bit-identical to per-image
+            # encoding; see BoVWEncoder.encode_batch).
+            pixels = np.stack([image.pixels for _, image in misses])
+            encoded = self.encoder.encode_batch(pixels)
+            if self.include_intensity:
+                intensity = grayscale_histogram_batch(pixels, n_bins=8)
+                encoded = np.concatenate([encoded, intensity], axis=1)
             for (position, image), features in zip(misses, encoded):
-                features = np.ascontiguousarray(features)
-                if self.include_intensity:
-                    intensity = grayscale_histogram(image.pixels, n_bins=8)
-                    features = np.concatenate([features, intensity])
                 store.put((version, image.image_id), features)
                 rows[position] = features
         return np.stack(rows)

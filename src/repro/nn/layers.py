@@ -6,6 +6,8 @@ lifting is one multiply of channel-major patches.  Each layer exposes:
 
 - ``forward(x, training)`` — compute outputs; a training forward caches what
   backward needs, an inference forward clears those caches;
+- ``clear_caches()`` — drop those caches; a :class:`~repro.nn.trainer.Trainer`
+  fit ends with it, so a fitted network holds no forward caches;
 - ``backward(grad)`` — gradient w.r.t. inputs, accumulating parameter grads;
 - ``backward_params(grad)`` — the parameter gradients alone, for the first
   layer of a network, whose input gradient nobody reads;
@@ -36,12 +38,23 @@ __all__ = [
 
 
 #: Attributes training forwards fill for backward to read.  They are derived
-#: state: an inference forward and a pickle (guard snapshot, checkpoint,
-#: deepcopy) leave them ``None``, every backward reader raises on ``None``,
-#: and every backward follows a fresh training forward that refills them.
+#: state: an inference forward, a pickle (guard snapshot, checkpoint,
+#: deepcopy) and the end of every ``Trainer.fit`` leave them ``None``.
+#: Every backward follows a fresh training forward that refills them, and
+#: every backward reader but ``Dropout`` (which reads a missing mask as
+#: inference) raises on ``None``, so nothing may clear them between a
+#: training forward and its backward.
 _FORWARD_CACHES = (
     "_cols", "_x_shape", "_mask", "_input", "_shape",
 )
+
+
+def _drop_forward_caches(state: dict) -> dict:
+    """Set every forward cache in a layer's attribute dict to ``None``."""
+    for key in _FORWARD_CACHES:
+        if key in state:
+            state[key] = None
+    return state
 
 
 class Layer:
@@ -52,11 +65,11 @@ class Layer:
     """
 
     def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        for key in _FORWARD_CACHES:
-            if key in state:
-                state[key] = None
-        return state
+        return _drop_forward_caches(self.__dict__.copy())
+
+    def clear_caches(self) -> None:
+        """Release what the last training forward cached for backward."""
+        _drop_forward_caches(self.__dict__)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError

@@ -49,6 +49,11 @@ class Sequential:
         first.backward_params(grad)
         return None
 
+    def clear_caches(self) -> None:
+        """Release every layer's forward caches (see ``Layer.clear_caches``)."""
+        for layer in self.layers:
+            layer.clear_caches()
+
     def params(self) -> list[np.ndarray]:
         """All trainable parameters, in layer order."""
         return [p for layer in self.layers for p in layer.params()]

@@ -92,6 +92,10 @@ class Trainer:
     def fit(self, x: np.ndarray, y: np.ndarray, epochs: int) -> TrainingHistory:
         """Train for ``epochs`` epochs; the final weights are kept.
 
+        The fit ends by clearing the model's forward caches: the last
+        batch's patches, masks and inputs are never read again, since the
+        next backward follows a fresh training forward.
+
         When a divergence sentinel is active, each epoch is guarded: a
         divergent epoch is rolled back and retried once at a reduced
         learning rate, and a second divergence ends the fit with the last
@@ -122,6 +126,7 @@ class Trainer:
                 tel.counter(
                     "trainer_epochs_total", help="training epochs executed"
                 ).inc(history.epochs)
+        self.model.clear_caches()
         return history
 
     def _guarded_epoch(

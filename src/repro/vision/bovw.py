@@ -11,13 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.vision.histograms import color_histogram
-from repro.vision.hog import hog_descriptor, hog_descriptor_batch
+from repro.vision.hog import hog_descriptor_batch
 from repro.vision.kmeans import KMeans
-from repro.vision.patches import (
-    dense_patches,
-    describe_image_patches,
-    describe_patches,
-)
+from repro.vision.patches import describe_image_batch
 
 __all__ = ["BoVWEncoder"]
 
@@ -60,11 +56,8 @@ class BoVWEncoder:
 
     def fit(self, images: np.ndarray, rng: np.random.Generator) -> "BoVWEncoder":
         """Learn the visual-word codebook from ``images`` (N, H, W[, C])."""
-        descriptors = [
-            describe_image_patches(img, self.patch_size, self.stride)
-            for img in images
-        ]
-        all_descriptors = np.concatenate(descriptors, axis=0)
+        descriptors = describe_image_batch(images, self.patch_size, self.stride)
+        all_descriptors = descriptors.reshape(-1, descriptors.shape[2])
         if all_descriptors.shape[0] > self.max_patches_for_fit:
             idx = rng.choice(
                 all_descriptors.shape[0], self.max_patches_for_fit, replace=False
@@ -82,26 +75,16 @@ class BoVWEncoder:
 
     def encode(self, image: np.ndarray) -> np.ndarray:
         """Encode one image into its BoVW (+ global) feature vector."""
-        if self._kmeans is None:
-            raise RuntimeError("BoVWEncoder.encode called before fit")
-        descriptors = describe_image_patches(image, self.patch_size, self.stride)
-        words = self._kmeans.predict(descriptors)
-        hist = np.bincount(words, minlength=self.vocabulary_size).astype(np.float64)
-        hist /= max(hist.sum(), 1.0)
-        if not self.include_global:
-            return hist
-        hog = hog_descriptor(image, cell_size=8, n_bins=9, block_size=2)
-        colors = color_histogram(image, n_bins=8)
-        return np.concatenate([hist, hog, colors])
+        return self.encode_batch(np.asarray(image)[None])[0]
 
     def encode_batch(self, images: np.ndarray) -> np.ndarray:
         """Encode a batch of same-shape images, shape ``(n, feature_dim)``.
 
         Patch descriptors for the whole batch are computed in one
-        vectorized pass (the hot path); visual-word assignment stays per
-        image so the k-means matmul sees the exact per-image operand
-        shapes of :meth:`encode`, keeping every row bit-identical to
-        encoding that image alone.
+        vectorized pass from the images' luma and channel-mean planes (the
+        hot path); visual-word assignment stays per image so the k-means
+        matmul sees the same operand shapes whatever the batch size,
+        keeping every row bit-identical to encoding that image alone.
         """
         if self._kmeans is None:
             raise RuntimeError("BoVWEncoder.encode_batch called before fit")
@@ -110,11 +93,7 @@ class BoVWEncoder:
         if n == 0:
             dim = self.feature_dim
             return np.empty((0, dim if dim is not None else 0))
-        patches = np.stack(
-            [dense_patches(img, self.patch_size, self.stride) for img in images]
-        )
-        descriptors = describe_patches(patches.reshape(-1, *patches.shape[2:]))
-        per_image = descriptors.reshape(n, patches.shape[1], -1)
+        per_image = describe_image_batch(images, self.patch_size, self.stride)
         hists = np.empty((n, self.vocabulary_size))
         for i in range(n):
             words = self._kmeans.predict(per_image[i])

@@ -6,7 +6,8 @@ severity.  This implementation works directly on
 :class:`repro.nn.model.Sequential` models by replaying the forward pass,
 in training mode past the last convolutional layer (so the caches backward
 reads are populated) and in inference mode up to it, and backpropagating a
-one-hot class gradient down to that layer.
+one-hot class gradient down to that layer.  Once the heatmaps are computed
+those caches are released: nothing reads them again.
 """
 
 from __future__ import annotations
@@ -109,9 +110,12 @@ class GradCAM:
         """
         class_idx = self._check_classes(x, class_idx)
         cached, logits = self._forward(x)
-        if logits.ndim != 2 or np.any(class_idx >= logits.shape[1]):
-            raise ValueError("class_idx out of range for the model's outputs")
-        return self._cam(cached, logits, class_idx)
+        try:
+            if logits.ndim != 2 or np.any(class_idx >= logits.shape[1]):
+                raise ValueError("class_idx out of range for the model's outputs")
+            return self._cam(cached, logits, class_idx)
+        finally:
+            self.model.clear_caches()
 
     def heatmap_masses(
         self, x: np.ndarray, class_rows: list[np.ndarray]
@@ -127,11 +131,14 @@ class GradCAM:
         """
         rows = [self._check_classes(x, row) for row in class_rows]
         cached, logits = self._forward(x)
-        if logits.ndim != 2 or any(
-            np.any(row >= logits.shape[1]) for row in rows
-        ):
-            raise ValueError("class_idx out of range for the model's outputs")
-        masses = [
-            self._cam(cached, logits, row).mean(axis=(1, 2)) for row in rows
-        ]
+        try:
+            if logits.ndim != 2 or any(
+                np.any(row >= logits.shape[1]) for row in rows
+            ):
+                raise ValueError("class_idx out of range for the model's outputs")
+            masses = [
+                self._cam(cached, logits, row).mean(axis=(1, 2)) for row in rows
+            ]
+        finally:
+            self.model.clear_caches()
         return masses, logits

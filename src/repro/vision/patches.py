@@ -6,7 +6,9 @@ described by small orientation histograms — the same gradient statistics
 SIFT aggregates, minus the detector.
 
 Descriptors are computed by :func:`describe_patches` in one vectorized pass
-over a whole patch batch.
+over a whole patch batch.  :func:`describe_image_batch` gives the same rows
+for whole images without building the RGB patches: it computes each image's
+luma and channel-mean planes once and slides the patch window over those.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.vision.hog import batch_gradient_magnitude_orientation
+from repro.vision.hog import _to_gray_batch, batch_gradient_magnitude_orientation
 
 __all__ = [
     "dense_patches",
     "describe_patches",
+    "describe_image_batch",
     "describe_image_patches",
 ]
 
@@ -67,10 +70,20 @@ def describe_patches(patches: np.ndarray, n_bins: int = 8) -> np.ndarray:
         raise ValueError(
             f"expected (N, ps, ps) or (N, ps, ps, C) patches, got {patches.shape}"
         )
-    n = patches.shape[0]
-    if n == 0:
+    if patches.shape[0] == 0:
         return np.empty((0, n_bins + 2))
-    magnitude, orientation = batch_gradient_magnitude_orientation(patches)
+    gray = patches if patches.ndim == 3 else patches.mean(axis=3)
+    return _describe(
+        batch_gradient_magnitude_orientation(patches), gray, n_bins
+    )
+
+
+def _describe(
+    gradients: tuple[np.ndarray, np.ndarray], gray: np.ndarray, n_bins: int
+) -> np.ndarray:
+    """Descriptor rows from per-patch gradients and (N, ps, ps) gray patches."""
+    magnitude, orientation = gradients
+    n = gray.shape[0]
     bin_idx = np.clip(
         (orientation / np.pi * n_bins).astype(np.int64), 0, n_bins - 1
     )
@@ -82,10 +95,53 @@ def describe_patches(patches: np.ndarray, n_bins: int = 8) -> np.ndarray:
     ).reshape(n, n_bins)
     norms = np.sqrt((hist**2).sum(axis=1)) + 1e-8
     hist = hist / norms[:, None]
-    gray = patches if patches.ndim == 3 else patches.mean(axis=3)
     means = gray.mean(axis=(1, 2))
     stds = gray.std(axis=(1, 2))
     return np.concatenate([hist, means[:, None], stds[:, None]], axis=1)
+
+
+def describe_image_batch(
+    images: np.ndarray,
+    patch_size: int = 8,
+    stride: int = 4,
+    n_bins: int = 8,
+) -> np.ndarray:
+    """Dense patch descriptors for (N, H, W[, 3]) images, ``(N, n_patches, n_bins + 2)``.
+
+    Row for row equal to ``describe_patches(dense_patches(image))``.  A
+    patch's luma and channel mean are per-pixel values, so each image's
+    luma and channel-mean planes are computed once (the same elementwise
+    operations the patch path applies to every patch pixel) and the patch
+    grid is cut from those planes.  The cut copies each window into a
+    contiguous (ps, ps) block, so gradients and moments reduce in the same
+    order as on the patch batch.
+    """
+    if n_bins <= 0:
+        raise ValueError(f"n_bins must be positive, got {n_bins}")
+    if patch_size <= 0 or stride <= 0:
+        raise ValueError("patch_size and stride must be positive")
+    images = np.asarray(images, dtype=np.float64)
+    if images.ndim not in (3, 4):
+        raise ValueError(
+            f"expected (N, H, W) or (N, H, W, C) images, got {images.shape}"
+        )
+    n, h, w = images.shape[:3]
+    if h < patch_size or w < patch_size:
+        raise ValueError(
+            f"image {h}x{w} smaller than patch_size {patch_size}"
+        )
+    n_patches = ((h - patch_size) // stride + 1) * ((w - patch_size) // stride + 1)
+    if n == 0:
+        return np.empty((0, n_patches, n_bins + 2))
+    luma = _to_gray_batch(images)
+    gray = images if images.ndim == 3 else images.mean(axis=3)
+
+    def windows(plane: np.ndarray) -> np.ndarray:
+        view = sliding_window_view(plane, (patch_size, patch_size), axis=(1, 2))
+        return view[:, ::stride, ::stride].reshape(-1, patch_size, patch_size)
+
+    gradients = batch_gradient_magnitude_orientation(windows(luma))
+    return _describe(gradients, windows(gray), n_bins).reshape(n, n_patches, -1)
 
 
 def describe_image_patches(
@@ -95,5 +151,6 @@ def describe_image_patches(
     n_bins: int = 8,
 ) -> np.ndarray:
     """Dense patch descriptors for an image, shape ``(n_patches, n_bins + 2)``."""
-    patches = dense_patches(image, patch_size=patch_size, stride=stride)
-    return describe_patches(patches, n_bins=n_bins)
+    return describe_image_batch(
+        np.asarray(image)[None], patch_size=patch_size, stride=stride, n_bins=n_bins
+    )[0]

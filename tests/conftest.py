@@ -15,6 +15,7 @@ from repro.crowd.platform import CrowdsourcingPlatform
 from repro.crowd.population import WorkerPopulation
 from repro.crowd.quality import QualityModel
 from repro.data.dataset import DisasterDataset, build_dataset, train_test_split
+from repro.utils.rng import SeedSequencer
 
 
 @pytest.fixture
@@ -33,6 +34,30 @@ def small_dataset() -> DisasterDataset:
 def small_split(small_dataset) -> tuple[DisasterDataset, DisasterDataset]:
     """(train, test) split of the shared small dataset."""
     return train_test_split(small_dataset, n_train=60, rng=np.random.default_rng(8))
+
+
+@pytest.fixture(scope="session")
+def fast_world_images() -> np.ndarray:
+    """Pixels of every image ``prepare(0, fast=True)`` builds, (180, H, W, 3).
+
+    Rebuilt the way ``prepare`` builds its dataset, without fitting the
+    committee.
+    """
+    dataset = build_dataset(n_images=180, rng=SeedSequencer(0).get("dataset"))
+    return dataset.pixels_hwc()
+
+
+@pytest.fixture(scope="session")
+def bin_edge_images() -> np.ndarray:
+    """Random RGB images made of the 8-bin edges 0, 0.125, ..., 1.0.
+
+    Every value sits on a bin edge, half of them nudged one ulp to either
+    side, so each edge rule of the intensity histogram is exercised.
+    """
+    gen = np.random.default_rng(2024)
+    edges = gen.choice(np.linspace(0.0, 1.0, 9), size=(12, 32, 32, 3))
+    nudge = gen.choice([-np.inf, 0.0, np.inf], size=edges.shape, p=[0.25, 0.5, 0.25])
+    return np.clip(np.nextafter(edges, edges + nudge), 0.0, 1.0)
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.vision.bovw import BoVWEncoder
+from repro.vision.histograms import grayscale_histogram, grayscale_histogram_batch
+from repro.vision.kmeans import KMeans
+from repro.vision.patches import dense_patches, describe_patches
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +95,51 @@ class TestEncodeBatchParity:
     def test_empty_batch(self, fitted_encoder):
         encoded = fitted_encoder.encode_batch(np.empty((0, 32, 32, 3)))
         assert encoded.shape[0] == 0
+
+
+class TestCodebookParity:
+    def test_centres_match_per_image_patch_descriptors(self, fast_world_images):
+        """The batched codebook path learns byte-identical k-means centres."""
+        images = fast_world_images[:40]
+        encoder = BoVWEncoder(vocabulary_size=16, max_patches_for_fit=1500)
+        encoder.fit(images, np.random.default_rng(5))
+        descriptors = np.concatenate(
+            [describe_patches(dense_patches(img)) for img in images]
+        )
+        rng = np.random.default_rng(5)
+        descriptors = descriptors[rng.choice(len(descriptors), 1500, replace=False)]
+        expected = KMeans(n_clusters=16).fit(descriptors, rng)
+        assert encoder._kmeans.centers.tobytes() == expected.centers.tobytes()
+
+
+def assert_rows_match_per_image(images, n_bins=8, value_range=(0.0, 1.0)):
+    batch = grayscale_histogram_batch(images, n_bins=n_bins, value_range=value_range)
+    assert batch.shape == (len(images), n_bins)
+    for row, image in zip(batch, images):
+        expected = grayscale_histogram(image, n_bins=n_bins, value_range=value_range)
+        assert row.tobytes() == expected.tobytes()
+
+
+class TestIntensityHistogramBatch:
+    """Batched 8-bin intensity histograms equal per-image ``np.histogram`` ones."""
+
+    def test_matches_per_image_on_the_fast_world(self, fast_world_images):
+        assert_rows_match_per_image(fast_world_images)
+
+    def test_matches_per_image_on_bin_edge_images(self, bin_edge_images):
+        assert_rows_match_per_image(bin_edge_images)
+
+    def test_out_of_range_and_nan_values_are_dropped(self, bin_edge_images):
+        images = bin_edge_images[:4].copy()
+        images[0, 0, 0] = [-0.0, -1e-300, np.nan]
+        images[1, 1, :5] = [1.0 + 1e-12, -1.0, 7.0]
+        images[2] = 5.0  # nothing in range: the uniform histogram
+        assert_rows_match_per_image(images)
+
+    def test_other_bins_and_ranges(self, bin_edge_images, rng):
+        images = np.concatenate([bin_edge_images[:3], rng.random((3, 32, 32, 3))])
+        for n_bins, value_range in [(16, (0.0, 1.0)), (5, (0.2, 0.7)), (3, (0.5, 0.5))]:
+            assert_rows_match_per_image(images, n_bins, value_range)
+
+    def test_empty_batch(self):
+        assert grayscale_histogram_batch(np.empty((0, 8, 8, 3)), n_bins=8).shape == (0, 8)

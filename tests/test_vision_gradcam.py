@@ -3,9 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
+from repro.nn.layers import _FORWARD_CACHES, Conv2D, Dense, Flatten, MaxPool2D, ReLU
 from repro.nn.model import Sequential
 from repro.vision.gradcam import GradCAM
+
+
+def cached_layers(model):
+    """Indices of the layers holding any forward cache."""
+    return [
+        i
+        for i, layer in enumerate(model.layers)
+        if any(getattr(layer, key, None) is not None for key in _FORWARD_CACHES)
+    ]
 
 
 @pytest.fixture
@@ -106,9 +115,21 @@ class TestHeatmapMasses:
         )
         x = rng.random((2, 3, 16, 16))
         model.forward(x, training=True)  # fill every cache first
-        GradCAM(model).heatmap_masses(x, [np.array([0, 1])])
+        GradCAM(model)._forward(x)  # the instrumented pass the heatmaps run
         assert model.layers[2]._mask is None
         assert model.layers[5]._mask is not None  # past the target: backward reads it
+
+    def test_heatmaps_release_their_caches(self, cnn, rng):
+        """Once the heatmaps are computed no layer holds a forward cache."""
+        cam = GradCAM(cnn)
+        x = rng.random((2, 3, 16, 16))
+        cam.heatmaps(x, np.array([0, 2]))
+        assert cached_layers(cnn) == []
+        cam.heatmap_masses(x, [np.array([0, 1]), np.array([2, 2])])
+        assert cached_layers(cnn) == []
+        with pytest.raises(ValueError):
+            cam.heatmap_masses(x, [np.array([0, 7])])
+        assert cached_layers(cnn) == []
 
     def test_row_length_mismatch_raises(self, cnn, rng):
         cam = GradCAM(cnn)

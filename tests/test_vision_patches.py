@@ -6,6 +6,7 @@ import pytest
 from repro.vision.hog import gradient_magnitude_orientation
 from repro.vision.patches import (
     dense_patches,
+    describe_image_batch,
     describe_image_patches,
     describe_patches,
 )
@@ -127,3 +128,53 @@ class TestDescribePatchesParity:
         patches = dense_patches(image, patch_size=8, stride=4)
         expected = np.stack([scalar_descriptor(p) for p in patches])
         np.testing.assert_array_equal(descriptors, expected)
+
+
+def assert_rows_match_patch_path(images, patch_size=8, stride=4, n_bins=8):
+    """Image-plane descriptors equal ``describe_patches(dense_patches(img))``."""
+    batch = describe_image_batch(
+        images, patch_size=patch_size, stride=stride, n_bins=n_bins
+    )
+    assert batch.shape[0] == len(images)
+    for row, image in zip(batch, images):
+        expected = describe_patches(
+            dense_patches(image, patch_size=patch_size, stride=stride),
+            n_bins=n_bins,
+        )
+        assert row.shape == expected.shape
+        assert row.tobytes() == expected.tobytes()
+
+
+class TestDescribeImageBatch:
+    """The image-plane path must reproduce the RGB patch path byte for byte."""
+
+    def test_matches_patch_path_on_the_fast_world(self, fast_world_images):
+        assert_rows_match_patch_path(fast_world_images)
+
+    def test_matches_patch_path_on_bin_edge_images(self, bin_edge_images):
+        assert_rows_match_patch_path(bin_edge_images)
+
+    def test_matches_patch_path_on_other_grids(self, rng):
+        assert_rows_match_patch_path(
+            rng.random((3, 24, 20, 3)), patch_size=6, stride=3, n_bins=6
+        )
+        assert_rows_match_patch_path(rng.random((3, 24, 20)), stride=5)
+
+    def test_describe_image_patches_is_one_batch_row(self, rng):
+        images = rng.random((4, 32, 32, 3))
+        batch = describe_image_batch(images)
+        for row, image in zip(batch, images):
+            assert describe_image_patches(image).tobytes() == row.tobytes()
+
+    def test_empty_batch(self):
+        assert describe_image_batch(np.empty((0, 32, 32, 3))).shape == (0, 49, 10)
+
+    def test_invalid_inputs_raise(self):
+        with pytest.raises(ValueError):
+            describe_image_batch(np.zeros((1, 4, 4, 3)), patch_size=8)
+        with pytest.raises(ValueError):
+            describe_image_batch(np.zeros((1, 16, 16, 3)), stride=0)
+        with pytest.raises(ValueError):
+            describe_image_batch(np.zeros((1, 16, 16, 3)), n_bins=0)
+        with pytest.raises(ValueError):
+            describe_image_batch(np.zeros((16, 16)))
