@@ -39,6 +39,8 @@ cheapest hull arm.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.bandit.base import ContextualPolicy
@@ -92,16 +94,21 @@ class UCBALPBandit(ContextualPolicy):
         self.rng = rng
 
     def ucb_indices(self, context: int) -> np.ndarray:
-        """UCB index of every arm in ``context`` (inf for unpulled arms)."""
+        """UCB index of every arm in ``context`` (inf for unpulled arms).
+
+        ``log t`` is taken once per call, with ``np.log``; the radii use
+        ``math.sqrt``, which like ``np.sqrt`` is correctly rounded, so the
+        indices are the bytes a per-arm numpy computation gives.
+        """
         self._check_indices(context, 0)
         indices = np.empty(len(self.arms))
-        total = max(self.t, 1)
+        two_log_total = 2.0 * float(np.log(max(self.t, 1)))
         for arm, stats in enumerate(self.stats[context]):
             if stats.pulls == 0:
                 indices[arm] = np.inf
             else:
-                radius = self.exploration * np.sqrt(
-                    2.0 * np.log(total) / stats.pulls
+                radius = self.exploration * math.sqrt(
+                    two_log_total / stats.pulls
                 )
                 indices[arm] = stats.mean_payoff + radius
         return indices

@@ -183,6 +183,18 @@ class GradientBoostedClassifier:
         """Most probable class per row."""
         return np.argmax(self.decision_function(x), axis=1)
 
+    def predict_with_proba(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`predict` and :meth:`predict_proba` from one forest walk.
+
+        Both come from the same logits, so they are the bytes the two
+        separate calls return.  The labels are the argmax of the logits,
+        not of the probabilities: the softmax's rounding can tie classes
+        the logits separate, and argmax would then break the tie
+        differently.
+        """
+        logits = self.decision_function(x)
+        return np.argmax(logits, axis=1), _softmax(logits)
+
     def feature_importances(self) -> np.ndarray:
         """Split-frequency feature importances, normalized to sum to 1.
 

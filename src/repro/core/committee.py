@@ -49,12 +49,19 @@ class Committee:
         return self._weights.copy()
 
     def set_weights(self, weights: np.ndarray) -> None:
-        """Replace the expert weights (renormalized to sum to 1)."""
+        """Replace the expert weights (renormalized to sum to 1).
+
+        Raises ``ValueError`` unless every weight is finite and
+        non-negative and their sum is positive: a NaN passes both ``< 0``
+        and ``<= 0`` checks and would poison every later vote.
+        """
         weights = np.asarray(weights, dtype=np.float64).ravel()
         if weights.shape[0] != len(self.experts):
             raise ValueError(
                 f"need {len(self.experts)} weights, got {weights.shape[0]}"
             )
+        if not np.all(np.isfinite(weights)):
+            raise ValueError(f"weights must be finite, got {weights}")
         if np.any(weights < 0) or weights.sum() <= 0:
             raise ValueError("weights must be non-negative with positive sum")
         self._weights = weights / weights.sum()

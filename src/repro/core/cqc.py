@@ -27,8 +27,8 @@ class CrowdQualityControl(Aggregator):
 
     An :class:`~repro.truth.base.Aggregator` fitted on the pilot's golden
     labels.  :meth:`truthful_labels` keeps the boosted classifier's own
-    ``predict`` rather than the argmax of the softmax, so exact ties break
-    as the committed digests pin.
+    ``predict`` (the argmax of its logits) rather than the argmax of the
+    softmax, so exact ties break as the committed digests pin.
 
     Parameters
     ----------
@@ -96,13 +96,13 @@ class CrowdQualityControl(Aggregator):
         self._fitted = True
         return self
 
-    def truthful_labels(self, results: list[QueryResult]) -> np.ndarray:
-        """The truthful label TL for each query (empty input → empty output)."""
+    def _check_fitted(self) -> None:
         if not self._fitted:
             raise RuntimeError("CrowdQualityControl used before fit()")
-        if not results:
-            return np.empty(0, dtype=np.int64)
-        return self._classifier.predict(self._features(results))
+
+    def truthful_labels(self, results: list[QueryResult]) -> np.ndarray:
+        """The truthful label TL for each query (empty input → empty output)."""
+        return self.fuse(results)[0]
 
     def label_distributions(self, results: list[QueryResult]) -> np.ndarray:
         """Probabilistic truthful-label distributions D(TL) (for Eq. 5).
@@ -110,11 +110,22 @@ class CrowdQualityControl(Aggregator):
         Empty input yields an empty ``(0, n_classes)`` matrix — no NaNs ever
         flow downstream from a cycle whose queries all failed.
         """
-        if not self._fitted:
-            raise RuntimeError("CrowdQualityControl used before fit()")
+        return self.fuse(results)[1]
+
+    def fuse(self, results: list[QueryResult]) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`truthful_labels` and :meth:`label_distributions` at once.
+
+        The sensing cycle needs both for the same queries: this encodes
+        their features and walks the boosted forest once.  The labels are
+        the argmax of the logits, the classifier's own ``predict``.
+        """
+        self._check_fitted()
         if not results:
-            return np.empty((0, DamageLabel.count()))
-        return self._classifier.predict_proba(self._features(results))
+            return (
+                np.empty(0, dtype=np.int64),
+                np.empty((0, DamageLabel.count())),
+            )
+        return self._classifier.predict_with_proba(self._features(results))
 
     @property
     def is_fitted(self) -> bool:
@@ -128,8 +139,7 @@ class CrowdQualityControl(Aggregator):
         making the quality-control step inspectable — e.g. how much weight
         the "is it photoshopped?" evidence carries vs the raw label votes.
         """
-        if not self._fitted:
-            raise RuntimeError("CrowdQualityControl used before fit()")
+        self._check_fitted()
         from repro.crowd.questionnaire import feature_names
 
         names = feature_names()

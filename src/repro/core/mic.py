@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.committee import Committee
 from repro.data.dataset import DisasterDataset, DisasterImage
-from repro.metrics.information import bounded_divergence
+from repro.metrics.information import batch_bounded_divergence
 from repro.utils.validation import check_non_negative
 
 __all__ = ["MachineIntelligenceCalibrator", "ReplayBuffer"]
@@ -157,23 +157,26 @@ class MachineIntelligenceCalibrator:
 
         ``expert_votes[m]`` holds expert m's distributions on the *query set*
         (shape ``(Y, k)``); ``truth_distributions`` holds CQC's distributions
-        aligned with them.
+        aligned with them.  Every expert's divergences come from one
+        row-wise :func:`~repro.metrics.information.batch_bounded_divergence`
+        pass over the stacked votes, the bytes a per-query loop gives.
+        Raises ``ValueError`` when the shapes disagree or there are no
+        queries (a mean over nothing).
         """
-        truth_distributions = np.asarray(truth_distributions, dtype=np.float64)
-        losses = []
-        for votes in expert_votes:
-            votes = np.asarray(votes, dtype=np.float64)
-            if votes.shape != truth_distributions.shape:
+        truth = np.asarray(truth_distributions, dtype=np.float64)
+        votes = [np.asarray(v, dtype=np.float64) for v in expert_votes]
+        for v in votes:
+            if v.shape != truth.shape:
                 raise ValueError(
                     "expert votes and truth distributions must align: "
-                    f"{votes.shape} vs {truth_distributions.shape}"
+                    f"{v.shape} vs {truth.shape}"
                 )
-            per_query = [
-                bounded_divergence(vote, truth)
-                for vote, truth in zip(votes, truth_distributions)
-            ]
-            losses.append(float(np.mean(per_query)))
-        return np.array(losses)
+        if truth.shape[0] == 0:
+            raise ValueError("expert losses need at least one query")
+        per_query = batch_bounded_divergence(
+            np.concatenate(votes), np.tile(truth, (len(votes), 1))
+        ).reshape(len(votes), -1)
+        return np.array([float(np.mean(row)) for row in per_query])
 
     def update_weights(
         self,
@@ -188,9 +191,10 @@ class MachineIntelligenceCalibrator:
         quarantined — members: their weight is neither rewarded nor
         punished, so a broken expert's garbage losses cannot distort the
         committee's weight distribution while it sits out.  ``None`` (the
-        default) updates every member exactly as before.
+        default) updates every member exactly as before.  With no queries
+        there is no evidence, and the weights are left as they are.
         """
-        if not self.reweight:
+        if not self.reweight or len(truth_distributions) == 0:
             return committee.weights
         losses = self.expert_losses(expert_votes, truth_distributions)
         factors = np.exp(-self.eta * losses)

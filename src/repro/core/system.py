@@ -34,6 +34,7 @@ from repro.crowd.scheduler import PendingResponse, VirtualTimeScheduler
 from repro.crowd.tasks import QueryResult
 from repro.data.dataset import DisasterDataset, DisasterImage
 from repro.data.stream import SensingCycle, SensingCycleStream
+from repro.metrics.information import batch_bounded_divergence
 from repro.telemetry.runtime import Telemetry, get_telemetry, use_telemetry
 from repro.utils.clock import TemporalContext
 from repro.utils.rng import SeedSequencer
@@ -900,8 +901,7 @@ class CrowdLearnSystem:
     def _quality_control(self, st: _CycleState) -> dict:
         """Fuse the crowd's labels and grade the workers who gave them."""
         results = st.results
-        st.truthful = self.cqc.truthful_labels(results)
-        st.truth_dists = self.cqc.label_distributions(results)
+        st.truthful, st.truth_dists = self.cqc.fuse(results)
         # Reliability must be read *before* this cycle's answers are
         # graded, so it reflects strictly historical behaviour.
         st.reliability = self._cycle_worker_reliability(results)
@@ -923,14 +923,11 @@ class CrowdLearnSystem:
         # VDBE extension: feed the surprise (mean committee-vs-truth
         # divergence on the query set) back into an adaptive QSS.
         if isinstance(self.qss, AdaptiveQuerySetSelector):
-            from repro.metrics.information import bounded_divergence
-
             surprise = float(
                 np.mean(
-                    [
-                        bounded_divergence(pre_vote[int(i)], dist)
-                        for i, dist in zip(st.query_indices, st.truth_dists)
-                    ]
+                    batch_bounded_divergence(
+                        pre_vote[st.query_indices], st.truth_dists
+                    )
                 )
             )
             self.qss.observe_surprise(surprise)

@@ -14,11 +14,18 @@ scaled by the worker's personal speed factor.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.utils.clock import TemporalContext
 
-__all__ = ["INCENTIVE_LEVELS", "DelayModel"]
+__all__ = [
+    "INCENTIVE_LEVELS",
+    "DelayModel",
+    "check_incentive",
+    "interpolate_levels",
+]
 
 #: The paper's seven pilot incentive levels, in cents.
 INCENTIVE_LEVELS: tuple[float, ...] = (1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 20.0)
@@ -44,6 +51,37 @@ _MEAN_DELAY: dict[TemporalContext, dict[float, float]] = {
         8.0: 338.0, 10.0: 330.0, 20.0: 305.0,
     },
 }
+_LEVELS = np.array(INCENTIVE_LEVELS)
+_LOG_LEVELS = np.log(_LEVELS)
+_MEANS = {
+    context: np.array([table[level] for level in INCENTIVE_LEVELS])
+    for context, table in _MEAN_DELAY.items()
+}
+# (context, incentive) -> mean delay, filled on first use.  Kept at module
+# level, next to the tables it is derived from, so pickled models never
+# carry it; its keys are the few incentive levels a deployment prices.
+_MEAN_MEMO: dict[tuple[TemporalContext, float], float] = {}
+
+
+def interpolate_levels(incentive_cents: float, values: np.ndarray) -> float:
+    """``values`` (one per pilot level) interpolated in log-incentive at
+    ``incentive_cents``, clamped to the outermost levels: incentive
+    effects are multiplicative."""
+    log_level = np.log(np.clip(incentive_cents, _LEVELS[0], _LEVELS[-1]))
+    return float(np.interp(log_level, _LOG_LEVELS, values))
+
+
+def check_incentive(incentive_cents: float) -> None:
+    """Refuse an incentive the pilot tables cannot price.
+
+    NaN would interpolate to NaN (``nan <= 0`` is False) and infinity
+    would silently price at the top level, so both raise ``ValueError``
+    like a non-positive incentive does.
+    """
+    if not math.isfinite(incentive_cents) or incentive_cents <= 0:
+        raise ValueError(
+            f"incentive must be positive and finite, got {incentive_cents}"
+        )
 
 
 class DelayModel:
@@ -61,17 +99,18 @@ class DelayModel:
         self.noise_sigma = noise_sigma
 
     def mean_delay(self, context: TemporalContext, incentive_cents: float) -> float:
-        """Expected delay in seconds, interpolating between pilot levels."""
-        if incentive_cents <= 0:
-            raise ValueError(
-                f"incentive must be positive, got {incentive_cents}"
-            )
-        table = _MEAN_DELAY[context]
-        levels = np.array(INCENTIVE_LEVELS)
-        means = np.array([table[level] for level in INCENTIVE_LEVELS])
-        # log-space interpolation: incentive effects are multiplicative.
-        log_level = np.log(np.clip(incentive_cents, levels[0], levels[-1]))
-        return float(np.interp(log_level, np.log(levels), means))
+        """Expected delay in seconds, interpolating between pilot levels.
+
+        Computed once per distinct ``(context, incentive)`` and memoized; a
+        non-finite or non-positive incentive raises ``ValueError``.
+        """
+        check_incentive(incentive_cents)
+        key = (context, incentive_cents)
+        value = _MEAN_MEMO.get(key)
+        if value is None:
+            value = interpolate_levels(incentive_cents, _MEANS[context])
+            _MEAN_MEMO[key] = value
+        return value
 
     def sample(
         self,

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.crowd.delay import INCENTIVE_LEVELS
+from repro.crowd.delay import INCENTIVE_LEVELS, check_incentive, interpolate_levels
 
-__all__ = ["QualityModel"]
+__all__ = ["QualityModel", "clamp"]
 
 # Additive accuracy offset per pilot incentive level.  Tuned so the
 # population-average accuracy traces Figure 6: ~0.65 at 1c, ~0.76 at 2c,
@@ -26,19 +26,30 @@ _QUALITY_OFFSET: dict[float, float] = {
     10.0: 0.005,
     20.0: 0.015,
 }
+_OFFSETS = np.array([_QUALITY_OFFSET[level] for level in INCENTIVE_LEVELS])
+# incentive -> offset, filled on first use.  The tables are module
+# constants, so the memo lives here rather than on (pickled) models, and
+# its keys are the few incentive levels a deployment ever prices.
+_OFFSET_MEMO: dict[float, float] = {}
 
 
 class QualityModel:
     """Maps incentives to the effort offset on worker accuracy."""
 
     def offset(self, incentive_cents: float) -> float:
-        """Additive accuracy offset for ``incentive_cents`` (interpolated)."""
-        if incentive_cents <= 0:
-            raise ValueError(f"incentive must be positive, got {incentive_cents}")
-        levels = np.array(INCENTIVE_LEVELS)
-        offsets = np.array([_QUALITY_OFFSET[level] for level in INCENTIVE_LEVELS])
-        log_level = np.log(np.clip(incentive_cents, levels[0], levels[-1]))
-        return float(np.interp(log_level, np.log(levels), offsets))
+        """Additive accuracy offset for ``incentive_cents``.
+
+        Interpolated in log-incentive between the pilot levels and clamped
+        to the outermost ones.  Computed once per distinct incentive and
+        memoized; a non-finite or non-positive incentive raises
+        ``ValueError``.
+        """
+        check_incentive(incentive_cents)
+        value = _OFFSET_MEMO.get(incentive_cents)
+        if value is None:
+            value = interpolate_levels(incentive_cents, _OFFSETS)
+            _OFFSET_MEMO[incentive_cents] = value
+        return value
 
     def effective_accuracy(
         self, reliability: float, incentive_cents: float
@@ -50,6 +61,9 @@ class QualityModel:
         """
         if not 0.0 <= reliability <= 1.0:
             raise ValueError(f"reliability must be in [0, 1], got {reliability}")
-        return float(
-            np.clip(reliability + self.offset(incentive_cents), 0.05, 0.98)
-        )
+        return clamp(float(reliability + self.offset(incentive_cents)), 0.05, 0.98)
+
+
+def clamp(value: float, low: float, high: float) -> float:
+    """``np.clip`` for one non-NaN float, without the array round trip."""
+    return min(max(value, low), high)

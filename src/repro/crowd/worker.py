@@ -21,12 +21,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.crowd.quality import QualityModel
+from repro.crowd.quality import QualityModel, clamp
 from repro.crowd.tasks import QuestionnaireAnswers
-from repro.data.metadata import DamageLabel, ImageMetadata, SceneType
+from repro.data.metadata import (
+    DamageLabel,
+    FailureArchetype,
+    ImageMetadata,
+    SceneType,
+)
 from repro.utils.clock import TemporalContext
 
 __all__ = ["Worker"]
+
+_SCENES: list[SceneType] = list(SceneType)
+
+
+def _confusion_table(
+    true_label: DamageLabel,
+) -> tuple[list[DamageLabel], np.ndarray]:
+    """The wrong labels for ``true_label`` and their draw weights: inverse
+    severity distance, normalized, so adjacent severities are likelier."""
+    others = [label for label in DamageLabel if label != true_label]
+    distances = np.array(
+        [abs(int(label) - int(true_label)) for label in others], dtype=float
+    )
+    weights = 1.0 / distances
+    weights /= weights.sum()
+    return others, weights
+
+
+_CONFUSION = {label: _confusion_table(label) for label in DamageLabel}
 
 
 @dataclass
@@ -61,19 +85,18 @@ class Worker:
         Genuinely hard images degrade everyone: low-resolution photos cost
         ~12 accuracy points and moderate damage (the boundary class) ~6 —
         this is why the paper's aggregated crowd labels sit near 84-94%
-        rather than at the honest-image ceiling.
+        rather than at the honest-image ceiling.  Scalar arithmetic stays
+        in Python floats: the worker answers one query at a time.
         """
         accuracy = quality_model.effective_accuracy(
             self.reliability, incentive_cents
         )
         if metadata is not None:
             accuracy -= self._difficulty_penalty(metadata)
-        return float(np.clip(accuracy, 0.05, 0.98))
+        return clamp(accuracy, 0.05, 0.98)
 
     @staticmethod
     def _difficulty_penalty(metadata: ImageMetadata) -> float:
-        from repro.data.metadata import FailureArchetype
-
         penalty = 0.0
         if metadata.archetype is FailureArchetype.LOW_RESOLUTION:
             penalty += 0.12
@@ -121,8 +144,9 @@ class Worker:
         than grading damage — which is what lets CQC beat majority voting.
         """
         accuracy = self.label_accuracy(incentive_cents, quality_model)
-        detect_prob = np.clip(0.55 + 0.45 * self.insight + 0.1 * (accuracy - 0.8),
-                              0.05, 0.99)
+        detect_prob = clamp(
+            0.55 + 0.45 * self.insight + 0.1 * (accuracy - 0.8), 0.05, 0.99
+        )
         says_fake = (
             metadata.is_fake
             if rng.random() < detect_prob
@@ -131,7 +155,7 @@ class Worker:
         scene = (
             metadata.scene
             if rng.random() < accuracy
-            else list(SceneType)[int(rng.integers(len(SceneType)))]
+            else _SCENES[int(rng.integers(len(_SCENES)))]
         )
         says_danger = (
             metadata.people_in_danger
@@ -149,10 +173,5 @@ class Worker:
         true_label: DamageLabel, rng: np.random.Generator
     ) -> DamageLabel:
         """An erroneous label, biased toward adjacent severities."""
-        others = [label for label in DamageLabel if label != true_label]
-        distances = np.array(
-            [abs(int(label) - int(true_label)) for label in others], dtype=float
-        )
-        weights = 1.0 / distances
-        weights /= weights.sum()
+        others, weights = _CONFUSION[true_label]
         return others[int(rng.choice(len(others), p=weights))]

@@ -196,9 +196,19 @@ class CrowdLearnService:
         )
         self._seq += 1
 
-    def _append_journal(self, record: dict) -> None:
-        if self._journal_fh is not None:
-            append_synced(self._journal_fh, record, ENVELOPE_LINES)
+    def _append_journal(self, kind: str, **fields: Any) -> None:
+        """Journal one ``kind`` record, stamped with the pool and per-event
+        health it leaves behind.  In memory (no open journal) nothing is
+        built: those snapshots are only ever read back from the journal."""
+        if self._journal_fh is None:
+            return
+        record = {
+            "kind": kind,
+            **fields,
+            "pool": self.pool.snapshot(),
+            "health": self._health_map(),
+        }
+        append_synced(self._journal_fh, record, ENVELOPE_LINES)
 
     def _write_manifest(self) -> None:
         if self.serve_dir is None:
@@ -416,17 +426,13 @@ class CrowdLearnService:
                 self._open_journal(deployment)
             self._push(deployment)
         self._append_journal(
-            {
-                "kind": "ingest",
-                "event": event_id,
-                "n_images": len(images),
-                "burst_seed": -1 if burst_seed is None else int(burst_seed),
-                "burst_index": len(deployment.bursts) - 1,
-                "n_cycles_after": deployment.n_cycles,
-                "n_images_total_after": len(deployment.stream._images),
-                "pool": self.pool.snapshot(),
-                "health": self._health_map(),
-            }
+            "ingest",
+            event=event_id,
+            n_images=len(images),
+            burst_seed=-1 if burst_seed is None else int(burst_seed),
+            burst_index=len(deployment.bursts) - 1,
+            n_cycles_after=deployment.n_cycles,
+            n_images_total_after=len(deployment.stream._images),
         )
         return added
 
@@ -519,21 +525,17 @@ class CrowdLearnService:
         self.ticks += 1
         failed = tick_failed(cycle_outcome)
         state = health.observe(failed, window)
-        record = {
-            "kind": "tick",
-            "event": event_id,
-            "cycle": deployment.next_cycle - 1,
-            "window": window,
-            "granted": grant,
-            "deferred": decision.deferred,
-            "shed": decision.shed,
-            "failed": failed,
-            "pool": self.pool.snapshot(),
-            "health": self._health_map(),
-        }
-        if reconstructed:
-            record["reconstructed"] = True
-        self._append_journal(record)
+        self._append_journal(
+            "tick",
+            event=event_id,
+            cycle=deployment.next_cycle - 1,
+            window=window,
+            granted=grant,
+            deferred=decision.deferred,
+            shed=decision.shed,
+            failed=failed,
+            **({"reconstructed": True} if reconstructed else {}),
+        )
         self._count(
             event_id, "serve_queries_deferred_total",
             "queries pushed to a later window by backpressure",
@@ -600,24 +602,23 @@ class CrowdLearnService:
             "events parked by the bulkhead or breaker",
         )
         self._schedule_probe(deployment)
-        record = {
-            "kind": "quarantine",
-            "event": event_id,
-            "window": window,
-            "reason": health.quarantine_reason,
-            "parked_backlog": parked_backlog,
-            "released_budget_cents": deployment.releasable_budget_cents(),
-            "probe_window": health.breaker.probe_window(),
-            "pool": self.pool.snapshot(),
-            "health": self._health_map(),
-        }
+        extra = {}
         if deployment.journal is not None:
             from repro.eval.journal import wal_tail_summary
 
             # Post-mortem of the event's own WAL: how far the aborted
             # cycle got and whether a crowd post is in doubt.
-            record["wal"] = wal_tail_summary(deployment.journal.path)
-        self._append_journal(record)
+            extra["wal"] = wal_tail_summary(deployment.journal.path)
+        self._append_journal(
+            "quarantine",
+            event=event_id,
+            window=window,
+            reason=health.quarantine_reason,
+            parked_backlog=parked_backlog,
+            released_budget_cents=deployment.releasable_budget_cents(),
+            probe_window=health.breaker.probe_window(),
+            **extra,
+        )
 
     def _schedule_probe(self, deployment: Deployment) -> None:
         """Queue the breaker's half-open probe, re-anchoring the event.
@@ -672,18 +673,13 @@ class CrowdLearnService:
                 )
             )
         quotas = self.pool.begin_window(window, requests)
-        self._append_journal(
-            {
-                "kind": "window",
-                "window": window,
-                "requests": [
-                    dataclasses.asdict(request) for request in requests
-                ],
-                "quotas": quotas,
-                "pool": self.pool.snapshot(),
-                "health": self._health_map(),
-            }
-        )
+        if self._journal_fh is not None:
+            self._append_journal(
+                "window",
+                window=window,
+                requests=[dataclasses.asdict(request) for request in requests],
+                quotas=quotas,
+            )
 
     def _finish_event(self, deployment: Deployment) -> None:
         """Close the event's books: unservable backlog is shed."""
@@ -692,15 +688,7 @@ class CrowdLearnService:
         if deployment.journal is not None:
             deployment.journal.close()
             deployment.journal = None
-        self._append_journal(
-            {
-                "kind": "drained",
-                "event": event_id,
-                "shed_at_drain": shed,
-                "pool": self.pool.snapshot(),
-                "health": self._health_map(),
-            }
-        )
+        self._append_journal("drained", event=event_id, shed_at_drain=shed)
 
     def drain(self) -> int:
         """Run every pending cycle to completion; returns ticks executed.

@@ -195,6 +195,25 @@ class TestIngest:
             service.ingest_images("strict", n_images=5)
 
 
+class TestInMemoryRecords:
+    def test_no_journal_builds_no_record(self, setup, monkeypatch):
+        """Without a serve dir, ticks, windows, bursts and drains build no
+        journal record: the pool and health snapshots are never taken."""
+        from repro.serve.health import EventHealth
+
+        def refuse(self):
+            raise AssertionError("snapshot taken without a journal")
+
+        monkeypatch.setattr(SharedCrowdPool, "snapshot", refuse)
+        monkeypatch.setattr(EventHealth, "snapshot", refuse)
+        service = contended_service(setup)
+        service.submit_event("alpha")
+        service.submit_event("bravo")
+        service.step()
+        service.ingest_images("alpha", n_images=6, burst_seed=4)
+        assert service.drain() > 0
+
+
 class TestTelemetryIsolation:
     def test_two_deployments_have_disjoint_counter_sets(self, setup):
         """Satellite regression: per-event pipelines must not share the
