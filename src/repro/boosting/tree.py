@@ -246,40 +246,38 @@ class RegressionTree:
         n = x.shape[0]
         if depth >= self.max_depth or n < 2 * self.min_samples_leaf:
             return node
-        best_gain = self.min_gain
-        best: tuple[int, float, np.ndarray] | None = None
-        parent_score = self._score(grad.sum(), hess.sum())
-        for feature in range(x.shape[1]):
-            column = x[:, feature]
-            order = np.argsort(column, kind="stable")
-            sorted_vals = column[order]
-            g_cum = np.cumsum(grad[order])
-            h_cum = np.cumsum(hess[order])
-            g_total, h_total = g_cum[-1], h_cum[-1]
-            # Candidate split after position i (left gets i+1 samples).
-            positions = np.arange(self.min_samples_leaf - 1, n - self.min_samples_leaf)
-            if positions.size == 0:
-                continue
-            valid = sorted_vals[positions] < sorted_vals[positions + 1]
-            positions = positions[valid]
-            if positions.size == 0:
-                continue
-            g_left = g_cum[positions]
-            h_left = h_cum[positions]
-            gains = (
-                self._score_vec(g_left, h_left)
-                + self._score_vec(g_total - g_left, h_total - h_left)
-                - parent_score
-            )
-            idx = int(np.argmax(gains))
-            if gains[idx] > best_gain:
-                best_gain = float(gains[idx])
-                pos = positions[idx]
-                threshold = 0.5 * (sorted_vals[pos] + sorted_vals[pos + 1])
-                best = (feature, threshold, column <= threshold)
-        if best is None:
+        # Every feature at once: each column sorted and cumulated (the
+        # column-wise cumsum adds in the same order as a 1-D one), then
+        # scored at every split after position ``lo + i`` (left gets
+        # ``lo + i + 1`` samples).  Positions between equal values cannot
+        # split and score -inf.
+        order = np.argsort(x, axis=0, kind="stable")
+        sorted_vals = np.take_along_axis(x, order, axis=0)
+        g_cum = np.cumsum(grad[order], axis=0)
+        h_cum = np.cumsum(hess[order], axis=0)
+        g_total, h_total = g_cum[-1], h_cum[-1]
+        lo, hi = self.min_samples_leaf - 1, n - self.min_samples_leaf
+        g_left = g_cum[lo:hi]
+        h_left = h_cum[lo:hi]
+        gains = (
+            self._score_vec(g_left, h_left)
+            + self._score_vec(g_total - g_left, h_total - h_left)
+            - self._score(grad.sum(), hess.sum())
+        )
+        gains[~(sorted_vals[lo:hi] < sorted_vals[lo + 1 : hi + 1])] = -np.inf
+        # Each feature's first best position (its first NaN, if any, which
+        # is never eligible); the earliest feature whose gain beats
+        # ``min_gain`` by the most wins.
+        idx = np.argmax(gains, axis=0)
+        best = gains[idx, np.arange(x.shape[1])]
+        eligible = np.where(best > self.min_gain, best, -np.inf)
+        feature = int(np.argmax(eligible))
+        if not eligible[feature] > self.min_gain:
             return node
-        feature, threshold, mask = best
+        pos = lo + idx[feature]
+        column = sorted_vals[:, feature]
+        threshold = 0.5 * (column[pos] + column[pos + 1])
+        mask = x[:, feature] <= threshold
         node.feature = feature
         node.threshold = threshold
         node.left = self._build(x[mask], grad[mask], hess[mask], depth + 1)

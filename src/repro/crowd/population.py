@@ -35,6 +35,10 @@ class WorkerPopulation:
         (the Filtering baseline needs some per-worker history).
     rng:
         Randomness for generating worker attributes.
+
+    Each context's sampling probabilities are computed once, on its first
+    draw, and kept until ``workers`` is assigned again; pickles leave them
+    out.
     """
 
     def __init__(self, n_workers: int = 120, rng: np.random.Generator | None = None):
@@ -59,6 +63,20 @@ class WorkerPopulation:
                     activity=activity,
                 )
             )
+
+    def __setattr__(self, name: str, value) -> None:
+        super().__setattr__(name, value)
+        if name == "workers":
+            super().__setattr__("_probs", {})
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_probs", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._probs = {}
 
     def __len__(self) -> int:
         return len(self.workers)
@@ -106,7 +124,9 @@ class WorkerPopulation:
             raise ValueError(
                 f"k must be in [1, {len(self.workers)}], got {k}"
             )
-        weights = np.array([w.activity[context] for w in self.workers])
-        probs = weights / weights.sum()
+        probs = self._probs.get(context)
+        if probs is None:
+            weights = np.array([w.activity[context] for w in self.workers])
+            probs = self._probs[context] = weights / weights.sum()
         chosen = rng.choice(len(self.workers), size=k, replace=False, p=probs)
         return [self.workers[int(i)] for i in chosen]

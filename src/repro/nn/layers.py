@@ -1,8 +1,17 @@
 """Neural-network layers with explicit forward/backward passes.
 
-All layers operate on float64 numpy arrays.  Convolutions use NCHW layout
-(batch, channels, height, width) and are implemented with im2col so the heavy
-lifting is one multiply of channel-major patches.  Each layer exposes:
+All layers operate on float64 numpy arrays.  Convolutions take and return
+arrays of logical NCHW shape (batch, channels, height, width) and are
+implemented with im2col so the heavy lifting is one multiply of
+channel-major patches.  Physically, conv outputs, the ReLUs after them
+and the gradients flowing back into them are NHWC: the forward GEMM writes
+``(N, OH, OW, O)`` rows and returns their NCHW-shaped transposed view,
+ReLU keeps that order, a max-pool's backward writes into its input's
+order and :func:`col2im` folds into an NHWC buffer, so ``Conv2D`` reads
+its output gradient as patch rows without a transposing copy.  No value
+depends on this: every GEMM sees the same layout as with NCHW memory,
+every fold adds the same terms in the same order, and Grad-CAM averages
+its gradient over a C-ordered copy.  Each layer exposes:
 
 - ``forward(x, training)`` — compute outputs; a training forward caches what
   backward needs, an inference forward clears those caches;
@@ -47,6 +56,10 @@ __all__ = [
 _FORWARD_CACHES = (
     "_cols", "_x_shape", "_mask", "_input", "_shape",
 )
+
+#: Patch-row bytes :func:`col2im` folds per chunk of images, so that its
+#: ``k * k`` strided passes over a chunk's rows stay in L2.
+_FOLD_CHUNK_BYTES = 1 << 20
 
 
 def _drop_forward_caches(state: dict) -> dict:
@@ -192,18 +205,28 @@ def col2im(
     stride: int,
     pad: int,
 ) -> np.ndarray:
-    """Fold patch rows (either memory order) into an NCHW gradient; inverse of :func:`im2col`."""
+    """Fold patch rows into an NCHW gradient; inverse of :func:`im2col`.
+
+    The rows (either memory order) fold into an ``(N, H+2p, W+2p, C)``
+    buffer, a chunk of images at a time, and the NCHW-shaped transposed
+    view of it is returned.  Each element sums the same terms in the same
+    ``(ky, kx)`` order as an NCHW fold.
+    """
     n, c, h, w = x_shape
     out_h = (h + 2 * pad - kernel) // stride + 1
     out_w = (w + 2 * pad - kernel) // stride + 1
-    cols = cols.reshape(n, out_h, out_w, c, kernel, kernel).transpose(0, 3, 4, 5, 1, 2)
-    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    for ky in range(kernel):
-        y_end = ky + stride * out_h
-        for kx in range(kernel):
-            x_end = kx + stride * out_w
-            padded[:, :, ky:y_end:stride, kx:x_end:stride] += cols[:, :, ky, kx, :, :]
-    return padded[:, :, pad : pad + h, pad : pad + w]
+    rows = cols.reshape(n, out_h, out_w, c, kernel, kernel)
+    padded = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=rows.dtype)
+    step = max(1, _FOLD_CHUNK_BYTES // (rows[0].size * rows.itemsize))
+    for start in range(0, n, step):
+        chunk = rows[start : start + step]
+        target = padded[start : start + step]
+        for ky in range(kernel):
+            y_end = ky + stride * out_h
+            for kx in range(kernel):
+                x_end = kx + stride * out_w
+                target[:, ky:y_end:stride, kx:x_end:stride] += chunk[..., ky, kx]
+    return padded[:, pad : pad + h, pad : pad + w].transpose(0, 3, 1, 2)
 
 
 class Conv2D(Layer):
@@ -213,6 +236,8 @@ class Conv2D(Layer):
     row-major copy where BLAS sums in a layout-dependent order (one output
     channel: gemv; under 2048 output elements: OpenBLAS small-matrix kernels).
     Grad-CAM's sums depend on the output's ``(N, OH, OW, O)`` memory order.
+    An output gradient in that order (what ReLU and ``MaxPool2D`` pass
+    back) is read as patch rows without a copy.
     """
 
     def __init__(
@@ -287,7 +312,8 @@ class MaxPool2D(Layer):
     ``_mask``; a window where nothing compares equal to its max (NaN)
     routes to position 0.  The backward sends ``grad`` to that position and
     ``grad * 0`` (a signed zero, or NaN for an infinite or NaN ``grad``) to
-    the others.
+    the others.  ``_mask`` takes the input's memory order (NHWC behind a
+    conv) and the backward writes the input gradient in the mask's order.
     """
 
     def __init__(self, size: int = 2) -> None:
@@ -310,8 +336,9 @@ class MaxPool2D(Layer):
             np.maximum(out, view, out=out)
         if training:
             # Walk the positions backwards so the first one holding the max
-            # is written last; NaN windows match nowhere and keep 0.
-            first = np.zeros(out.shape, dtype=np.min_scalar_type(len(views) - 1))
+            # is written last; NaN windows match nowhere and keep 0.  The
+            # mask takes the input's memory order, which backward writes.
+            first = np.zeros_like(views[0], dtype=np.min_scalar_type(len(views) - 1))
             for k in range(len(views) - 1, -1, -1):
                 np.copyto(first, k, where=views[k] == out)
             self._mask = first
@@ -325,10 +352,16 @@ class MaxPool2D(Layer):
         if self._mask is None or self._x_shape is None:
             raise RuntimeError("backward called before a training forward pass")
         s = self.size
-        out = np.empty(self._x_shape, dtype=np.result_type(bool, grad))
+        # The mask is read in the gradient's memory order, so each pass
+        # walks its operands in step.
+        mask = np.empty_like(grad, dtype=self._mask.dtype)
+        mask[...] = self._mask
+        out = np.empty_like(
+            self._mask, dtype=np.result_type(bool, grad), shape=self._x_shape
+        )
         for k in range(s * s):
             dy, dx = divmod(k, s)
-            np.multiply(self._mask == k, grad, out=out[:, :, dy::s, dx::s])
+            np.multiply(mask == k, grad, out=out[:, :, dy::s, dx::s])
         return out
 
 

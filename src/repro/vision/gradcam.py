@@ -78,7 +78,9 @@ class GradCAM:
             grad = layer.backward(grad)
 
         # Grad-CAM: weight each feature map by its average gradient, sum, ReLU.
-        weights = grad.mean(axis=(2, 3))  # (n, channels)
+        # The gradient arrives in the conv output's NHWC memory; the mean
+        # adds over a C-ordered copy, in NCHW order.
+        weights = np.ascontiguousarray(grad).mean(axis=(2, 3))  # (n, channels)
         cam = np.einsum("nc,nchw->nhw", weights, cached)
         np.clip(cam, 0.0, None, out=cam)
         maxes = cam.max(axis=(1, 2), keepdims=True)

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.models.vgg import VGGModel
+from repro.nn import layers
 from repro.nn.layers import (
     Conv2D,
     Dense,
@@ -285,3 +287,89 @@ class TestExpertShapeParity:
         layer.forward(np.zeros((n, c_in, side, side)), training=True)
         assert layer._cols.T.flags.c_contiguous and not layer._cols.flags.c_contiguous
 
+
+
+# Conv gradients stay in the NHWC memory order the conv GEMM writes: col2im
+# folds into an NHWC buffer a chunk of images at a time, and a max-pool's
+# backward writes into its input's order, so no layer makes a transposing
+# copy.  Values must not change.
+
+_FOLD_GEOMETRIES = [(c_in, side) for c_in, _, side in _EXPERT_CONVS + _FAST_CONVS]
+_FOLD_BATCHES = [1, 5, 12, 24, 32]
+_FOLD_STEPS = [(1, 1), (2, 1), (1, 0), (2, 0)]  # (stride, pad)
+
+
+def _fold_images(c_in: int, side: int, stride: int, pad: int) -> int:
+    """Images per fold chunk at this geometry."""
+    out = (side + 2 * pad - 3) // stride + 1
+    return max(1, layers._FOLD_CHUNK_BYTES // (out * out * c_in * 9 * 8))
+
+
+def _is_nhwc(grad: np.ndarray) -> bool:
+    """Whether ``grad``'s memory runs channel-fastest, then width, then height."""
+    nhwc = grad.transpose(0, 2, 3, 1)
+    return nhwc.strides[3] == grad.itemsize and nhwc.strides[2] == nhwc.shape[3] * grad.itemsize
+
+
+class TestNHWCGradients:
+    @pytest.mark.parametrize("stride, pad", _FOLD_STEPS)
+    @pytest.mark.parametrize("n", _FOLD_BATCHES)
+    @pytest.mark.parametrize("c_in, side", _FOLD_GEOMETRIES)
+    def test_col2im_matches_the_nchw_fold(self, c_in, side, n, stride, pad):
+        rng = np.random.default_rng(1000 * c_in + 10 * side + n)
+        x_shape = (n, c_in, side, side)
+        out = (side + 2 * pad - 3) // stride + 1
+        grad_cols = rng.normal(size=(n * out * out, c_in * 9))
+        folded = col2im(grad_cols, x_shape, 3, stride, pad)
+        assert same_bytes(folded, _reference_col2im(grad_cols, x_shape, 3, stride, pad))
+        assert _is_nhwc(folded)
+
+    def test_fold_chunks_split_the_batches(self):
+        """Chunk boundaries fall inside the batches above, some raggedly.
+
+        Every expert geometry folds some batch in several chunks, and so
+        does some geometry at each other stride and pad.
+        """
+        for c_in, side in _FOLD_GEOMETRIES:
+            assert max(_FOLD_BATCHES) > _fold_images(c_in, side, 1, 1)
+        for stride, pad in _FOLD_STEPS:
+            steps = [_fold_images(c_in, side, stride, pad) for c_in, side in _FOLD_GEOMETRIES]
+            assert any(n > step and n % step for n in _FOLD_BATCHES for step in steps)
+
+    @pytest.mark.parametrize("nhwc", [True, False])
+    @pytest.mark.parametrize("n, c, side", [(5, 4, 32), (12, 8, 16), (1, 3, 8)])
+    def test_max_pool_backward_follows_its_input(self, n, c, side, nhwc):
+        rng = np.random.default_rng(n * c + side)
+        x = awkward(rng, (n, c, side, side))
+        if nhwc:
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        new, old = MaxPool2D(2), nn_oracle.MaxPool2D(2)
+        out = new.forward(x, training=True)
+        old.forward(x, training=True)
+        grad = awkward(rng, out.shape)
+        back = new.backward(grad)
+        assert same_bytes(np.ascontiguousarray(back), old.backward(grad))
+        assert back.strides == x.strides
+
+    @pytest.mark.parametrize("n", [5, 12])
+    @pytest.mark.parametrize("width", [4, 8])
+    def test_conv_reads_its_gradient_without_a_copy(self, width, n):
+        """In the VGG stack every conv reads its NHWC gradient as rows in place."""
+        vgg = VGGModel(width=width)
+        vgg._build(np.random.default_rng(width))
+        net = vgg.model.layers
+        rng = np.random.default_rng(n)
+        logits = vgg.model.forward(rng.normal(size=(n, 3, 32, 32)), training=True)
+        grad = rng.normal(size=logits.shape)
+        convs = [i for i, layer in enumerate(net) if isinstance(layer, Conv2D)]
+        for i in range(len(net) - 1, convs[0], -1):
+            if i in convs:
+                assert _is_nhwc(grad)
+                assert np.shares_memory(net[i]._accumulate(grad), grad)
+            grad = net[i].backward(grad)
+        assert np.shares_memory(net[convs[0]]._accumulate(grad), grad)
+
+    @pytest.mark.parametrize("width", [4, 12])
+    def test_ddm_heatmap_masses_at_full_batches(self, width):
+        """Grad-CAM's NHWC gradient at a 32-image batch: the same bytes."""
+        TestExpertShapeParity().test_ddm_heatmap_masses_and_logits(width, 32)
