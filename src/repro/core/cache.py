@@ -17,15 +17,19 @@ directly.  Two kinds of work do repeat, and each has its own memo:
   see the same images encode them once.  Its lookups are the
   ``feature_*`` counters.
 
-Neither memo crosses a process: a pickled or copied memo starts empty,
-counters included (a resumed process restarts the version counter, so a
-kept entry could alias a new parameter state).  :class:`MemoCounters`
+Neither memo crosses a process: a pickled memo starts empty, counters
+included (a resumed process restarts the version counter, so a kept entry
+could alias a new parameter state).  A deep copy stays in the process, so
+a copied feature store keeps its entries (a cloned committee need not
+re-encode the images its base encoded at fit) with fresh counters; the
+guard's score memo starts empty when copied.  :class:`MemoCounters`
 sums both kinds of counters for ``system.cache``/``service.cache`` and
 the ``cache_*`` telemetry counters.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Any, Hashable, Iterable
@@ -61,10 +65,13 @@ class BoundedCache:
     *read-only* by convention — hits return the stored array itself, so a
     caller must never mutate what it gets back.
 
-    Pickling (and copying) keeps the capacity but **drops the entries and
-    counters**: cached arrays are pure derived state, and carrying them
-    into another process (where the version counter restarts) could alias
-    keys.
+    Copies keep, pickles drop.  ``copy.deepcopy`` copies the entries (their
+    recency order too) with zeroed counters: the copy lives in the same
+    process, where keys cannot alias, and it is a store of its own, so
+    what the copy encodes later never reaches the original.  Pickling
+    keeps the capacity but **drops the entries and counters**: cached
+    arrays are pure derived state, and carrying them into another process
+    (where the version counter restarts) could alias keys.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -98,6 +105,12 @@ class BoundedCache:
         while len(self._data) > self.capacity:
             self._data.popitem(last=False)
             self.stats.evictions += 1
+
+    def __deepcopy__(self, memo: dict[int, Any]) -> "BoundedCache":
+        copied = BoundedCache(self.capacity)
+        memo[id(self)] = copied
+        copied._data = copy.deepcopy(self._data, memo)
+        return copied
 
     def __getstate__(self) -> dict[str, Any]:
         state = self.__dict__.copy()

@@ -74,12 +74,19 @@ def _add_cracks(
         y = int(rng.integers(size // 2, size - 1))
         x = int(rng.integers(0, size))
         length = int(rng.integers(size // 4, size))
-        for _ in range(length):
-            canvas[y, x, :] *= 1.0 - darkness
-            y += int(rng.integers(-1, 2))
-            x += int(rng.integers(-1, 2))
-            y = min(max(y, size // 2), size - 1)
-            x = min(max(x, 0), size - 1)
+        # One (dy, dx) step per visited pixel, drawn in one call (the same
+        # stream as a dy draw then a dx draw per step); the last step is
+        # drawn and not taken.
+        steps = rng.integers(-1, 2, size=(length, 2)).tolist()
+        ys, xs = [], []
+        for dy, dx in steps:
+            ys.append(y)
+            xs.append(x)
+            y = min(max(y + dy, size // 2), size - 1)
+            x = min(max(x + dx, 0), size - 1)
+        # Unbuffered: a pixel the walk revisits is darkened once per visit,
+        # in visit order.
+        np.multiply.at(canvas, (ys, xs), 1.0 - darkness)
 
 
 def _add_rubble(

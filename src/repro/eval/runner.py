@@ -101,7 +101,10 @@ class ExperimentSetup:
         """An independent deep copy of the trained committee.
 
         Schemes that mutate their models (CrowdLearn, Hybrid-AL) each get
-        their own copy so runs do not contaminate one another.
+        their own copy so runs do not contaminate one another.  The BoVW
+        expert's copy keeps the features of the training images the base
+        encoded at fit, in a feature store of its own (see
+        :class:`~repro.core.cache.BoundedCache`).
         """
         return copy.deepcopy(self.base_committee)
 

@@ -275,7 +275,10 @@ class Conv2D(Layer):
         self._cols = cols if training else None
         self._x_shape = x.shape if training else None
         out = cols @ self.weight.reshape(out_channels, -1).T
-        out += self.bias
+        # One add per image row of OH*OW*O values: ``out += bias`` would run
+        # numpy's inner loop over only O channels at a time.
+        rows = out.reshape(x.shape[0], -1)
+        rows += np.tile(self.bias, out_h * out_w)
         return out.reshape(x.shape[0], out_h, out_w, out_channels).transpose(0, 3, 1, 2)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -308,9 +311,10 @@ class MaxPool2D(Layer):
 
     The forward folds the window's ``s * s`` strided views together with
     ``np.maximum``.  A training forward records, per output, the first
-    window position (row-major) holding the max as a small int array in
-    ``_mask``; a window where nothing compares equal to its max (NaN)
-    routes to position 0.  The backward sends ``grad`` to that position and
+    window position (row-major) holding the max as a small unsigned int
+    array in ``_mask``, built with unsigned arithmetic (no masked writes);
+    a window where nothing compares equal to its max (NaN) routes to
+    position 0.  The backward sends ``grad`` to that position and
     ``grad * 0`` (a signed zero, or NaN for an infinite or NaN ``grad``) to
     the others.  ``_mask`` takes the input's memory order (NHWC behind a
     conv) and the backward writes the input gradient in the mask's order.
@@ -336,11 +340,13 @@ class MaxPool2D(Layer):
             np.maximum(out, view, out=out)
         if training:
             # Walk the positions backwards so the first one holding the max
-            # is written last; NaN windows match nowhere and keep 0.  The
-            # mask takes the input's memory order, which backward writes.
+            # is written last: where position k matches, the wrapping
+            # unsigned add sets ``first`` to k; NaN windows match nowhere
+            # and keep 0.  The mask takes the input's memory order, which
+            # backward writes.
             first = np.zeros_like(views[0], dtype=np.min_scalar_type(len(views) - 1))
             for k in range(len(views) - 1, -1, -1):
-                np.copyto(first, k, where=views[k] == out)
+                first += (k - first) * (views[k] == out)
             self._mask = first
             self._x_shape = x.shape
         else:

@@ -41,6 +41,20 @@ def _to_gray_batch(images: np.ndarray) -> np.ndarray:
     )
 
 
+def _unsigned_orientation(gy: np.ndarray, gx: np.ndarray) -> np.ndarray:
+    """``np.arctan2(gy, gx) % np.pi``, bit for bit, without ``np.remainder``.
+
+    ``arctan2`` returns angles in ``[-pi, pi]`` or NaN.  The remainder adds
+    ``pi`` to a negative angle (``-pi`` gives ``+0.0``; a tiny negative
+    rounds up to ``pi``), maps ``pi`` and both zeros to ``+0.0`` and keeps
+    the rest; ``+ 0.0`` turns ``-0.0`` into ``+0.0``.
+    """
+    angle = np.arctan2(gy, gx)
+    return np.where(
+        angle < 0, angle + np.pi, np.where(angle == np.pi, 0.0, angle + 0.0)
+    )
+
+
 def gradient_magnitude_orientation(
     image: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -58,7 +72,7 @@ def gradient_magnitude_orientation(
     gy[0, :] = gray[1, :] - gray[0, :]
     gy[-1, :] = gray[-1, :] - gray[-2, :]
     magnitude = np.hypot(gx, gy)
-    orientation = np.arctan2(gy, gx) % np.pi  # unsigned orientation
+    orientation = _unsigned_orientation(gy, gx)
     return magnitude, orientation
 
 
@@ -81,7 +95,7 @@ def batch_gradient_magnitude_orientation(
     gy[:, 0, :] = gray[:, 1, :] - gray[:, 0, :]
     gy[:, -1, :] = gray[:, -1, :] - gray[:, -2, :]
     magnitude = np.hypot(gx, gy)
-    orientation = np.arctan2(gy, gx) % np.pi
+    orientation = _unsigned_orientation(gy, gx)
     return magnitude, orientation
 
 

@@ -373,3 +373,160 @@ class TestNHWCGradients:
     def test_ddm_heatmap_masses_at_full_batches(self, width):
         """Grad-CAM's NHWC gradient at a 32-image batch: the same bytes."""
         TestExpertShapeParity().test_ddm_heatmap_masses_and_logits(width, 32)
+
+
+# The max-pool mask is built with wrapping unsigned arithmetic and the conv
+# bias is added over whole output rows.  The copies below are the forms they
+# replaced (masked ``np.copyto`` writes; ``out += bias`` over O channels at a
+# time), and the bytes, dtypes and strides must not change.
+
+
+class _CopytoMaxPool2D(MaxPool2D):
+    """``MaxPool2D`` with its mask built by masked ``np.copyto`` writes."""
+
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        s = self.size
+        views = [x[:, :, dy::s, dx::s] for dy in range(s) for dx in range(s)]
+        out = views[0].copy()
+        for view in views[1:]:
+            np.maximum(out, view, out=out)
+        if training:
+            first = np.zeros_like(views[0], dtype=np.min_scalar_type(len(views) - 1))
+            for k in range(len(views) - 1, -1, -1):
+                np.copyto(first, k, where=views[k] == out)
+            self._mask = first
+            self._x_shape = x.shape
+        else:
+            self._mask = None
+            self._x_shape = None
+        return out
+
+
+class _BroadcastBiasConv2D(Conv2D):
+    """``Conv2D`` adding its bias with ``out += bias``."""
+
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        cols, out_h, out_w = im2col(x, self.kernel, self.stride, self.pad)
+        out_channels = self.weight.shape[0]
+        if x.shape[0] > 1 and (out_channels == 1 or len(cols) * out_channels < 2048):
+            cols = np.ascontiguousarray(cols)
+        self._cols = cols if training else None
+        self._x_shape = x.shape if training else None
+        out = cols @ self.weight.reshape(out_channels, -1).T
+        out += self.bias
+        return out.reshape(x.shape[0], out_h, out_w, out_channels).transpose(0, 3, 1, 2)
+
+
+def _nhwc(x: np.ndarray) -> np.ndarray:
+    """``x`` with NHWC memory, as a conv's activations are."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def _assert_same_pool(x: np.ndarray, s: int, grad: np.ndarray) -> None:
+    new, old = MaxPool2D(s), _CopytoMaxPool2D(s)
+    assert same_bytes(new.forward(x, training=True), old.forward(x, training=True))
+    assert same_bytes(new._mask, old._mask)
+    assert new._mask.strides == old._mask.strides
+    back, expected = new.backward(grad), old.backward(grad)
+    assert same_bytes(back, expected) and back.strides == expected.strides
+
+
+class TestPoolMaskParity:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 3]),
+        st.integers(1, 3),  # batch
+        st.integers(1, 3),  # channels
+        st.integers(1, 4),  # output height
+        st.integers(1, 4),  # output width
+        st.booleans(),  # NHWC memory
+    )
+    def test_mask_and_backward(self, seed, s, n, c, oh, ow, nhwc):
+        rng = np.random.default_rng(seed)
+        x = awkward(rng, (n, c, oh * s, ow * s))
+        _assert_same_pool(_nhwc(x) if nhwc else x, s, awkward(rng, (n, c, oh, ow)))
+
+    @pytest.mark.parametrize("nhwc", [False, True])
+    def test_ties_nan_windows_and_signed_zeros(self, nhwc):
+        """One 2x2 window per channel, each routing to a known position."""
+        windows = {
+            (1.0, 1.0, 1.0, 1.0): 0,  # a four-way tie routes to the first
+            (0.0, 2.0, 1.0, 2.0): 1,  # a tie after the first position
+            (0.0, 1.0, 3.0, 3.0): 2,
+            (-1.0, -2.0, -3.0, 0.5): 3,
+            (-0.0, 0.0, -0.0, 0.0): 0,  # signed zeros compare equal
+            (-1.0, -0.0, 0.0, -2.0): 1,
+            (np.nan, 1.0, 2.0, 3.0): 0,  # NaN windows match nowhere
+            (1.0, 2.0, np.nan, 3.0): 0,
+            (-np.inf, -np.inf, -np.inf, -np.inf): 0,
+            (1.0, np.inf, 2.0, np.inf): 1,
+        }
+        x = np.array(list(windows)).reshape(1, len(windows), 2, 2)
+        if nhwc:
+            x = _nhwc(x)
+        pool = MaxPool2D(2)
+        pool.forward(x, training=True)
+        assert pool._mask.dtype == np.uint8
+        assert pool._mask.ravel().tolist() == list(windows.values())
+        grad = np.arange(1.0, len(windows) + 1).reshape(1, -1, 1, 1)
+        _assert_same_pool(x, 2, grad)
+
+    @pytest.mark.parametrize("s, dtype", [(16, np.uint8), (17, np.uint16)])
+    def test_widest_masks(self, s, dtype):
+        """Position 255 is the last a uint8 mask holds; 17 x 17 needs uint16."""
+        rng = np.random.default_rng(s)
+        x = np.round(rng.normal(size=(2, 2, s, 2 * s)))
+        x[0, 0, -1, s - 1] = 99.0  # the first window's last position
+        pool = MaxPool2D(s)
+        pool.forward(x, training=True)
+        assert pool._mask.dtype == dtype and pool._mask[0, 0, 0, 0] == s * s - 1
+        _assert_same_pool(x, s, rng.normal(size=(2, 2, 1, 2)))
+
+
+def _biased_convs(
+    c_in: int, c_out: int, seed: int, bias: np.ndarray, **geometry
+) -> tuple[Conv2D, Conv2D]:
+    """The live conv and the broadcast-bias copy, both with ``bias``."""
+    new = Conv2D(c_in, c_out, 3, np.random.default_rng(seed), **geometry)
+    old = _BroadcastBiasConv2D(c_in, c_out, 3, np.random.default_rng(seed), **geometry)
+    new.bias[...] = bias
+    old.bias[...] = bias
+    return new, old
+
+
+class TestConvBiasParity:
+    @pytest.mark.parametrize("n", _FOLD_BATCHES)
+    @pytest.mark.parametrize("c_in, c_out, side", _EXPERT_CONVS + _FAST_CONVS)
+    def test_expert_forward_bytes(self, c_in, c_out, side, n):
+        rng = np.random.default_rng(1000 * c_out + 10 * side + n)
+        x = rng.normal(size=(n, c_in, side, side))
+        new, old = _biased_convs(c_in, c_out, n, rng.normal(size=c_out), pad=1)
+        for training in (False, True):
+            a, b = new.forward(x, training), old.forward(x, training)
+            assert same_bytes(a, b) and a.strides == b.strides
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 3),  # batch
+        st.integers(1, 3),  # in channels
+        st.integers(1, 5),  # out channels
+        st.integers(3, 7),  # side
+        st.sampled_from([1, 2]),  # stride
+        st.sampled_from([0, 1]),  # pad
+    )
+    def test_forward_bytes_on_awkward_values(self, seed, n, c_in, c_out, side, stride, pad):
+        rng = np.random.default_rng(seed)
+        x = awkward(rng, (n, c_in, side, side))
+        bias = awkward(rng, (c_out,))
+        new, old = _biased_convs(c_in, c_out, seed, bias, stride=stride, pad=pad)
+        a, b = new.forward(x), old.forward(x)
+        if c_out == 1 and np.isnan(bias[0]):
+            # NaN + NaN keeps one operand's NaN, and numpy's loop for the
+            # old stride-0 broadcast of a one-channel bias kept the bias's,
+            # the row add keeps the product's: only NaN signs can differ.
+            # No expert has a one-channel conv.
+            assert np.isnan(a).all() and np.isnan(b).all()
+        else:
+            assert same_bytes(a, b)

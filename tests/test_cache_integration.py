@@ -9,12 +9,14 @@ expert swap-in or a process restart.
 
 from __future__ import annotations
 
+import copy
 import pickle
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.core.cache import CacheStats
 from repro.core.committee import Committee
 from repro.core.guards import GuardCounters, GuardPolicy, ModelGuard
 from repro.data.dataset import build_dataset
@@ -322,3 +324,74 @@ class TestBoundedFeatureStore:
         model.predict_proba(small_dataset)
         assert model.feature_store is shared
         assert len(shared) <= 16
+
+
+def _bovw(committee) -> BoVWModel:
+    (expert,) = [e for e in committee.experts if isinstance(e, BoVWModel)]
+    return expert
+
+
+class TestClonesKeepFeatures:
+    """Copies keep a fitted BoVW expert's features; pickles drop them."""
+
+    def test_fitted_model_and_committee_copies_keep_entries(self, small_dataset, rng):
+        model = BoVWModel(vocabulary_size=8, hidden=4, epochs=1)
+        model.fit(small_dataset.subset(list(range(40))), rng)
+        model.predict_proba(small_dataset.subset(list(range(10))))
+        assert model.feature_store.stats.hits > 0
+        for clone in (copy.deepcopy(model), _bovw(copy.deepcopy(Committee([model])))):
+            assert clone.feature_store is not model.feature_store
+            assert len(clone.feature_store) == len(model.feature_store) == 40
+            assert clone.feature_store.stats == CacheStats()
+            assert clone.feature_version == model.feature_version
+        assert len(pickle.loads(pickle.dumps(model)).feature_store) == 0
+
+    def test_deployment_first_cycle_misses_only_its_new_images(self, setup):
+        """The guard holdout and the replay pool come from the training set
+        the base committee encoded at fit, so only the cycle's own images
+        are encoded."""
+        system = build_crowdlearn(setup, platform_name="clone-features")
+        store = _bovw(system.committee).feature_store
+        version = _bovw(system.committee).feature_version
+        for image in list(system.guards.holdout) + list(setup.train_set):
+            assert (version, image.image_id) in store
+        cycle = setup.make_stream("clone-features").cycle(0)
+        system.run_cycle(cycle)
+        stats = system.cache.stats()
+        assert stats["feature_misses"] == len(cycle.images)
+        assert stats["feature_hits"] > 0
+
+    def test_second_deployment_encodes_its_own_votes(self, setup):
+        """Each clone copies the base's store, never another clone's: a
+        second deployment on the same world misses on its first vote."""
+        first = build_crowdlearn(setup, platform_name="clone-first")
+        first.run(setup.make_stream("clone-first"))
+        base_store = _bovw(setup.base_committee).feature_store
+        assert len(base_store) == len(setup.train_set)
+        second = build_crowdlearn(setup, platform_name="clone-first")
+        cycle = setup.make_stream("clone-first").cycle(0)
+        expert = _bovw(second.committee)
+        for image in cycle.images:
+            assert (expert.feature_version, image.image_id) in _bovw(
+                first.committee
+            ).feature_store
+            assert (expert.feature_version, image.image_id) not in expert.feature_store
+        second.run_cycle(cycle)
+        assert second.cache.stats()["feature_misses"] == len(cycle.images)
+
+    def test_fleet_events_still_share_one_store(self, setup):
+        """The serving layer swaps each event's copied store for the
+        fleet's one shared store; the base committee's store is untouched."""
+        from repro.serve import CrowdLearnService
+
+        service = CrowdLearnService(setup)
+        service.submit_event("one")
+        service.submit_event("two")
+        for event_id in ("one", "two"):
+            system = service.registry.get(event_id).system
+            assert _bovw(system.committee).feature_store is service.features
+        base_store = _bovw(setup.base_committee).feature_store
+        base_entries = len(base_store)
+        service.drain()
+        assert service.features.stats.hits > 0
+        assert len(base_store) == base_entries

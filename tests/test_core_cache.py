@@ -4,12 +4,13 @@ view."""
 
 from __future__ import annotations
 
+import copy
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.core.cache import BoundedCache, MemoCounters, feature_stores
+from repro.core.cache import BoundedCache, CacheStats, MemoCounters, feature_stores
 from repro.core.guards import GuardPolicy, ModelGuard
 from repro.data.dataset import build_dataset
 from repro.models.base import next_model_version
@@ -87,6 +88,32 @@ class TestBoundedCache:
         assert cache.get("a") is not None
         clone.put("b", 2)
         assert clone.get("b") == 2
+
+    def test_deepcopy_keeps_entries_with_fresh_counters(self):
+        cache = BoundedCache(2)
+        cache.put("a", np.arange(3))
+        cache.put("b", np.arange(2))
+        cache.get("a")  # refresh "a": "b" becomes least recent
+        cache.get("missing")
+        clone = copy.deepcopy(cache)
+        assert len(clone) == 2 and clone.capacity == 2
+        assert clone.stats == CacheStats()  # counters start at zero
+        # Recency order is copied: "b" is still the one evicted first.
+        clone.put("c", 3)
+        assert "b" not in clone and "a" in clone
+        np.testing.assert_array_equal(clone.get("a"), np.arange(3))
+        # A store of its own: the copy's puts, evictions and lookups never
+        # reach the original, and its arrays are copies.
+        assert "b" in cache and "c" not in cache
+        assert cache.stats == CacheStats(hits=1, misses=1)
+        assert clone.get("a") is not cache.get("a")
+
+    def test_deepcopy_keeps_one_store_shared_by_two_holders(self):
+        cache = BoundedCache(4)
+        cache.put("a", 1)
+        first, second = copy.deepcopy([cache, cache])
+        assert first is second and first is not cache
+        assert first.get("a") == 1
 
 
 class TestPredictionCache:

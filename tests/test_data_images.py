@@ -1,8 +1,12 @@
 """Tests for repro.data.images — the synthetic scene renderer."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.data import images
+from repro.data.dataset import build_dataset
 from repro.data.images import IMAGE_SIZE, render_scene
 from repro.data.metadata import DamageLabel, SceneType
 
@@ -91,3 +95,39 @@ class TestRenderScene:
             ]
         )
         assert severe < intact
+
+
+def _stepwise_cracks(canvas, rng, n_cracks, darkness):
+    """``_add_cracks`` as it drew two scalar steps per pixel of the walk."""
+    size = canvas.shape[0]
+    for _ in range(n_cracks):
+        y = int(rng.integers(size // 2, size - 1))
+        x = int(rng.integers(0, size))
+        length = int(rng.integers(size // 4, size))
+        for _ in range(length):
+            canvas[y, x, :] *= 1.0 - darkness
+            y += int(rng.integers(-1, 2))
+            x += int(rng.integers(-1, 2))
+            y = min(max(y, size // 2), size - 1)
+            x = min(max(x, 0), size - 1)
+
+
+class TestCrackWalk:
+    @pytest.mark.parametrize("n_images", [180, 960])  # fast and paper worlds
+    def test_dataset_pixels_match_the_stepwise_walk(self, n_images, monkeypatch):
+        def pixels() -> bytes:
+            dataset = build_dataset(n_images, rng=np.random.default_rng(n_images))
+            return np.ascontiguousarray(dataset.pixels_hwc()).tobytes()
+
+        current = pixels()
+        monkeypatch.setattr(images, "_add_cracks", _stepwise_cracks)
+        assert hashlib.sha256(current).digest() == hashlib.sha256(pixels()).digest()
+
+    def test_revisited_pixels_darken_once_per_visit(self):
+        """A walk pinned in a corner revisits pixels; each visit multiplies."""
+        for seed in range(20):
+            canvas = np.ones((8, 8, 3))
+            expected = canvas.copy()
+            images._add_cracks(canvas, np.random.default_rng(seed), 3, 0.3)
+            _stepwise_cracks(expected, np.random.default_rng(seed), 3, 0.3)
+            assert canvas.tobytes() == expected.tobytes()
