@@ -45,7 +45,23 @@ import sys
 import time
 from typing import Callable
 
+from repro.utils.validation import check_integer
+
 __all__ = ["main", "build_parser"]
+
+
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type``: an integer >= ``minimum``, else exit 2."""
+
+    def parse(text: str) -> int:
+        try:
+            return check_integer(int(text), minimum=minimum)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {minimum}, got {text!r}"
+            ) from None
+
+    return parse
 
 
 def _prepare(args):
@@ -155,7 +171,7 @@ def cmd_run(args) -> int:
             overrides["scheduler_enabled"] = True
         if args.warm_start:
             overrides["mic_warm_start"] = True
-        if args.cycles:
+        if args.cycles is not None:
             overrides["n_cycles"] = args.cycles
         if overrides:
             setup.config = dataclasses.replace(setup.config, **overrides)
@@ -237,7 +253,7 @@ def cmd_supervise(args) -> int:
         argv.append("--full")
     if args.scheduler:
         argv.append("--scheduler")
-    if args.cycles:
+    if args.cycles is not None:
         argv += ["--cycles", str(args.cycles)]
     if args.digest_file:
         argv += ["--digest-file", args.digest_file]
@@ -332,7 +348,7 @@ def cmd_chaos(args) -> int:
     # Each chaos mode reads only its own flags; any other is a usage error.
     if args.crash:
         mode, used = "--crash", {"--cycles", "--crash-at"}
-    elif args.workers:
+    elif args.workers is not None:
         mode, used = "--workers", {"--workers"}
     else:
         mode, used = "the serial sweep", {"--scheduler"}
@@ -357,11 +373,11 @@ def cmd_chaos(args) -> int:
             kwargs["crash_specs"] = tuple(args.crash_at)
         return run_crash_chaos(
             seed=args.seed,
-            cycles=args.cycles or 3,
+            cycles=3 if args.cycles is None else args.cycles,
             full=args.full,
             **kwargs,
         )
-    if args.workers:
+    if args.workers is not None:
         return _cmd_chaos_parallel(args)
     from repro.eval.experiments import run_chaos, run_guard_chaos
 
@@ -754,7 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if name in ("run", "supervise", "chaos"):
             sub.add_argument(
-                "--cycles", type=int, metavar="N",
+                "--cycles", type=_int_at_least(1), metavar="N",
                 help="trim the deployment to N sensing cycles",
             )
             sub.add_argument(
@@ -791,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if name == "chaos":
             sub.add_argument(
-                "--workers", type=int, metavar="N",
+                "--workers", type=_int_at_least(1), metavar="N",
                 help="run the intensity arms across N worker processes",
             )
             sub.add_argument(
@@ -802,11 +818,11 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if name in ("serve", "loadgen"):
             sub.add_argument(
-                "--events", type=int, default=3, metavar="N",
+                "--events", type=_int_at_least(1), default=3, metavar="N",
                 help="number of concurrent disaster events (default 3)",
             )
             sub.add_argument(
-                "--capacity", type=int, metavar="N",
+                "--capacity", type=_int_at_least(0), metavar="N",
                 help="shared crowd capacity in query slots per sensing "
                      "window across all events (serve default: unmetered; "
                      "loadgen default: half the fleet's demand)",
@@ -817,7 +833,8 @@ def build_parser() -> argparse.ArgumentParser:
                 help="admission policy splitting window capacity",
             )
             sub.add_argument(
-                "--max-backlog", type=int, metavar="N", dest="max_backlog",
+                "--max-backlog", type=_int_at_least(0), metavar="N",
+                dest="max_backlog",
                 help="per-event deferred-query bound; overflow is shed "
                      "(default: unbounded)",
             )
@@ -890,7 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "(default benchmarks/results/BENCH_cycle.json)",
             )
             sub.add_argument(
-                "--repeats", type=int, default=3,
+                "--repeats", type=_int_at_least(1), default=3,
                 help="best-of repeats for the holdout-scoring timing, and "
                      "journaled runs the overhead median is taken over",
             )

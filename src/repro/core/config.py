@@ -14,12 +14,29 @@ from dataclasses import dataclass
 from repro.crowd.delay import INCENTIVE_LEVELS
 from repro.utils.clock import SECONDS_PER_CYCLE
 from repro.utils.validation import (
+    check_integer,
     check_non_negative,
     check_positive,
     check_probability,
 )
 
 __all__ = ["CrowdLearnConfig"]
+
+#: The smallest value of each ``int`` field of :class:`CrowdLearnConfig`.
+_INT_FIELD_MINIMUMS = {
+    "n_cycles": 1,
+    "images_per_cycle": 1,
+    "cycles_per_context": 1,
+    "workers_per_query": 1,
+    "n_workers": 1,
+    "mic_replay_size": 0,
+    "mic_replay_buffer": 1,
+    "mic_warm_replay_sample": 0,
+    "mic_full_refit_every": 0,
+    "mic_warm_epochs": 1,
+    "straggler_max_cycles": 1,
+    "pilot_queries_per_cell": 1,
+}
 
 
 @dataclass(frozen=True)
@@ -81,47 +98,21 @@ class CrowdLearnConfig:
     pilot_queries_per_cell: int = 20
 
     def __post_init__(self) -> None:
-        if self.n_cycles <= 0 or self.images_per_cycle <= 0:
-            raise ValueError("cycle structure sizes must be positive")
-        if self.cycles_per_context <= 0:
-            raise ValueError("cycles_per_context must be positive")
+        for name, minimum in _INT_FIELD_MINIMUMS.items():
+            check_integer(getattr(self, name), name, minimum)
         check_probability(self.query_fraction, "query_fraction")
         check_probability(self.qss_epsilon, "qss_epsilon")
-        if self.workers_per_query <= 0 or self.n_workers <= 0:
-            raise ValueError("worker counts must be positive")
         if not self.incentive_levels:
             raise ValueError("incentive_levels must be non-empty")
         for level in self.incentive_levels:
             check_positive(level, "incentive_levels")
         check_positive(self.budget_usd, "budget_usd")
         check_non_negative(self.mic_eta, "mic_eta")
-        if self.mic_replay_buffer <= 0:
-            raise ValueError(
-                f"mic_replay_buffer must be positive, got {self.mic_replay_buffer}"
-            )
-        if self.mic_warm_replay_sample < 0:
-            raise ValueError(
-                "mic_warm_replay_sample must be >= 0, "
-                f"got {self.mic_warm_replay_sample}"
-            )
-        if self.mic_full_refit_every < 0:
-            raise ValueError(
-                "mic_full_refit_every must be >= 0, "
-                f"got {self.mic_full_refit_every}"
-            )
-        if self.mic_warm_epochs <= 0:
-            raise ValueError(
-                f"mic_warm_epochs must be positive, got {self.mic_warm_epochs}"
-            )
         check_positive(self.cycle_seconds, "cycle_seconds")
         if self.straggler_policy not in ("harvest", "drop"):
             raise ValueError(
                 "straggler_policy must be 'harvest' or 'drop', "
                 f"got {self.straggler_policy!r}"
-            )
-        if self.straggler_max_cycles <= 0:
-            raise ValueError(
-                f"straggler_max_cycles must be positive, got {self.straggler_max_cycles}"
             )
 
     @property

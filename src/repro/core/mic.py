@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.committee import Committee
 from repro.data.dataset import DisasterDataset, DisasterImage
 from repro.metrics.information import batch_bounded_divergence
-from repro.utils.validation import check_non_negative
+from repro.utils.validation import check_integer, check_non_negative
 
 __all__ = ["MachineIntelligenceCalibrator", "ReplayBuffer"]
 
@@ -121,18 +121,11 @@ class MachineIntelligenceCalibrator:
         warm_epochs: int = 1,
     ) -> None:
         check_non_negative(eta, "eta")
-        if replay_size < 0:
-            raise ValueError(f"replay_size must be >= 0, got {replay_size}")
-        if warm_replay_sample < 0:
-            raise ValueError(
-                f"warm_replay_sample must be >= 0, got {warm_replay_sample}"
-            )
-        if full_refit_every < 0:
-            raise ValueError(
-                f"full_refit_every must be >= 0, got {full_refit_every}"
-            )
-        if warm_epochs <= 0:
-            raise ValueError(f"warm_epochs must be positive, got {warm_epochs}")
+        check_integer(replay_size, "replay_size", 0)
+        check_integer(replay_buffer, "replay_buffer", 1)
+        check_integer(warm_replay_sample, "warm_replay_sample", 0)
+        check_integer(full_refit_every, "full_refit_every", 0)
+        check_integer(warm_epochs, "warm_epochs", 1)
         self.eta = eta
         self.replay_size = replay_size
         self.retrain = retrain

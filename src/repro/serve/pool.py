@@ -43,6 +43,7 @@ from repro.serve.admission import (
     FairSharePolicy,
     create_admission_policy,
 )
+from repro.utils.validation import check_integer
 
 __all__ = ["EventLedger", "AdmissionDecision", "SharedCrowdPool"]
 
@@ -126,15 +127,10 @@ class SharedCrowdPool:
     ledgers: dict[str, EventLedger] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.capacity_per_cycle is not None and self.capacity_per_cycle < 0:
-            raise ValueError(
-                f"capacity_per_cycle must be >= 0, got "
-                f"{self.capacity_per_cycle}"
-            )
-        if self.max_backlog is not None and self.max_backlog < 0:
-            raise ValueError(
-                f"max_backlog must be >= 0, got {self.max_backlog}"
-            )
+        if self.capacity_per_cycle is not None:
+            check_integer(self.capacity_per_cycle, "capacity_per_cycle")
+        if self.max_backlog is not None:
+            check_integer(self.max_backlog, "max_backlog")
 
     @property
     def metered(self) -> bool:

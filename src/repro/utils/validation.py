@@ -8,11 +8,13 @@ boundary instead of deep inside numpy broadcasting.
 from __future__ import annotations
 
 import math
+import operator
 
 __all__ = [
     "check_probability",
     "check_positive",
     "check_non_negative",
+    "check_integer",
     "check_in_range",
 ]
 
@@ -39,6 +41,23 @@ def check_non_negative(value: float, name: str = "value") -> float:
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
     return value
+
+
+def check_integer(value: int, name: str = "value", minimum: int = 0) -> int:
+    """Validate that ``value`` is an integer >= ``minimum``; return it.
+
+    Python and numpy integers pass.  Floats (NaN, ±inf and integral ones
+    alike), booleans and anything else without ``__index__`` are refused.
+    """
+    if not isinstance(value, bool):
+        try:
+            number = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if number >= minimum:
+                return number
+    raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def check_in_range(

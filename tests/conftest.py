@@ -17,6 +17,8 @@ from repro.crowd.quality import QualityModel
 from repro.data.dataset import DisasterDataset, build_dataset, train_test_split
 from repro.utils.rng import SeedSequencer
 
+from tests.golden import RECORDER
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:
@@ -76,3 +78,20 @@ def platform(population, rng) -> CrowdsourcingPlatform:
         rng=rng,
         workers_per_query=5,
     )
+
+
+@pytest.fixture
+def golden(request):
+    """``golden(key, actual)`` checks a value against ``tests/golden``.
+
+    The family is the test module's ``GOLDEN`` (a
+    :class:`tests.golden.Family`).  Under ``python -m tests.golden`` the
+    value is recorded instead of compared.
+    """
+    family = request.module.GOLDEN
+    recorder = request.config.stash.get(RECORDER, None)
+
+    def check(key: str, actual) -> None:
+        family.check(key, actual, recorder)
+
+    return check

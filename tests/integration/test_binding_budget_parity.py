@@ -6,7 +6,8 @@ plays its UCB-best arm.  This deployment gets a 60-cent budget for 16
 queries, which puts the pacing signal ρ between two incentive levels and
 forces mixed rows.  Every ``allocation`` call is checked against the
 scipy HiGHS oracle, including the arm each row would draw from the
-bandit's RNG, and the whole run is pinned by its outcome digest.
+bandit's RNG, and the whole run is pinned by its outcome digest in
+``tests/golden/binding_budget.json``.
 """
 
 import copy
@@ -19,12 +20,11 @@ from repro.bandit.ccmb import UCBALPBandit
 from repro.eval.persistence import run_outcome_digest
 from repro.eval.runner import build_crowdlearn, prepare
 
+from tests.golden import Family
 from tests.lp_oracle import highs_allocation
 
 #: Outcome digest of the binding-budget run at seed 0.
-BINDING_DIGEST = (
-    "2e0d4f295fa4ad2a201412ac5d76e9213ed131391dd03b2106fff6a863080006"
-)
+GOLDEN = Family("binding_budget", ["seed0"])
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +83,6 @@ def test_every_row_draws_the_highs_arm(binding_run):
             assert drawn == expected
 
 
-def test_run_digest_is_pinned(binding_run):
+def test_run_digest_is_pinned(binding_run, golden):
     outcome, _ = binding_run
-    assert run_outcome_digest(outcome) == BINDING_DIGEST
+    golden("seed0", {"digest": run_outcome_digest(outcome)})

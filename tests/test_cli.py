@@ -276,12 +276,11 @@ class TestCommands:
             (["--crash", "--scheduler"], "--scheduler"),
             (["--workers", "2", "--scheduler"], "--scheduler"),
             (["--workers", "2", "--cycles", "3"], "--cycles"),
-            (["--workers", "0"], "--workers"),
         ],
         ids=[
             "cycles-without-crash", "crash-at-without-crash",
             "crash-with-workers", "crash-with-scheduler",
-            "workers-with-scheduler", "workers-with-cycles", "zero-workers",
+            "workers-with-scheduler", "workers-with-cycles",
         ],
     )
     def test_chaos_rejects_ignored_flags(self, argv, ignored, capsys):
@@ -289,6 +288,38 @@ class TestCommands:
         err = capsys.readouterr().err
         assert ignored in err
         assert "cannot be combined" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["serve", "--capacity", "-1"], "--capacity"),
+            (["serve", "--max-backlog", "-2"], "--max-backlog"),
+            (["serve", "--events", "-1"], "--events"),
+            (["loadgen", "--events", "0"], "--events"),
+            (["run", "--cycles", "0"], "--cycles"),
+            (["run", "--cycles", "-1"], "--cycles"),
+            (["supervise", "--cycles", "0", "--checkpoint", "c.ckpt",
+              "--journal", "c.journal"], "--cycles"),
+            (["chaos", "--crash", "--cycles", "0"], "--cycles"),
+            (["chaos", "--workers", "0"], "--workers"),
+            (["bench", "--repeats", "0"], "--repeats"),
+            (["run", "--cycles", "2.5"], "--cycles"),
+        ],
+        ids=[
+            "serve-capacity-negative", "serve-max-backlog-negative",
+            "serve-events-negative", "loadgen-events-0", "run-cycles-0",
+            "run-cycles-negative", "supervise-cycles-0", "chaos-crash-cycles-0",
+            "chaos-workers-0", "bench-repeats-0", "run-cycles-not-integer",
+        ],
+    )
+    def test_bad_numeric_flag_exits_2(self, argv, flag, capsys):
+        """One usage error before any work starts, not a traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--seed", "61"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be an integer >=" in err
+        assert "Traceback" not in err
 
     def test_serve_resume_requires_dir(self, capsys):
         assert main(["serve", "--resume", "--seed", "61"]) == 2

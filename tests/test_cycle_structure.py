@@ -4,8 +4,9 @@ Crash recovery re-executes a cycle and checks every journal append
 against the log, and crash points (``--crash-at post:1:0``) are keyed on
 journal stage names, so the per-cycle stage sequence is part of the
 durable format.  The span tree is what traces and ``repro bench``
-aggregate.  Both are compared, cycle by cycle, against literal lists, and
-the full journal content (payloads included) against a digest.
+aggregate.  Both are compared, cycle by cycle, with the lists in
+``tests/golden/cycle_structure.json``, and the full journal content
+(payloads included) with a digest there.
 
 Four runs are covered: the default fast deployment, the tight scheduler
 run (harvests and all-late queries), a hardened guard run under hostile
@@ -25,6 +26,7 @@ from repro.eval.journal import CycleJournal, read_journal
 from repro.eval.runner import build_crowdlearn, prepare
 from repro.telemetry.runtime import Telemetry, use_telemetry
 
+from tests.golden import Family
 from tests.test_scheduler_integration import tight_config
 
 
@@ -121,56 +123,20 @@ class Recorder:
         return [render(root) for root in roots]
 
 
-# Journal stage sequences.
-POSTED = (
-    "cycle_start qss post_intent post post_intent post cqc guard retrain "
-    "cycle_end"
-)
-HARVEST_POSTED = (
-    "cycle_start harvest qss post_intent post post_intent post cqc guard "
-    "retrain cycle_end"
-)
-#: Every post was late: no CQC, but harvested stragglers are retrained on.
-HARVEST_ALL_LATE = (
-    "cycle_start harvest qss post_intent post post_intent post retrain "
-    "cycle_end"
-)
-HARVEST_NOTHING_POSTED = "cycle_start harvest qss cycle_end"
-HARVEST_STRAGGLERS_ONLY = "cycle_start harvest qss retrain cycle_end"
+#: Per run: the journal stage sequence and span tree of every cycle and the
+#: journal digest, plus the hostile run's per-cycle drift flags and the
+#: cycle at which the straggler run first harvests.
+GOLDEN = Family("cycle_structure", ["default", "tight", "hostile", "straggler"])
 
-# Span trees.
-TREE_POSTED = (
-    "cycle(cycle.committee,cycle.qss,cycle.crowd(cycle.ipd.price,"
-    "platform.post_query,cycle.ipd.price,platform.post_query),cycle.cqc,"
-    "cycle.mic.reweight,cycle.mic.retrain(guard.snapshot*3,"
-    "cycle.mic.retrain.fit(trainer.fit*4),guard.score),cycle.ipd.observe)"
-)
-#: A flagged cycle opens the retrain span but skips the retrain.
-TREE_FLAGGED = (
-    "cycle(cycle.committee,cycle.qss,cycle.crowd(cycle.ipd.price,"
-    "platform.post_query,cycle.ipd.price,platform.post_query),cycle.cqc,"
-    "cycle.mic.reweight,cycle.mic.retrain,cycle.ipd.observe)"
-)
-TREE_HARVEST_POSTED = (
-    "cycle(scheduler.harvest,cycle.committee,cycle.qss,cycle.crowd("
-    "cycle.ipd.price,platform.post_query,cycle.ipd.price,platform.post_query"
-    "),cycle.cqc,cycle.mic.reweight,cycle.mic.retrain(guard.snapshot*3,"
-    "cycle.mic.retrain.fit(trainer.fit*4),guard.score),cycle.ipd.observe)"
-)
-TREE_HARVEST_ALL_LATE = (
-    "cycle(scheduler.harvest,cycle.committee,cycle.qss,cycle.crowd("
-    "cycle.ipd.price,platform.post_query,cycle.ipd.price,platform.post_query"
-    "),cycle.mic.retrain(guard.snapshot*3,cycle.mic.retrain.fit("
-    "trainer.fit*4),guard.score))"
-)
-TREE_HARVEST_NOTHING_POSTED = (
-    "cycle(scheduler.harvest,cycle.committee,cycle.qss,cycle.crowd)"
-)
-TREE_HARVEST_STRAGGLERS_ONLY = (
-    "cycle(scheduler.harvest,cycle.committee,cycle.qss,cycle.crowd,"
-    "cycle.mic.retrain(guard.snapshot*3,cycle.mic.retrain.fit("
-    "trainer.fit*4),guard.score))"
-)
+
+def pinned_structure(recorder, **extra) -> dict:
+    """What the golden file holds for one run."""
+    return {
+        "span_trees": recorder.span_trees(),
+        "journal_stages": recorder.journal_stages(),
+        "journal_digest": recorder.journal_digest(),
+        **extra,
+    }
 
 
 @pytest.fixture(scope="module")
@@ -198,43 +164,17 @@ def straggler_run(setup, tmp_path_factory):
 
 
 class TestCycleStructure:
-    def test_default_fast_run(self, setup, tmp_path):
+    def test_default_fast_run(self, setup, tmp_path, golden):
         recorder = Recorder(setup, tmp_path, "structure-default").run()
-        assert recorder.span_trees() == [TREE_POSTED] * 8
-        assert recorder.journal_stages() == [POSTED] * 8
-        assert recorder.journal_digest() == (
-            "16ac6bddbdba4c1fbff7c791d88d2bc3320e23954d962ae52be3bb4999264dd1"
-        )
+        golden("default", pinned_structure(recorder))
 
-    def test_tight_scheduler_run(self, setup, tmp_path):
+    def test_tight_scheduler_run(self, setup, tmp_path, golden):
         recorder = Recorder(
             setup, tmp_path, "structure-tight", config=tight_config(setup)
         ).run()
-        assert recorder.span_trees() == [
-            TREE_HARVEST_POSTED,
-            TREE_HARVEST_POSTED,
-            TREE_HARVEST_POSTED,
-            TREE_HARVEST_POSTED,
-            TREE_HARVEST_ALL_LATE,
-            TREE_HARVEST_ALL_LATE,
-            TREE_HARVEST_POSTED,
-            TREE_HARVEST_ALL_LATE,
-        ]
-        assert recorder.journal_stages() == [
-            HARVEST_POSTED,
-            HARVEST_POSTED,
-            HARVEST_POSTED,
-            HARVEST_POSTED,
-            HARVEST_ALL_LATE,
-            HARVEST_ALL_LATE,
-            HARVEST_POSTED,
-            HARVEST_ALL_LATE,
-        ]
-        assert recorder.journal_digest() == (
-            "ba6cb18dac54c24ba99463b2dddf0b043168be8cdcc191d695b9e8e9ea301606"
-        )
+        golden("tight", pinned_structure(recorder))
 
-    def test_hardened_hostile_run(self, setup, tmp_path):
+    def test_hardened_hostile_run(self, setup, tmp_path, golden):
         injector = FaultInjector(
             adversarial_label_plan(),
             rng=setup.seeds.get("structure-hostile-faults"),
@@ -244,35 +184,21 @@ class TestCycleStructure:
             faults=injector, guards=GuardPolicy.hardened(),
         ).run()
         flags = [o.guards.drift_flags for o in recorder.outcomes]
-        assert flags == [0, 0, 0, 1, 1, 0, 0, 1]
-        assert recorder.span_trees() == [
-            TREE_FLAGGED if flag else TREE_POSTED for flag in flags
-        ]
-        assert recorder.journal_stages() == [POSTED] * 8
+        golden("hostile", pinned_structure(recorder, drift_flags=flags))
         flagged = [
             r["payload"]["flagged"]
             for r in recorder.records() if r["stage"] == "guard"
         ]
         assert flagged == [bool(flag) for flag in flags]
-        assert recorder.journal_digest() == (
-            "8c15c6fcec4a3fe7c264f3628451b133f16594a5e9b9fb1bba110ebeddfb4324"
-        )
+        # A flagged cycle opens the retrain span but skips the retrain.
+        fits = ["trainer.fit" in tree for tree in recorder.span_trees()]
+        assert fits == [not flag for flag in flags]
 
-    def test_straggler_only_run(self, straggler_run):
+    def test_straggler_only_run(self, straggler_run, golden):
         recorder, outcome, _ = straggler_run
-        assert outcome.cycle_index == 2
-        assert recorder.span_trees() == [
-            TREE_HARVEST_POSTED,
-            TREE_HARVEST_NOTHING_POSTED,
-            TREE_HARVEST_STRAGGLERS_ONLY,
-        ]
-        assert recorder.journal_stages() == [
-            HARVEST_POSTED,
-            HARVEST_NOTHING_POSTED,
-            HARVEST_STRAGGLERS_ONLY,
-        ]
-        assert recorder.journal_digest() == (
-            "dd664c0bf63121a62ce4070db164eb5c77caeaa0392e0527f07f0fb1c585df0b"
+        golden(
+            "straggler",
+            pinned_structure(recorder, harvest_cycle=outcome.cycle_index),
         )
 
 

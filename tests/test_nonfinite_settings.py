@@ -5,11 +5,14 @@ configured with one silently never fires (``x < y - nan`` never rolls
 back); an infinite backoff or cycle length stalls the loop, and a NaN
 incentive level or delay-spike factor poisons every price or delay it
 touches.  Each of these settings must raise ``ValueError`` at
-construction instead.
+construction instead.  Integer settings (counts, sizes, periods) also
+refuse non-integral values.
 """
 
 import dataclasses
+import inspect
 
+import numpy as np
 import pytest
 
 from repro.core.config import CrowdLearnConfig
@@ -17,6 +20,7 @@ from repro.core.guards import GuardPolicy
 from repro.core.mic import MachineIntelligenceCalibrator
 from repro.core.resilience import ResiliencePolicy
 from repro.crowd.faults import FaultPlan
+from repro.serve.pool import SharedCrowdPool
 
 NAN, INF = float("nan"), float("inf")
 
@@ -74,3 +78,44 @@ FLOAT_FIELDS = list(_float_fields())
 def test_every_float_field_refuses_non_finite(cls, field, value):
     with pytest.raises(ValueError, match=field):
         cls(**{field: value})
+
+
+def _int_fields():
+    """Every integer setting of the config, the MIC calibrator and the pool."""
+    for f in dataclasses.fields(CrowdLearnConfig):
+        if f.type in ("int", int):
+            yield CrowdLearnConfig, f.name
+    mic = inspect.signature(MachineIntelligenceCalibrator).parameters.values()
+    for param in mic:
+        if param.annotation in ("int", int):
+            yield MachineIntelligenceCalibrator, param.name
+    # The pool's other int fields are window state, not settings.
+    yield SharedCrowdPool, "capacity_per_cycle"
+    yield SharedCrowdPool, "max_backlog"
+
+
+INT_FIELDS = list(_int_fields())
+INT_IDS = [f"{cls.__name__}.{field}" for cls, field in INT_FIELDS]
+
+
+def test_int_fields_cover_every_integer_setting():
+    assert len(INT_FIELDS) == 12 + 5 + 2
+
+
+@pytest.mark.parametrize(
+    "value", [NAN, INF, -INF, 2.5, 3.0, True],
+    ids=["nan", "inf", "-inf", "2.5", "3.0", "bool"],
+)
+@pytest.mark.parametrize("cls, field", INT_FIELDS, ids=INT_IDS)
+def test_every_int_field_refuses_non_integers(cls, field, value):
+    with pytest.raises(ValueError, match=field):
+        cls(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "value", [3, np.int64(3), np.int32(3), np.uint8(3)],
+    ids=["int", "int64", "int32", "uint8"],
+)
+@pytest.mark.parametrize("cls, field", INT_FIELDS, ids=INT_IDS)
+def test_every_int_field_accepts_python_and_numpy_integers(cls, field, value):
+    cls(**{field: value})

@@ -1,9 +1,11 @@
 """Tests for repro.utils.validation."""
 
+import numpy as np
 import pytest
 
 from repro.utils.validation import (
     check_in_range,
+    check_integer,
     check_non_negative,
     check_positive,
     check_probability,
@@ -32,6 +34,14 @@ class TestScalarChecks:
         assert check_non_negative(0.0) == 0.0
         with pytest.raises(ValueError):
             check_non_negative(-1e-9)
+
+    def test_integer(self):
+        assert check_integer(0) == 0
+        assert check_integer(np.int64(7), minimum=7) == 7
+        assert type(check_integer(np.int32(2))) is int
+        for bad in (-1, 2.0, float("nan"), "3", None, False):
+            with pytest.raises(ValueError, match="n must be an integer >= 0"):
+                check_integer(bad, name="n")
 
     def test_in_range(self):
         assert check_in_range(5, 0, 10) == 5.0
