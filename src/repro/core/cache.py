@@ -106,6 +106,15 @@ class BoundedCache:
             self._data.popitem(last=False)
             self.stats.evictions += 1
 
+    def update(self, other: "BoundedCache") -> None:
+        """``put`` every entry of ``other``, least recent first.
+
+        ``other`` is not touched: its entries, recency and counters stay as
+        they were, and the two stores share the (read-only) values.
+        """
+        for key, value in other._data.items():
+            self.put(key, value)
+
     def __deepcopy__(self, memo: dict[int, Any]) -> "BoundedCache":
         copied = BoundedCache(self.capacity)
         memo[id(self)] = copied

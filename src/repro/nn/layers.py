@@ -11,7 +11,19 @@ order and :func:`col2im` folds into an NHWC buffer, so ``Conv2D`` reads
 its output gradient as patch rows without a transposing copy.  No value
 depends on this: every GEMM sees the same layout as with NCHW memory,
 every fold adds the same terms in the same order, and Grad-CAM averages
-its gradient over a C-ordered copy.  Each layer exposes:
+its gradient over a C-ordered copy.
+
+A batch holding 1.5 MiB of patch rows or more runs each conv GEMM a chunk
+of images (at most about 1 MiB) at a time (:func:`_chunk_bounds`): the
+forward unfolds a chunk's patches and multiplies them while they are in
+L2, and the backward
+multiplies a chunk's output-gradient rows by the weights and folds the
+product at once, so the full input-gradient row matrix is never built.
+The weight gradient sums over every row and stays one GEMM.  Chunks only
+form where each row's GEMM sums are shown to be those of the whole batch;
+other batches run one GEMM each way.
+
+Each layer exposes:
 
 - ``forward(x, training)`` — compute outputs; a training forward caches what
   backward needs, an inference forward clears those caches;
@@ -23,8 +35,9 @@ its gradient over a C-ordered copy.  Each layer exposes:
 - ``params()`` / ``grads()`` — parallel lists consumed by the optimizers.
 
 ``MaxPool2D`` works on the ``s * s`` strided views ``x[:, :, dy::s, dx::s]``,
-one per window position: each step is one elementwise pass over a view,
-with no transposed 6-D copy of the input and no per-element window mask.
+one per window position: each step is one elementwise pass over a view
+into reused buffers, with no transposed 6-D copy of the input and no
+per-element window mask.
 """
 
 from __future__ import annotations
@@ -57,8 +70,10 @@ _FORWARD_CACHES = (
     "_cols", "_x_shape", "_mask", "_input", "_shape",
 )
 
-#: Patch-row bytes :func:`col2im` folds per chunk of images, so that its
-#: ``k * k`` strided passes over a chunk's rows stay in L2.
+#: Patch-row bytes a conv handles per chunk of images, so that what one step
+#: writes (im2col's patches, the input-gradient GEMM's rows) is still in L2
+#: when the next step (the forward GEMM, :func:`col2im`'s ``k * k`` strided
+#: passes) reads it.
 _FOLD_CHUNK_BYTES = 1 << 20
 
 
@@ -169,6 +184,85 @@ class Dense(Layer):
         return [self.grad_weight, self.grad_bias]
 
 
+def _output_size(
+    h: int, w: int, kernel: int, stride: int, pad: int
+) -> tuple[int, int]:
+    """A conv's (OH, OW); raises ``ValueError`` when the kernel does not fit."""
+    out_h = (h + 2 * pad - kernel) // stride + 1
+    out_w = (w + 2 * pad - kernel) // stride + 1
+    if out_h <= 0 or out_w <= 0:
+        raise ValueError(
+            f"kernel {kernel} with stride {stride}, pad {pad} does not fit "
+            f"input of spatial size {h}x{w}"
+        )
+    return out_h, out_w
+
+
+def _chunk_bounds(
+    n: int, rows: int, width: int, out_channels: int, itemsize: int
+) -> list[int] | None:
+    """Image bounds of a conv batch's GEMM chunks, or ``None`` for one GEMM.
+
+    ``rows`` is ``OH * OW`` and ``width`` is ``C * k * k``.  A batch splits
+    into as many chunks as it holds ``_FOLD_CHUNK_BYTES`` of patch rows,
+    rounded up, balanced so that their sizes differ by at most one image.
+    A batch under one and a half of them stays one chunk: it fits in L2
+    with its output, and splitting it only adds calls.
+
+    Chunking must not move a byte: a chunk's GEMM must give every row the
+    bytes the whole batch's GEMM gives it.  With numpy's OpenBLAS 0.3.31
+    (DYNAMIC_ARCH) that was shown, with one and two threads, on the
+    SkylakeX, Cooperlake and SapphireRapids kernels of an AVX-512 Xeon and
+    on the Haswell, Zen and SandyBridge kernels selected there with
+    ``OPENBLAS_CORETYPE``, and with three and four threads on SkylakeX,
+    Haswell and Zen (see docs/PERFORMANCE.md; the SSE-only Nehalem kernel
+    broke it with two threads at one geometry no expert has), for
+
+    - two or more output channels: one output channel runs gemv;
+    - image row counts ``OH * OW`` that are multiples of 16: every chunk
+      then starts and ends on a multiple of the GEMM kernels' row unroll
+      (4 to 16), so each row falls in the same micro-kernel block as in
+      the whole GEMM; at 225 or 196 rows the Haswell and Zen kernels sum
+      some rows in another order;
+    - at most 192 patch columns: a wider input-gradient GEMM sums its last
+      ``width % 8`` columns in an order that depends on its row count;
+    - chunks of over ``10**6`` multiply-adds at 16 or more output channels:
+      below that OpenBLAS takes a small-matrix kernel, which sums an
+      input-gradient product 16 or more deep in another order.
+
+    Elsewhere the batch stays one chunk.
+    """
+    chunk = _FOLD_CHUNK_BYTES
+    total = n * rows * width * itemsize
+    parts = min(n, -(-total // chunk)) if 2 * total >= 3 * chunk else 1
+    if out_channels >= 16:
+        parts = min(parts, n // (10**6 // (rows * width * out_channels) + 1))
+    if parts < 2 or out_channels == 1 or rows % 16 or width > 192:
+        return None
+    return [n * i // parts for i in range(parts + 1)]
+
+
+def _padded_planes(x: np.ndarray, pad: int) -> np.ndarray:
+    """``x`` as ``(C, N, H+2p, W+2p)`` channel planes, zero-padded by ``pad``."""
+    n, c, h, w = x.shape
+    if not pad:
+        return x.transpose(1, 0, 2, 3)
+    padded = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    padded[:, :, pad : pad + h, pad : pad + w] = x.transpose(1, 0, 2, 3)
+    return padded
+
+
+def _unfold(planes: np.ndarray, cols: np.ndarray, stride: int) -> None:
+    """Fill ``cols``, a ``(C, k, k, N, OH, OW)`` array or view, from padded planes."""
+    kernel = cols.shape[1]
+    out_h, out_w = cols.shape[-2:]
+    for ky in range(kernel):
+        y_end = ky + stride * out_h
+        for kx in range(kernel):
+            x_end = kx + stride * out_w
+            cols[:, ky, kx] = planes[:, :, ky:y_end:stride, kx:x_end:stride]
+
+
 def im2col(
     x: np.ndarray, kernel: int, stride: int, pad: int
 ) -> tuple[np.ndarray, int, int]:
@@ -177,24 +271,9 @@ def im2col(
     Returns the transposed view of a channel-major patch matrix and (OH, OW).
     """
     n, c, h, w = x.shape
-    out_h = (h + 2 * pad - kernel) // stride + 1
-    out_w = (w + 2 * pad - kernel) // stride + 1
-    if out_h <= 0 or out_w <= 0:
-        raise ValueError(
-            f"kernel {kernel} with stride {stride}, pad {pad} does not fit "
-            f"input of spatial size {h}x{w}"
-        )
-    if pad:
-        padded = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-        padded[:, :, pad : pad + h, pad : pad + w] = x.transpose(1, 0, 2, 3)
-    else:
-        padded = x.transpose(1, 0, 2, 3)
+    out_h, out_w = _output_size(h, w, kernel, stride, pad)
     cols = np.empty((c, kernel, kernel, n, out_h, out_w), dtype=x.dtype)
-    for ky in range(kernel):
-        y_end = ky + stride * out_h
-        for kx in range(kernel):
-            x_end = kx + stride * out_w
-            cols[:, ky, kx] = padded[:, :, ky:y_end:stride, kx:x_end:stride]
+    _unfold(_padded_planes(x, pad), cols, stride)
     return cols.reshape(c * kernel * kernel, -1).T, out_h, out_w
 
 
@@ -204,6 +283,7 @@ def col2im(
     kernel: int,
     stride: int,
     pad: int,
+    weight: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fold patch rows into an NCHW gradient; inverse of :func:`im2col`.
 
@@ -211,16 +291,38 @@ def col2im(
     buffer, a chunk of images at a time, and the NCHW-shaped transposed
     view of it is returned.  Each element sums the same terms in the same
     ``(ky, kx)`` order as an NCHW fold.
+
+    With ``weight`` (``(O, C*k*k)``), ``cols`` holds output-gradient rows
+    ``(N*OH*OW, O)`` and the patch rows are ``cols @ weight``: a batch that
+    :func:`_chunk_bounds` splits multiplies each chunk's rows just before
+    folding them, so the whole patch-row matrix is never built.
     """
     n, c, h, w = x_shape
-    out_h = (h + 2 * pad - kernel) // stride + 1
-    out_w = (w + 2 * pad - kernel) // stride + 1
-    rows = cols.reshape(n, out_h, out_w, c, kernel, kernel)
-    padded = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=rows.dtype)
-    step = max(1, _FOLD_CHUNK_BYTES // (rows[0].size * rows.itemsize))
-    for start in range(0, n, step):
-        chunk = rows[start : start + step]
-        target = padded[start : start + step]
+    out_h, out_w = _output_size(h, w, kernel, stride, pad)
+    per_image = out_h * out_w
+    width = c * kernel * kernel
+    dtype = cols.dtype if weight is None else np.result_type(cols, weight)
+    bounds = None
+    if weight is not None:
+        bounds = _chunk_bounds(n, per_image, width, len(weight), dtype.itemsize)
+        if bounds is None:
+            cols, weight = cols @ weight, None
+    if bounds is None:
+        step = max(1, _FOLD_CHUNK_BYTES // (per_image * width * dtype.itemsize))
+        bounds = [*range(0, n, step), n]
+        rows = cols.reshape(n, out_h, out_w, c, kernel, kernel)
+    else:
+        most = max(end - start for start, end in zip(bounds, bounds[1:]))
+        scratch = np.empty((most * per_image, width), dtype=dtype)
+    padded = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=dtype)
+    for start, end in zip(bounds, bounds[1:]):
+        if weight is None:
+            chunk = rows[start:end]
+        else:
+            chunk = scratch[: (end - start) * per_image]
+            np.matmul(cols[start * per_image : end * per_image], weight, out=chunk)
+            chunk = chunk.reshape(end - start, out_h, out_w, c, kernel, kernel)
+        target = padded[start:end]
         for ky in range(kernel):
             y_end = ky + stride * out_h
             for kx in range(kernel):
@@ -268,23 +370,66 @@ class Conv2D(Layer):
                 f"Conv2D expected (batch, {self.weight.shape[1]}, H, W), "
                 f"got {x.shape}"
             )
-        cols, out_h, out_w = im2col(x, self.kernel, self.stride, self.pad)
+        n, c, h, w = x.shape
+        out_h, out_w = _output_size(h, w, self.kernel, self.stride, self.pad)
         out_channels = self.weight.shape[0]
-        if x.shape[0] > 1 and (out_channels == 1 or len(cols) * out_channels < 2048):
+        width = c * self.kernel * self.kernel
+        bounds = _chunk_bounds(n, out_h * out_w, width, out_channels, x.itemsize)
+        if bounds is not None:
+            return self._forward_chunks(x, training, bounds, out_h, out_w)
+        cols, out_h, out_w = im2col(x, self.kernel, self.stride, self.pad)
+        if n > 1 and (out_channels == 1 or len(cols) * out_channels < 2048):
             cols = np.ascontiguousarray(cols)
         self._cols = cols if training else None
         self._x_shape = x.shape if training else None
         out = cols @ self.weight.reshape(out_channels, -1).T
         # One add per image row of OH*OW*O values: ``out += bias`` would run
         # numpy's inner loop over only O channels at a time.
-        rows = out.reshape(x.shape[0], -1)
+        rows = out.reshape(n, -1)
         rows += np.tile(self.bias, out_h * out_w)
-        return out.reshape(x.shape[0], out_h, out_w, out_channels).transpose(0, 3, 1, 2)
+        return out.reshape(n, out_h, out_w, out_channels).transpose(0, 3, 1, 2)
+
+    def _forward_chunks(
+        self,
+        x: np.ndarray,
+        training: bool,
+        bounds: list[int],
+        out_h: int,
+        out_w: int,
+    ) -> np.ndarray:
+        """The forward one chunk of images at a time: unfold, GEMM, bias.
+
+        A training forward fills one patch buffer for the whole batch, so
+        ``_cols`` is the transposed view a one-chunk forward caches; an
+        inference forward reuses one chunk's buffer.
+        """
+        n, c = x.shape[:2]
+        k = self.kernel
+        per_image = out_h * out_w
+        out_channels = self.weight.shape[0]
+        images = n if training else max(b - a for a, b in zip(bounds, bounds[1:]))
+        patches = np.empty((c, k, k, images, out_h, out_w), dtype=x.dtype)
+        weight_t = self.weight.reshape(out_channels, -1).T
+        out = np.empty((n * per_image, out_channels), dtype=np.result_type(x, weight_t))
+        bias = np.tile(self.bias, per_image)
+        planes = _padded_planes(x, self.pad)
+        for start, end in zip(bounds, bounds[1:]):
+            chunk = patches[:, :, :, start:end] if training else patches[:, :, :, : end - start]
+            _unfold(planes[:, start:end], chunk, self.stride)
+            rows = out[start * per_image : end * per_image]
+            np.matmul(chunk.reshape(c * k * k, -1).T, weight_t, out=rows)
+            image_rows = rows.reshape(end - start, -1)
+            image_rows += bias
+        self._cols = patches.reshape(c * k * k, -1).T if training else None
+        self._x_shape = x.shape if training else None
+        return out.reshape(n, out_h, out_w, out_channels).transpose(0, 3, 1, 2)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         grad_flat = self._accumulate(grad)
-        grad_cols = grad_flat @ self.weight.reshape(self.weight.shape[0], -1)
-        return col2im(grad_cols, self._x_shape, self.kernel, self.stride, self.pad)
+        return col2im(
+            grad_flat, self._x_shape, self.kernel, self.stride, self.pad,
+            weight=self.weight.reshape(self.weight.shape[0], -1),
+        )
 
     def backward_params(self, grad: np.ndarray) -> None:
         self._accumulate(grad)
@@ -343,10 +488,15 @@ class MaxPool2D(Layer):
             # is written last: where position k matches, the wrapping
             # unsigned add sets ``first`` to k; NaN windows match nowhere
             # and keep 0.  The mask takes the input's memory order, which
-            # backward writes.
+            # backward writes; ``step`` and ``hit`` serve every position.
             first = np.zeros_like(views[0], dtype=np.min_scalar_type(len(views) - 1))
+            step = np.empty_like(first)
+            hit = np.empty_like(first, dtype=bool)
             for k in range(len(views) - 1, -1, -1):
-                first += (k - first) * (views[k] == out)
+                np.equal(views[k], out, out=hit)
+                np.subtract(k, first, out=step)
+                np.multiply(step, hit, out=step)
+                first += step
             self._mask = first
             self._x_shape = x.shape
         else:

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.utils.validation import check_positive
+
 __all__ = [
     "AdmissionRequest",
     "AdmissionPolicy",
@@ -53,8 +55,7 @@ class AdmissionRequest:
     def __post_init__(self) -> None:
         if self.demand < 0:
             raise ValueError(f"demand must be >= 0, got {self.demand}")
-        if self.priority <= 0:
-            raise ValueError(f"priority must be > 0, got {self.priority}")
+        check_positive(self.priority, "priority")
 
 
 class AdmissionPolicy:

@@ -22,6 +22,7 @@ from repro.core.system import CrowdLearnSystem, CycleOutcome, RunOutcome
 from repro.data.dataset import DisasterImage
 from repro.data.stream import SensingCycleStream
 from repro.eval.persistence import commit_cycle
+from repro.utils.validation import check_positive
 
 __all__ = ["Deployment"]
 
@@ -60,12 +61,10 @@ class Deployment:
         outcome: RunOutcome | None = None,
         next_cycle: int = 0,
     ) -> None:
-        if priority <= 0:
-            raise ValueError(f"priority must be > 0, got {priority}")
         self.event_id = event_id
         self.system = system
         self.stream = stream
-        self.priority = float(priority)
+        self.priority = check_positive(priority, "priority")
         self.start_window = int(start_window)
         self.checkpoint_path = (
             Path(checkpoint_path) if checkpoint_path is not None else None

@@ -50,7 +50,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.cache import BoundedCache, MemoCounters
+from repro.core.cache import BoundedCache, MemoCounters, feature_stores
 from repro.core.system import CrowdLearnSystem, CycleOutcome
 from repro.crowd.faults import FaultInjector, FaultPlan, InjectedCrash
 from repro.data.dataset import build_dataset
@@ -73,6 +73,7 @@ from repro.serve.pool import (
 )
 from repro.serve.registry import EventRegistry
 from repro.telemetry.runtime import Telemetry
+from repro.utils.validation import check_positive
 
 __all__ = ["CrowdLearnService", "EventStatus", "ServeJournalError"]
 
@@ -150,8 +151,12 @@ class CrowdLearnService:
         self._heap: list[tuple[float, str, int]] = []
         self._seq = 0
         self.ticks = 0
-        #: The one BoVW feature store every event's committee encodes into.
+        #: The one BoVW feature store every event's committee encodes into,
+        #: seeded with what the base committee encoded at fit (the training
+        #: and holdout images every event's clone would otherwise re-encode).
         self.features = BoundedCache(_FEATURE_STORE_SIZE)
+        for store in feature_stores(setup.base_committee.experts):
+            self.features.update(store)
         self.serve_dir = Path(serve_dir) if serve_dir is not None else None
         self._journal_fh = None
         self._manifest: dict[str, Any] = {
@@ -367,12 +372,13 @@ class CrowdLearnService:
             )
         if event_id in self.registry:
             raise ValueError(f"event {event_id!r} is already registered")
+        priority = check_positive(priority, "priority")
         if seed is None:
             seed = self.setup.seeds.seed_for(f"event-{event_id}")
         entry = {
             "event_id": event_id,
             "seed": int(seed),
-            "priority": float(priority),
+            "priority": priority,
             "n_cycles": self.setup.config.n_cycles,
             "start_window": self._next_window(),
             "platform_name": platform_name or f"event-{event_id}",

@@ -40,6 +40,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent
 PINNED_MODULES = (
     "tests.integration.test_binding_budget_parity",
     "tests.test_cycle_structure",
+    "tests.test_paper_scale_digest",
     "tests.test_policy_parity",
     "tests.test_serve_structure",
     "tests.test_truth_parity",

@@ -119,3 +119,25 @@ def test_every_int_field_refuses_non_integers(cls, field, value):
 @pytest.mark.parametrize("cls, field", INT_FIELDS, ids=INT_IDS)
 def test_every_int_field_accepts_python_and_numpy_integers(cls, field, value):
     cls(**{field: value})
+
+
+@pytest.mark.parametrize("value", [NAN, INF, -INF, 0.0, -1.0])
+def test_serve_priorities_refuse_non_finite_and_non_positive(value):
+    """An event's priority weighs every metered window it joins, so a bad
+    one is refused before the event is built or registered."""
+    from types import SimpleNamespace
+
+    from repro.serve.admission import AdmissionRequest
+    from repro.serve.service import CrowdLearnService
+
+    with pytest.raises(ValueError, match="priority"):
+        AdmissionRequest("a", 4, priority=value)
+    # Nothing is built before the check, so a world with no experts will do.
+    setup = SimpleNamespace(
+        config=CrowdLearnConfig(), seed=0, fast=True,
+        base_committee=SimpleNamespace(experts=[]),
+    )
+    service = CrowdLearnService(setup)
+    with pytest.raises(ValueError, match="priority"):
+        service.submit_event("a", priority=value)
+    assert len(service.registry) == 0

@@ -329,3 +329,46 @@ class TestLoadgen:
         assert "drain" in messages
         assert "contention" in messages
         assert "p99" in messages
+
+
+def _drained_fleet(setup, seeded: bool):
+    """Four events on a half-demand fair-share pool, a burst into the first."""
+    from repro.core.cache import BoundedCache
+
+    pool = SharedCrowdPool(
+        capacity_per_cycle=2 * setup.config.queries_per_cycle,
+        policy=create_admission_policy("fair-share"),
+    )
+    service = CrowdLearnService(setup, pool=pool)
+    if not seeded:
+        service.features = BoundedCache(service.features.capacity)
+    for i, priority in enumerate((2.0, 1.0, 1.5, 2.0)):
+        service.submit_event(f"e{i}", priority=priority)
+    while service.ticks < 4:
+        service.step()
+    service.ingest_images("e0", n_images=6, burst_seed=3)
+    service.drain()
+    return service
+
+
+class TestSeededFeatureStore:
+    def test_a_fleet_encodes_only_test_and_burst_images(self, setup):
+        """The fleet's store starts with the base committee's features, so
+        no event re-encodes a training or holdout image; outputs do not move."""
+        from repro.core.cache import feature_stores
+
+        (base,) = feature_stores(setup.base_committee.experts)
+        base_keys = set(base._data)
+        base_stats = (len(base), base.stats.hits, base.stats.misses)
+        seeded = _drained_fleet(setup, seeded=True)
+        empty = _drained_fleet(setup, seeded=False)
+        assert seeded.quarantined_events() == []
+        assert seeded.combined_digest() == empty.combined_digest()
+        assert (len(base), base.stats.hits, base.stats.misses) == base_stats
+        assert base_keys <= set(seeded.features._data)
+        encoded = set(seeded.features._data) - base_keys
+        test_ids = {image.image_id for image in setup.test_set}
+        burst = {image_id for _, image_id in encoded if image_id not in test_ids}
+        assert burst and min(burst) >= 1_000_000
+        assert seeded.features.stats.misses == len(encoded)
+        assert empty.features.stats.misses > seeded.features.stats.misses
